@@ -9,6 +9,10 @@ of the squared relative uncertainty.
 Integrals along trajectories use the trapezoid rule on the trajectory's own
 grid; refinement is the caller's control (run on a finer grid for a sharper
 quadrature).
+
+The traces sample ``H``, ``dH/dt``, ``A`` and ``v_A`` over the grid with
+:meth:`TimeDepOperator.sample` and reduce them with the batched moments
+kernel of :mod:`fluctdyn.fluctuation`, chunk by chunk along the time axis.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .dynamics import TimeDepOperator, Trajectory
-from .fluctuation import _centered, _expect_quad, velocity_observable
+from .fluctuation import centered_moments, inner_re, rate_columns, time_chunks
 from .linops import require_hermitian, require_normalized
 
 
@@ -53,8 +57,9 @@ def mt_ml_times(h: np.ndarray, psi: np.ndarray, hbar: float = 1.0) -> SpeedLimit
     """Evaluate both orthogonalization-time bounds for ``(h, psi)``."""
     h = require_hermitian(h, what="Hamiltonian")
     psi = require_normalized(psi)
-    mean, sq = _expect_quad(h, psi)
-    delta = sqrt(max(sq - mean * mean, 0.0))
+    means, centered, _ = centered_moments(h[None], psi[None])
+    mean = float(means[0])
+    delta = sqrt(float(inner_re(centered, centered)[0]))
     mt_defined = delta > 0.0
     ml_defined = mean > 0.0
     tau_mt = pi * hbar / (2.0 * delta) if mt_defined else float("inf")
@@ -74,13 +79,19 @@ def mt_ml_times(h: np.ndarray, psi: np.ndarray, hbar: float = 1.0) -> SpeedLimit
     )
 
 
-def _sigma_h_series(h: TimeDepOperator, traj: Trajectory) -> np.ndarray:
+def _energy_spread(h: TimeDepOperator, traj: Trajectory, with_rate: bool = False):
+    """``sigma_H`` at every grid point, plus ``cov(H, dH/dt)`` when ``with_rate``."""
     times = traj.grid.times
-    out = np.empty(len(times))
-    for k, t in enumerate(times):
-        _, dpsi = _centered(np.asarray(h.value(t), dtype=complex), traj.states[k])
-        out[k] = float(np.linalg.norm(dpsi))
-    return out
+    sig = np.empty(len(times))
+    cov = np.empty(len(times)) if with_rate else None
+    for chunk in time_chunks(len(times), h.dim):
+        t, psi = times[chunk], traj.states[chunk]
+        _, dh, _ = centered_moments(h.sample(t), psi, t)
+        sig[chunk] = np.sqrt(inner_re(dh, dh))
+        if with_rate:
+            _, dhd, _ = centered_moments(h.sample_deriv(t), psi, t)
+            cov[chunk] = inner_re(dh, dhd)
+    return sig, cov
 
 
 def mt_integral_check(
@@ -94,7 +105,7 @@ def mt_integral_check(
     ``defect = lhs - rhs`` (nonnegative up to quadrature error).
     """
     times = traj.grid.times
-    sig = _sigma_h_series(h, traj)
+    sig, _ = _energy_spread(h, traj)
     lhs = _cumtrapz(sig / hbar, times)
     overlaps = np.abs(traj.states @ traj.states[0].conj())
     rhs = pi / 2.0 - np.arcsin(np.clip(overlaps, 0.0, 1.0))
@@ -123,26 +134,17 @@ def fs_kinematics(
     else:
         raise ValueError(f"unknown convention {convention!r}")
     times = traj.grid.times
-    sig = _sigma_h_series(h, traj)
+    analytic = h.dvalue is not None
+    sig, cov = _energy_spread(h, traj, with_rate=analytic)
     v = factor * sig / hbar
     s = _cumtrapz(v, times)
 
     accel = np.full(len(times), np.nan)
     floor = 1e-12
-    if h.dvalue is not None:
-        for k, t in enumerate(times):
-            if sig[k] <= floor:
-                continue
-            psi = traj.states[k]
-            h_t = np.asarray(h.value(t), dtype=complex)
-            hd_t = np.asarray(h.dvalue(t), dtype=complex)
-            mean_h, _ = _expect_quad(h_t, psi)
-            mean_hd, _ = _expect_quad(hd_t, psi)
-            sym = float(np.vdot(psi, (h_t @ hd_t + hd_t @ h_t) @ psi).real) / 2.0
-            cov = sym - mean_h * mean_hd
-            accel[k] = factor * cov / (hbar * sig[k])
+    ok = sig > floor
+    if analytic:
+        accel[ok] = factor * cov[ok] / (hbar * sig[ok])
     else:
-        ok = sig > floor
         inner = ok[1:-1] & ok[2:] & ok[:-2]
         idx = np.nonzero(inner)[0] + 1
         accel[idx] = (v[idx + 1] - v[idx - 1]) / (times[idx + 1] - times[idx - 1])
@@ -173,21 +175,8 @@ def snr_trace(
 ) -> SnrTrace:
     """Per-grid-point SNR and its floor from the fluctuation rate bound."""
     times = traj.grid.times
-    n = len(times)
-    mu = np.empty(n)
-    var = np.empty(n)
-    mu_dot = np.empty(n)
-    v2 = np.empty(n)
-    for k, t in enumerate(times):
-        psi = traj.states[k]
-        a_t = np.asarray(a.value(t), dtype=complex)
-        v_t = velocity_observable(a, h, t, hbar)
-        m, da = _centered(a_t, psi)
-        mu[k] = m
-        var[k] = float(np.vdot(da, da).real)
-        md, dv = _centered(v_t, psi)
-        mu_dot[k] = md
-        v2[k] = float(np.vdot(dv, dv).real) + md * md
+    mu, var, mu_dot, _, sigma_v_sq, _ = rate_columns(a, h, traj, hbar=hbar)
+    v2 = sigma_v_sq + mu_dot**2
     integrand = np.sqrt(np.clip(v2 - mu_dot**2, 0.0, None))
     budget = np.sqrt(var[0]) + _cumtrapz(integrand, times)
     with np.errstate(divide="ignore", invalid="ignore"):

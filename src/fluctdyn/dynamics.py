@@ -1,13 +1,27 @@
 """Time evolution under time-dependent Hermitian generators.
 
+Operators
+    :class:`TimeDepOperator` wraps a value map ``t -> ndarray`` (and
+    optionally its analytic derivative).  Operators of the form
+    ``sum_k c_k(t) B_k`` also carry that decomposition as ``terms``, a tuple
+    of ``(c_k, dc_k, B_k)`` triples filled in by :meth:`TimeDepOperator.linear`,
+    :meth:`~TimeDepOperator.scaled` and :meth:`~TimeDepOperator.stationary`.
+    :meth:`~TimeDepOperator.sample` and :meth:`~TimeDepOperator.sample_deriv`
+    return the operator over a whole array of times as an ``(n, d, d)``
+    stack: one array expression over the coefficients when ``terms`` is
+    set, otherwise the value map evaluated per time (tabulated samples,
+    composed chain levels, user callables), with the same central
+    difference as :meth:`~TimeDepOperator.deriv` when there is no
+    derivative.
+
 Two propagation routes:
 
 ``exact_commuting``
     For families with ``[H(t), H(t')] = 0`` the propagator is the closed
     form ``exp(-(i/hbar) * Integral_0^t H)``.  The integral is evaluated by
     adaptive Simpson quadrature (absolute tolerance 1e-12), either on the
-    scalar coefficient when ``H(t) = f(t) * H0`` (detected from the operator
-    metadata or by probing) or entrywise otherwise.
+    scalar coefficient when ``H(t) = f(t) * H0`` (a one-term operator, or
+    detected by probing) or entrywise otherwise.
 
 ``midpoint``
     General-purpose exponential midpoint stepping,
@@ -21,16 +35,33 @@ representation-equivalence diagnostics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linops import herm_expm, require_hermitian, require_normalized
+from .linops import HERM_TOL, herm_expm, require_hermitian, require_normalized
 
 SIMPSON_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-6
 DEFAULT_NORM_BUDGET = 1e-8
+
+
+def coefficient_values(f: Callable, times: np.ndarray) -> np.ndarray:
+    """``f`` evaluated at every entry of ``times``.
+
+    One array call when ``f`` accepts arrays (a constant result is
+    broadcast); one call per time otherwise.
+    """
+    try:
+        out = np.asarray(f(times))
+        if out.ndim == 0:
+            return np.full(times.shape, out)
+        if out.shape == times.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([f(t) for t in times])
 
 
 @dataclass
@@ -50,9 +81,11 @@ class TimeDepOperator:
     commuting_family : bool
         Declares ``[value(t), value(t')] = 0`` for all ``t, t'`` (enables
         the ``exact_commuting`` propagation route).
-    coeff, base : optional
-        Scalar-family metadata: when set, ``value(t) == coeff(t) * base``.
-        Populated by the :meth:`scaled` and :meth:`stationary` constructors.
+    terms : tuple, optional
+        ``((c_1, dc_1, B_1), ...)`` with ``value(t) == sum_k c_k(t) B_k``;
+        ``dc_k`` is the derivative of ``c_k`` or None.  Populated by
+        :meth:`linear`, :meth:`scaled` and :meth:`stationary`; lets
+        :meth:`sample` evaluate a whole grid as one array expression.
     """
 
     value: Callable[[float], np.ndarray]
@@ -60,8 +93,7 @@ class TimeDepOperator:
     dvalue: Optional[Callable[[float], np.ndarray]] = None
     commuting_family: bool = False
     fd_step: float = DEFAULT_FD_STEP
-    coeff: Optional[Callable[[float], float]] = None
-    base: Optional[np.ndarray] = None
+    terms: Optional[tuple] = None
 
     def __call__(self, t: float) -> np.ndarray:
         return self.value(t)
@@ -81,19 +113,60 @@ class TimeDepOperator:
         d2 = (self.value(t + step / 2) - self.value(t - step / 2)) / step
         return (4.0 * d2 - d1) / 3.0
 
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """The operator at every entry of ``times`` as an ``(n, d, d)`` stack."""
+        times = np.asarray(times, dtype=float)
+        if self.terms is not None:
+            return weighted_sum([(coefficient_values(c, times), b) for c, _, b in self.terms])
+        return _stack(self.value, times)
+
+    def sample_deriv(self, times: np.ndarray) -> np.ndarray:
+        """Time derivative at every entry of ``times``, as :meth:`deriv` defines it."""
+        times = np.asarray(times, dtype=float)
+        if self.terms is not None and all(dc is not None for _, dc, _ in self.terms):
+            return weighted_sum([(coefficient_values(dc, times), b) for _, dc, b in self.terms])
+        if self.dvalue is not None:
+            return _stack(self.dvalue, times)
+        h = self.fd_step
+        return (self.sample(times + h) - self.sample(times - h)) / (2.0 * h)
+
+    @classmethod
+    def linear(cls, terms) -> "TimeDepOperator":
+        """Operator ``sum_k c_k(t) B_k`` from ``(c_k, dc_k, B_k)`` triples.
+
+        The bases must be Hermitian and the coefficients real.  The analytic
+        derivative exists when every ``dc_k`` is given; the family is
+        declared commuting when the bases commute pairwise.
+        """
+        terms = tuple(
+            (c, dc, require_hermitian(np.asarray(b, dtype=complex), what="operator basis"))
+            for c, dc, b in terms
+        )
+        if not terms:
+            raise ValueError("a linear operator needs at least one term")
+        dim = terms[0][2].shape[0]
+        if any(b.shape != (dim, dim) for _, _, b in terms):
+            raise ValueError("operator basis matrices differ in dimension")
+        dvalue = None
+        if all(dc is not None for _, dc, _ in terms):
+            dvalue = lambda t: sum(dc(t) * b for _, dc, b in terms)
+        commuting = all(
+            np.abs(bj @ bk - bk @ bj).max() <= HERM_TOL * max(1.0, np.abs(bj).max() * np.abs(bk).max())
+            for j, (_, _, bj) in enumerate(terms)
+            for _, _, bk in terms[j + 1 :]
+        )
+        return cls(
+            value=lambda t: sum(c(t) * b for c, _, b in terms),
+            dim=dim,
+            dvalue=dvalue,
+            commuting_family=commuting,
+            terms=terms,
+        )
+
     @classmethod
     def stationary(cls, mat: np.ndarray) -> "TimeDepOperator":
         """Constant-in-time operator; a (trivially) commuting family."""
-        mat = require_hermitian(np.asarray(mat, dtype=complex), what="stationary operator")
-        zero = np.zeros_like(mat)
-        return cls(
-            value=lambda t: mat,
-            dim=mat.shape[0],
-            dvalue=lambda t: zero,
-            commuting_family=True,
-            coeff=lambda t: 1.0,
-            base=mat,
-        )
+        return cls.linear([(lambda t: 1.0, lambda t: 0.0, mat)])
 
     @classmethod
     def scaled(
@@ -103,31 +176,49 @@ class TimeDepOperator:
         base: np.ndarray,
     ) -> "TimeDepOperator":
         """Operator of the form ``f(t) * base`` (a commuting family)."""
-        base = require_hermitian(np.asarray(base, dtype=complex), what="scaled-operator base")
-        dvalue = None if fdot is None else (lambda t: fdot(t) * base)
-        return cls(
-            value=lambda t: f(t) * base,
-            dim=base.shape[0],
-            dvalue=dvalue,
-            commuting_family=True,
-            coeff=f,
-            base=base,
-        )
+        return cls.linear([(f, fdot, base)])
+
+
+def weighted_sum(weighted: list) -> np.ndarray:
+    """``sum_k c_k[:, None, None] * B_k`` over ``(c_k, B_k)`` pairs with real ``c_k``.
+
+    Evaluated as one real matrix product of the ``(n, K)`` coefficients
+    with the bases' real and imaginary parts.
+    """
+    if len(weighted) == 1:  # BLAS is slow at rank-1 products
+        (c, b), = weighted
+        return np.asarray(c, dtype=float)[:, None, None] * b
+    coeffs = np.stack([np.asarray(c, dtype=float) for c, _ in weighted], axis=1)
+    bases = np.stack([np.asarray(b, dtype=complex) for _, b in weighted])
+    flat = coeffs @ bases.view(float).reshape(len(weighted), -1)
+    return flat.view(complex).reshape(len(coeffs), *bases.shape[1:])
+
+
+def _stack(fn: Callable, times: np.ndarray) -> np.ndarray:
+    return np.stack([np.asarray(fn(t), dtype=complex) for t in times])
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid over ``[t0, t1]`` with ``n_steps`` steps."""
+    """Uniform time grid over ``[t0, t1]`` with ``n_steps`` steps.
+
+    The grid points are computed once, at construction, and exposed as a
+    read-only array by :attr:`times`.
+    """
 
     t0: float
     t1: float
     n_steps: int
+    _times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.t1 > self.t0:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        times = np.linspace(self.t0, self.t1, self.n_steps + 1)
+        times.flags.writeable = False
+        object.__setattr__(self, "_times", times)
 
     @property
     def dt(self) -> float:
@@ -135,7 +226,7 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, self.n_steps + 1)
+        return self._times
 
 
 @dataclass
@@ -188,12 +279,15 @@ def adaptive_simpson(f, a: float, b: float, tol: float = SIMPSON_TOL, max_depth:
 def _detect_scalar_family(h: TimeDepOperator, grid: TimeGrid):
     """Return ``(f, base)`` with ``h(t) = f(t) * base``, or ``None``.
 
-    Uses the operator's own metadata when present; otherwise probes a
-    handful of interior times and checks proportionality to the
-    largest-norm sample.
+    A one-term operator is such a family by construction; an operator built
+    without ``terms`` is probed at a handful of interior times and checked
+    for proportionality to the largest-norm sample.
     """
-    if h.coeff is not None and h.base is not None:
-        return h.coeff, h.base
+    if h.terms is not None:
+        if len(h.terms) == 1:
+            f, _, base = h.terms[0]
+            return f, base
+        return None
     offsets = np.array([0.06, 0.19, 0.37, 0.52, 0.68, 0.81, 0.94])
     probes = grid.t0 + offsets * (grid.t1 - grid.t0)
     samples = [np.asarray(h.value(t), dtype=complex) for t in probes]
@@ -218,20 +312,11 @@ def _cumulative_simpson_scalar(f, times: np.ndarray, tol: float) -> np.ndarray:
     Vectorized two-level Simpson per interval with adaptive refinement of
     any interval whose two-panel error estimate exceeds the tolerance.
     """
-    try:
-        fv = np.asarray(f(times), dtype=float)
-        if fv.shape != times.shape:
-            raise TypeError
-        fm = np.asarray(f((times[:-1] + times[1:]) / 2.0), dtype=float)
-        fq1 = np.asarray(f(times[:-1] + 0.25 * np.diff(times)), dtype=float)
-        fq3 = np.asarray(f(times[:-1] + 0.75 * np.diff(times)), dtype=float)
-    except (TypeError, ValueError):
-        fv = np.array([f(t) for t in times], dtype=float)
-        mid = (times[:-1] + times[1:]) / 2.0
-        fm = np.array([f(t) for t in mid], dtype=float)
-        fq1 = np.array([f(t) for t in times[:-1] + 0.25 * np.diff(times)], dtype=float)
-        fq3 = np.array([f(t) for t in times[:-1] + 0.75 * np.diff(times)], dtype=float)
     dt = np.diff(times)
+    fv, fm, fq1, fq3 = (
+        coefficient_values(f, x).astype(float)
+        for x in (times, (times[:-1] + times[1:]) / 2.0, times[:-1] + 0.25 * dt, times[:-1] + 0.75 * dt)
+    )
     coarse = dt / 6.0 * (fv[:-1] + 4.0 * fm + fv[1:])
     fine = dt / 12.0 * (fv[:-1] + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fv[1:])
     err = np.abs(fine - coarse) / 15.0

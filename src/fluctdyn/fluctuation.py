@@ -12,6 +12,17 @@ analytically (``d mu/dt = <v_A>`` and ``d sigma/dt = cov(A, v_A) / sigma``)
 and packages them per time point into :class:`BoundReport`, including the
 residuals of the inequality and a tight/loose classification.
 
+Every statistic goes through one batched kernel, :func:`centered_moments`:
+states ``(n, d)`` and operator stacks ``(n, d, d)`` in, means and centered
+images ``(A_k - <A_k>) psi_k`` out, with variances and covariances as
+row-wise inner products of the centered images (cancellation-free, so an
+eigenstate gives exactly zero).  Grid functions sample their operators
+with :meth:`TimeDepOperator.sample` and walk the time axis in chunks of at
+most ``CHUNK_BYTES`` per ``(n, d, d)`` stack, so memory stays bounded on
+long grids and large cutoffs.  Single-point functions are batches of one.
+When both operators carry ``terms``, ``[H, A]`` is assembled from basis
+commutators formed once per call.
+
 The ``sigma -> 0`` instants are genuinely degenerate for the rate form
 (the covariance formula divides by ``sigma``); reports switch to the
 division-free Cauchy-Schwarz certificate ``sigma^2 sigma_v^2 - cov^2 >= 0``
@@ -22,21 +33,110 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .dynamics import TimeDepOperator, Trajectory
+from .dynamics import TimeDepOperator, Trajectory, coefficient_values, weighted_sum
 from .linops import anticommutator, commutator, require_hermitian, require_normalized
 
 SIGMA_FLOOR = 1e-9
 TIGHT_TOL = 1e-6
-VARIANCE_CLAMP = 1e-12
 IMAG_TOL = 1e-10
 HERM_ASSERT_TOL = 1e-10
+# Largest (n, d, d) complex stack a grid function holds at once.  Larger
+# chunks ran no faster but raised the peak memory of a 50k-point trace and
+# of a d=33 sweep above that of a point-by-point loop.
+CHUNK_BYTES = 1 << 18
 
 
 class DegenerateDispersionError(ValueError):
     """Raised when a rate needs sigma_A > floor but the dispersion vanishes."""
+
+
+def time_chunks(n: int, dim: int) -> Iterator[slice]:
+    """Slices covering ``range(n)`` whose ``(len, dim, dim)`` stacks fit ``CHUNK_BYTES``."""
+    step = max(1, CHUNK_BYTES // (16 * dim * dim))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
+def _at(times: Optional[np.ndarray], k: int) -> str:
+    return "" if times is None else f" at t = {times[k]}"
+
+
+def centered_moments(
+    ops: np.ndarray, states: np.ndarray, times: Optional[np.ndarray] = None, what: str = "expectation"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means ``<A_k>``, centered images ``(A_k - <A_k>) psi_k`` and images ``A_k psi_k``.
+
+    ``ops`` is an ``(n, d, d)`` stack of Hermitian operators and ``states``
+    the ``(n, d)`` matching states.  The imaginary part of each mean (pure
+    rounding noise for Hermitian input) is discarded after an assertion that
+    it is negligible relative to the mean; the first offending point raises,
+    reported at its time when ``times`` is given.
+    """
+    images = np.matmul(ops, states[:, :, None])[:, :, 0]
+    means = np.einsum("ki,ki->k", states.conj(), images)
+    bad = np.abs(means.imag) > IMAG_TOL * np.maximum(1.0, np.abs(means.real))
+    if np.count_nonzero(bad):
+        k = int(np.argmax(bad))
+        raise AssertionError(f"{what} has non-negligible imaginary part {means.imag[k]:.3e}{_at(times, k)}")
+    means = means.real
+    return means, images - means[:, None] * states, images
+
+
+def inner_re(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise ``Re <x_k | y_k>``."""
+    return np.einsum("ki,ki->k", x.conj(), y).real
+
+
+def velocity_sampler(
+    a: TimeDepOperator, h: TimeDepOperator, hbar: float = 1.0
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``times -> (n, d, d)`` stack of ``v_A = dA/dt + (i/hbar) [H, A]``.
+
+    With ``terms`` on both operators the commutator is
+    ``sum_jk h_j(t) a_k(t) [H_j, A_k]`` over basis commutators formed here,
+    once; otherwise both operators are sampled and multiplied per point.
+    Hermiticity of every ``v_A`` is asserted; the first offending point
+    raises.
+    """
+    if a.dim != h.dim:
+        raise ValueError(f"dimension mismatch: observable dim {a.dim}, generator dim {h.dim}")
+    scale = 1j / hbar
+    if a.terms is not None and h.terms is not None:
+        pairs = [(hc, ac, scale * commutator(hb, ab)) for hc, _, hb in h.terms for ac, _, ab in a.terms]
+
+        def bracket(times):
+            return weighted_sum(
+                [(coefficient_values(hc, times) * coefficient_values(ac, times), c) for hc, ac, c in pairs]
+            )
+
+    else:
+
+        def bracket(times):
+            h_t, a_t = h.sample(times), a.sample(times)
+            return scale * (h_t @ a_t - a_t @ h_t)
+
+    def sample(times: np.ndarray) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        v = a.sample_deriv(times) + bracket(times)
+        defects = np.abs(v - v.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        if np.count_nonzero(defects > HERM_ASSERT_TOL):
+            k = int(np.argmax(defects > HERM_ASSERT_TOL))
+            raise AssertionError(f"velocity observable not Hermitian (defect {defects[k]:.3e}){_at(times, k)}")
+        return v
+
+    return sample
+
+
+def _one(a: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
+    # Validated single point through the batched kernel: mean and centered image.
+    a = require_hermitian(a, tol=HERM_ASSERT_TOL, what="observable")
+    psi = require_normalized(psi)
+    means, centered, _ = centered_moments(a[None], psi[None])
+    return float(means[0]), centered
 
 
 def expectation(a: np.ndarray, psi: np.ndarray) -> float:
@@ -46,50 +146,16 @@ def expectation(a: np.ndarray, psi: np.ndarray) -> float:
     discarded after an assertion that it is negligible relative to the
     magnitude of the result.
     """
-    a = require_hermitian(a, tol=HERM_ASSERT_TOL, what="observable")
-    psi = require_normalized(psi)
-    val = complex(np.vdot(psi, a @ psi))
-    if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
-        raise AssertionError(f"expectation has non-negligible imaginary part {val.imag:.3e}")
-    return val.real
-
-
-def _expect_quad(a: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
-    # <A> and <A^2> in one pass; skips re-validation (internal hot path).
-    apsi = a @ psi
-    mean = complex(np.vdot(psi, apsi))
-    sq = float(np.vdot(apsi, apsi).real)
-    if abs(mean.imag) > IMAG_TOL * max(1.0, abs(mean.real)):
-        raise AssertionError(f"expectation has non-negligible imaginary part {mean.imag:.3e}")
-    return mean.real, sq
-
-
-def _centered(a: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
-    # Mean and the centered image (A - <A>) psi.  The variance is the
-    # squared norm of the latter: cancellation-free, so an eigenstate gives
-    # exactly zero instead of <A^2> - <A>^2 rounding noise.
-    apsi = a @ psi
-    mean = complex(np.vdot(psi, apsi))
-    if abs(mean.imag) > IMAG_TOL * max(1.0, abs(mean.real)):
-        raise AssertionError(f"expectation has non-negligible imaginary part {mean.imag:.3e}")
-    return mean.real, apsi - mean.real * psi
+    return _one(a, psi)[0]
 
 
 def variance(a: np.ndarray, psi: np.ndarray) -> float:
     """``<A^2> - <A>^2``, evaluated as ``|| (A - <A>) psi ||^2``.
 
-    The centered form is nonnegative by construction; the classic
-    difference-of-squares is kept only as the clamp window reference.
+    The centered form is nonnegative by construction.
     """
-    a = require_hermitian(a, tol=HERM_ASSERT_TOL, what="observable")
-    psi = require_normalized(psi)
-    _, dpsi = _centered(a, psi)
-    var = float(np.vdot(dpsi, dpsi).real)
-    if var < 0.0:  # unreachable; retained as the documented clamp
-        if var < -VARIANCE_CLAMP:
-            raise AssertionError(f"variance {var:.3e} below the clamping window")
-        var = 0.0
-    return var
+    _, centered = _one(a, psi)
+    return float(inner_re(centered, centered)[0])
 
 
 def std_dev(a: np.ndarray, psi: np.ndarray) -> float:
@@ -104,25 +170,16 @@ def covariance(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> float:
     is the same quantity for Hermitian inputs with the cancellations done
     analytically.
     """
-    a = require_hermitian(a, tol=HERM_ASSERT_TOL, what="observable a")
-    b = require_hermitian(b, tol=HERM_ASSERT_TOL, what="observable b")
-    psi = require_normalized(psi)
-    _, da = _centered(a, psi)
-    _, db = _centered(b, psi)
-    return float(np.vdot(da, db).real)
+    _, da = _one(a, psi)
+    _, db = _one(b, psi)
+    return float(inner_re(da, db)[0])
 
 
 def velocity_observable(
     a: TimeDepOperator, h: TimeDepOperator, t: float, hbar: float = 1.0
 ) -> np.ndarray:
     """``v_A(t) = dA/dt + (i/hbar) [H(t), A(t)]``; Hermitian (asserted)."""
-    if a.dim != h.dim:
-        raise ValueError(f"dimension mismatch: observable dim {a.dim}, generator dim {h.dim}")
-    v = a.deriv(t) + (1j / hbar) * commutator(h.value(t), a.value(t))
-    defect = float(np.abs(v - v.conj().T).max())
-    if defect > HERM_ASSERT_TOL:
-        raise AssertionError(f"velocity observable not Hermitian (defect {defect:.3e})")
-    return v
+    return velocity_sampler(a, h, hbar)(np.array([t], dtype=float))[0]
 
 
 def mean_rate(a: TimeDepOperator, h: TimeDepOperator, psi: np.ndarray, t: float, hbar: float = 1.0) -> float:
@@ -180,6 +237,68 @@ class BoundReport:
     norm_defect: float = 0.0
 
 
+def rate_columns(
+    a: TimeDepOperator, h: TimeDepOperator, traj: Trajectory, points: slice = slice(None), hbar: float = 1.0
+) -> tuple[np.ndarray, ...]:
+    """``(mu, var, mu_dot, v_sq, sigma_v_sq, cov)`` of ``A`` and ``v_A`` per grid point.
+
+    Evaluated at the grid points ``points`` selects, chunk by chunk.
+    ``v_sq`` is the direct ``<v_A^2>``; ``var``, ``sigma_v_sq`` and
+    ``cov = cov(A, v_A)`` come from the centered images.
+    """
+    times = traj.grid.times[points]
+    states = traj.states[points]
+    n = len(times)
+    mu, var, mu_dot, v_sq, sigma_v_sq, cov = (np.empty(n) for _ in range(6))
+    velocity = velocity_sampler(a, h, hbar)
+    for chunk in time_chunks(n, a.dim):
+        t, psi = times[chunk], states[chunk]
+        mu[chunk], da, _ = centered_moments(a.sample(t), psi, t)
+        mu_dot[chunk], dv, vpsi = centered_moments(velocity(t), psi, t, what="<v_A>")
+        var[chunk] = inner_re(da, da)
+        v_sq[chunk] = inner_re(vpsi, vpsi)
+        sigma_v_sq[chunk] = inner_re(dv, dv)
+        cov[chunk] = inner_re(da, dv)
+    return mu, var, mu_dot, v_sq, sigma_v_sq, cov
+
+
+def _bound_reports(
+    a: TimeDepOperator,
+    h: TimeDepOperator,
+    traj: Trajectory,
+    points: slice,
+    hbar: float,
+    sigma_floor: float,
+    tight_tol: float,
+) -> list[BoundReport]:
+    """Bound reports at the grid points ``points`` selects, evaluated as columns."""
+    mu, var, mu_dot, v_sq, sigma_v_sq, cov = rate_columns(a, h, traj, points, hbar)
+    sigma = np.sqrt(var)
+    cs_residual = var * sigma_v_sq - cov * cov
+    degenerate = sigma <= sigma_floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma_dot = np.where(degenerate, np.nan, cov / sigma)
+    residual_r1 = sigma_v_sq - sigma_dot * sigma_dot
+    residual_r2 = v_sq - mu_dot * mu_dot - sigma_dot * sigma_dot
+    tight = ~degenerate & (residual_r2 <= tight_tol * np.maximum(1.0, v_sq))
+    columns = (
+        traj.grid.times[points],
+        mu,
+        sigma,
+        mu_dot,
+        sigma_dot,
+        np.sqrt(sigma_v_sq),
+        v_sq,
+        residual_r1,
+        residual_r2,
+        cs_residual,
+        tight,
+        degenerate,
+        traj.norm_defects[points],
+    )
+    return [BoundReport(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
 def bound_report(
     a: TimeDepOperator,
     h: TimeDepOperator,
@@ -190,55 +309,11 @@ def bound_report(
     tight_tol: float = TIGHT_TOL,
 ) -> BoundReport:
     """Evaluate the full rate-bound record at ``traj.grid.times[t_index]``."""
-    times = traj.grid.times
-    if not -len(times) <= t_index < len(times):
-        raise IndexError(f"t_index {t_index} out of range for {len(times)} grid points")
-    t = float(times[t_index])
-    psi = traj.states[t_index]
-    a_t = np.asarray(a.value(t), dtype=complex)
-    v_t = velocity_observable(a, h, t, hbar)
-
-    mu, da = _centered(a_t, psi)
-    var = float(np.vdot(da, da).real)
-    sigma = sqrt(var)
-    vpsi = v_t @ psi
-    mu_dot = complex(np.vdot(psi, vpsi))
-    if abs(mu_dot.imag) > IMAG_TOL * max(1.0, abs(mu_dot.real)):
-        raise AssertionError(f"<v_A> has non-negligible imaginary part {mu_dot.imag:.3e}")
-    mu_dot = mu_dot.real
-    v_sq = float(np.vdot(vpsi, vpsi).real)  # direct <v^2>, kept independent
-    dv = vpsi - mu_dot * psi
-    sigma_v_sq = float(np.vdot(dv, dv).real)
-    cov = float(np.vdot(da, dv).real)
-    cs_residual = var * sigma_v_sq - cov * cov
-
-    degenerate = sigma <= sigma_floor
-    if degenerate:
-        sigma_dot = float("nan")
-        residual_r1 = float("nan")
-        residual_r2 = float("nan")
-        tight = False
-    else:
-        sigma_dot = cov / sigma
-        residual_r1 = sigma_v_sq - sigma_dot * sigma_dot
-        residual_r2 = v_sq - mu_dot * mu_dot - sigma_dot * sigma_dot
-        tight = residual_r2 <= tight_tol * max(1.0, v_sq)
-
-    return BoundReport(
-        t=t,
-        mu=mu,
-        sigma=sigma,
-        mu_dot=mu_dot,
-        sigma_dot=sigma_dot,
-        sigma_v=sqrt(sigma_v_sq),
-        v2_mean=v_sq,
-        residual_r1=residual_r1,
-        residual_r2=residual_r2,
-        cs_residual=cs_residual,
-        tight=tight,
-        degenerate=degenerate,
-        norm_defect=float(traj.norm_defects[t_index]),
-    )
+    n = len(traj.grid.times)
+    if not -n <= t_index < n:
+        raise IndexError(f"t_index {t_index} out of range for {n} grid points")
+    k = t_index % n
+    return _bound_reports(a, h, traj, slice(k, k + 1), hbar, sigma_floor, tight_tol)[0]
 
 
 def bound_series(
@@ -250,10 +325,7 @@ def bound_series(
     tight_tol: float = TIGHT_TOL,
 ) -> list[BoundReport]:
     """Bound reports at every grid point of the trajectory."""
-    return [
-        bound_report(a, h, traj, k, hbar=hbar, sigma_floor=sigma_floor, tight_tol=tight_tol)
-        for k in range(len(traj.grid.times))
-    ]
+    return _bound_reports(a, h, traj, slice(None), hbar, sigma_floor, tight_tol)
 
 
 def variance_rate_identity_defect(

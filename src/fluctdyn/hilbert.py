@@ -167,10 +167,13 @@ def displaced_squeezed_vacuum(
     return state
 
 
-def fock_tail_mass(state: np.ndarray, levels: int = 2) -> float:
-    """Probability mass in the top ``levels`` number states of ``state``."""
-    state = np.asarray(state)
-    return float(np.sum(np.abs(state[-levels:]) ** 2))
+def fock_tail_mass(state: np.ndarray, levels: int = 2):
+    """Probability mass in the top ``levels`` number states of ``state``.
+
+    A stack of states (one per row) gives one mass per row.
+    """
+    mass = np.sum(np.abs(np.asarray(state)[..., -levels:]) ** 2, axis=-1)
+    return float(mass) if mass.ndim == 0 else mass
 
 
 def _poisson_sums(abs_alpha_sq: float, s: int) -> tuple[float, float]:

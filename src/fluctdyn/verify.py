@@ -132,11 +132,7 @@ def bounds_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         paulis = np.stack([pauli("x"), pauli("y"), pauli("z")])
         mat_n = np.tensordot(nvec, paulis, axes=1)
         mat_k = np.tensordot(kvec, paulis, axes=1)
-        h_op = TimeDepOperator(
-            value=lambda t, f=f, g=g, mn=mat_n, mk=mat_k: f(t) * mn + g(t) * mk,
-            dvalue=lambda t, fd=fd, gd=gd, mn=mat_n, mk=mat_k: fd(t) * mn + gd(t) * mk,
-            dim=2,
-        )
+        h_op = TimeDepOperator.linear([(f, fd, mat_n), (g, gd, mat_k)])
         psi0 = linops.random_state(2, rng)
         traj = propagate(h_op, psi0, TimeGrid(0.0, 2.0, 200), method="midpoint")
         for k, t in enumerate(traj.grid.times):

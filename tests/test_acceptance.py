@@ -7,8 +7,8 @@ Known red: criterion 03's truncation-stability clause demands that doubling
 the oscillator cutoff from the mandated s=20 changes every channel by at
 most 1e-8.  The displaced squeezed vacuum at these parameters holds ~1.1e-4
 of its mass in the top two retained levels, and the measured channel drift
-is ~1.5e-2; the clause is asserted as stated and fails honestly (see the
-decisions ledger for the full analysis).
+is 3.96e-2; the clause is asserted as stated and fails honestly (see the
+known-red paragraph of README.md for the full analysis).
 """
 
 import json
@@ -140,7 +140,7 @@ def test_criterion_03_oscillator_inequality(ex3):
     # (top-two-level mass ~1.1e-4); asserted as stated, fails honestly.
     assert stable, (
         f"channel drift {drift:.3e} exceeds 1e-8: s=20 is not truncation-stable "
-        "at this tolerance for alpha=2+i, z=0.5+0.5i (see decisions ledger)"
+        "at this tolerance for alpha=2+i, z=0.5+0.5i (see the known-red paragraph of README.md)"
     )
 
 

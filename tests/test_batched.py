@@ -1,0 +1,283 @@
+"""Parity of the grid-batched kernels with a per-point reference.
+
+The reference below evaluates every statistic one grid point at a time
+with the plain formulas: ``A psi``, ``np.vdot`` means, centered images
+``(A - <A>) psi`` and their inner products, and ``v_A`` from ``deriv``
+plus an explicit commutator.  The batched kernels in ``fluctuation`` and
+``bounds`` must agree with it to 1e-12 relative to each channel's scale,
+including the callable-stack and finite-difference fallbacks, chunked grids
+and degenerate points, and must raise the same per-point assertions.
+"""
+
+from math import pi
+
+import numpy as np
+import pytest
+
+from fluctdyn import fluctuation
+from fluctdyn.bounds import fs_kinematics, mt_integral_check, snr_trace
+from fluctdyn.dynamics import TimeDepOperator, TimeGrid, propagate
+from fluctdyn.fluctuation import (
+    SIGMA_FLOOR,
+    TIGHT_TOL,
+    bound_report,
+    bound_series,
+    centered_moments,
+    time_chunks,
+    velocity_observable,
+)
+from fluctdyn.hilbert import pauli, qubit_plus
+from fluctdyn.scenarios import ScenarioConfig, default_config
+
+SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
+REL = 1e-12
+
+
+# -- per-point reference ---------------------------------------------------
+def _centered(a, psi):
+    apsi = a @ psi
+    mean = complex(np.vdot(psi, apsi))
+    assert abs(mean.imag) <= 1e-10 * max(1.0, abs(mean.real))
+    return mean.real, apsi - mean.real * psi, apsi
+
+
+def _velocity(a, h, t, hbar):
+    h_t, a_t = h.value(t), a.value(t)
+    return a.deriv(t) + (1j / hbar) * (h_t @ a_t - a_t @ h_t)
+
+
+def reference_columns(a, h, traj, hbar=1.0):
+    """Per-point mu, var, mu_dot, <v^2>, sigma_v^2, cov(A, v), sigma_H, cov(H, dH/dt)."""
+    rows = []
+    for k, t in enumerate(traj.grid.times):
+        psi = traj.states[k]
+        mu, da, _ = _centered(np.asarray(a.value(t), dtype=complex), psi)
+        mu_dot, dv, vpsi = _centered(_velocity(a, h, t, hbar), psi)
+        _, dh, _ = _centered(np.asarray(h.value(t), dtype=complex), psi)
+        _, dhd, _ = _centered(np.asarray(h.deriv(t), dtype=complex), psi)
+        rows.append(
+            (
+                mu,
+                np.vdot(da, da).real,
+                mu_dot,
+                np.vdot(vpsi, vpsi).real,
+                np.vdot(dv, dv).real,
+                np.vdot(da, dv).real,
+                np.linalg.norm(dh),
+                np.vdot(dh, dhd).real,
+            )
+        )
+    names = ("mu", "var", "mu_dot", "v2", "sigma_v_sq", "cov", "sigma_h", "cov_h")
+    return dict(zip(names, np.array(rows).T))
+
+
+def _cumtrapz(y, x):
+    return np.concatenate(([0.0], np.cumsum((y[1:] + y[:-1]) / 2.0 * np.diff(x))))
+
+
+def assert_close(batched, reference, what):
+    batched = np.asarray(batched, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    assert np.array_equal(np.isnan(batched), np.isnan(reference)), what
+    ok = np.isfinite(reference)
+    scale = max(1.0, float(np.max(np.abs(reference[ok]), initial=0.0)))
+    worst = float(np.max(np.abs(batched[ok] - reference[ok]), initial=0.0))
+    assert worst <= REL * scale, f"{what}: deviation {worst:.3e} at scale {scale:.3e}"
+
+
+def check_parity(a, h, traj, hbar=1.0):
+    ref = reference_columns(a, h, traj, hbar)
+    times = traj.grid.times
+
+    reports = bound_series(a, h, traj, hbar=hbar)
+    col = lambda name: [getattr(r, name) for r in reports]
+    sigma = np.sqrt(ref["var"])
+    degenerate = sigma <= SIGMA_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma_dot = np.where(degenerate, np.nan, ref["cov"] / sigma)
+    residual_r2 = ref["v2"] - ref["mu_dot"] ** 2 - sigma_dot**2
+    assert_close(col("t"), times, "t")
+    assert_close(col("mu"), ref["mu"], "mu")
+    assert_close(col("sigma"), sigma, "sigma")
+    assert_close(col("mu_dot"), ref["mu_dot"], "mu_dot")
+    assert_close(col("sigma_dot"), sigma_dot, "sigma_dot")
+    assert_close(col("sigma_v"), np.sqrt(ref["sigma_v_sq"]), "sigma_v")
+    assert_close(col("v2_mean"), ref["v2"], "v2_mean")
+    assert_close(col("residual_r1"), ref["sigma_v_sq"] - sigma_dot**2, "residual_r1")
+    assert_close(col("residual_r2"), residual_r2, "residual_r2")
+    assert_close(col("cs_residual"), ref["var"] * ref["sigma_v_sq"] - ref["cov"] ** 2, "cs_residual")
+    assert col("degenerate") == degenerate.tolist()
+    tight = ~degenerate & (residual_r2 <= TIGHT_TOL * np.maximum(1.0, ref["v2"]))
+    assert col("tight") == tight.tolist()
+    assert col("norm_defect") == traj.norm_defects.tolist()
+    for k in (0, len(times) // 2, len(times) - 1):
+        single = bound_report(a, h, traj, k, hbar=hbar)
+        for name, value in vars(single).items():
+            assert_close([value], [getattr(reports[k], name)], f"bound_report {name}")
+
+    trace = snr_trace(a, h, traj, hbar=hbar)
+    v2 = ref["sigma_v_sq"] + ref["mu_dot"] ** 2
+    integrand = np.sqrt(np.clip(v2 - ref["mu_dot"] ** 2, 0.0, None))
+    budget = np.sqrt(ref["var"][0]) + _cumtrapz(integrand, times)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = np.where(ref["var"] > 0.0, ref["mu"] ** 2 / np.where(ref["var"] > 0.0, ref["var"], 1.0), np.inf)
+        snr_min = np.where(budget > 0.0, ref["mu"] ** 2 / np.where(budget > 0.0, budget, 1.0) ** 2, np.inf)
+    assert_close(trace.integrand, integrand, "snr integrand")
+    assert_close(trace.snr, snr, "snr")
+    assert_close(trace.snr_min, snr_min, "snr_min")
+    assert np.array_equal(trace.mean_valid, ref["mu"] != 0.0)
+
+    lhs, _, _ = mt_integral_check(h, traj, hbar=hbar)
+    assert_close(lhs, _cumtrapz(ref["sigma_h"] / hbar, times), "mt lhs")
+
+    s, v, accel = fs_kinematics(h, traj, hbar=hbar)
+    assert_close(v, 2.0 * ref["sigma_h"] / hbar, "fs speed")
+    assert_close(s, _cumtrapz(2.0 * ref["sigma_h"] / hbar, times), "fs length")
+    if h.dvalue is not None:
+        ok = ref["sigma_h"] > 1e-12
+        expected = np.full(len(times), np.nan)
+        expected[ok] = 2.0 * ref["cov_h"][ok] / (hbar * ref["sigma_h"][ok])
+        assert_close(accel, expected, "fs acceleration")
+    return reports
+
+
+def _scenario(name, **grid):
+    cfg = default_config(name)
+    if grid:
+        cfg = ScenarioConfig.from_dict(
+            {"name": name, "params": cfg.params, "grid": {"t0": cfg.grid.t0, "t1": cfg.grid.t1, **grid}}
+        )
+    pieces = cfg.build()
+    traj = propagate(pieces.hamiltonian, pieces.psi0, cfg.grid, method=cfg.method, hbar=pieces.hbar)
+    return pieces, traj
+
+
+# -- parity ------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_parity_builtin_scenarios(name):
+    pieces, traj = _scenario(name)
+    assert pieces.observable.terms is not None and pieces.hamiltonian.terms is not None
+    check_parity(pieces.observable, pieces.hamiltonian, traj, hbar=pieces.hbar)
+
+
+def test_parity_degenerate_points():
+    # A = t sx vanishes at t = 0 and the state returns to an sx eigenstate
+    # whenever the accumulated phase is a multiple of pi: sigma <= floor there.
+    pieces, traj = _scenario("example1")
+    reports = check_parity(pieces.observable, pieces.hamiltonian, traj)
+    degenerate = [r for r in reports if r.degenerate]
+    assert degenerate and reports[0].degenerate
+    assert all(np.isnan(r.sigma_dot) and np.isnan(r.residual_r2) and not r.tight for r in degenerate)
+
+
+def test_parity_tabulated_custom_operator():
+    # No terms on the observable: sampled point by point, differentiated by
+    # the central difference of its interpolated samples.
+    grid = TimeGrid(0.0, 2.0, 40)
+    pair = lambda m: [[[z.real, z.imag] for z in row] for row in m]
+    samples = [pair(np.cos(t) * SX + np.sin(t) * SY + 0.3 * t * SZ) for t in grid.times]
+    raw = {
+        "name": "custom",
+        "params": {
+            "dim": 2,
+            "hamiltonian": {"constant": pair(0.8 * SZ)},
+            "observable": {"samples": samples},
+            "psi0": [[0.6, 0.0], [0.0, 0.8]],
+        },
+        "grid": {"t0": 0.0, "t1": 2.0, "n_steps": 40},
+    }
+    cfg = ScenarioConfig.from_dict(raw)
+    pieces = cfg.build()
+    assert pieces.observable.terms is None and pieces.observable.dvalue is None
+    traj = propagate(pieces.hamiltonian, pieces.psi0, cfg.grid, method=cfg.method)
+    check_parity(pieces.observable, pieces.hamiltonian, traj)
+
+
+def test_parity_finite_difference_fallback():
+    h = TimeDepOperator(value=lambda t: np.cos(t) * SZ + 0.4 * SX, dim=2)
+    a = TimeDepOperator(value=lambda t: t * SX + np.sin(2.0 * t) * SY, dim=2)
+    traj = propagate(h, qubit_plus(), TimeGrid(0.2, 1.7, 60), method="midpoint")
+    check_parity(a, h, traj)
+    # A linear operator with a missing coefficient derivative differentiates
+    # its own terms the same way.
+    a_terms = TimeDepOperator.linear([(lambda t: t + 0.0, None, SX), (lambda t: np.sin(2.0 * t), None, SY)])
+    assert a_terms.dvalue is None
+    check_parity(a_terms, h, traj)
+    t = traj.grid.times
+    fd = a.sample_deriv(t)
+    assert np.abs(a_terms.sample_deriv(t) - fd).max() <= 1e-9
+    assert np.abs(fd - np.stack([a.deriv(x) for x in t])).max() == 0.0
+
+
+def test_parity_chunked_and_two_point_grids(monkeypatch):
+    pieces, traj = _scenario("example2", n_steps=60)
+    whole = bound_series(pieces.observable, pieces.hamiltonian, traj)
+    # 7 points per 2x2 stack: 61 points is not a multiple of the chunk.
+    monkeypatch.setattr(fluctuation, "CHUNK_BYTES", 7 * 16 * 4)
+    chunks = list(time_chunks(61, 2))
+    assert len(chunks) == 9 and chunks[-1] == slice(56, 61)
+    chunked = check_parity(pieces.observable, pieces.hamiltonian, traj)
+    assert_close([r.residual_r2 for r in chunked], [r.residual_r2 for r in whole], "chunked residual")
+
+    pieces, traj = _scenario("example3", n_steps=1)
+    assert len(traj.grid.times) == 2
+    assert len(list(time_chunks(2, pieces.observable.dim))) == 2
+    check_parity(pieces.observable, pieces.hamiltonian, traj)
+
+
+def test_time_chunks_cover_the_grid():
+    for n, dim in ((1, 2), (50_001, 2), (4001, 21), (4001, 33)):
+        chunks = list(time_chunks(n, dim))
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        assert all(c.stop == d.start for c, d in zip(chunks, chunks[1:]))
+        assert all((c.stop - c.start) * 16 * dim * dim <= max(fluctuation.CHUNK_BYTES, 16 * dim * dim) for c in chunks)
+
+
+def test_sample_matches_value_per_point():
+    pieces, traj = _scenario("example3", n_steps=30)
+    times = traj.grid.times
+    for op in (pieces.observable, pieces.hamiltonian):
+        assert np.abs(op.sample(times) - np.stack([op.value(t) for t in times])).max() <= 1e-12
+        assert np.abs(op.sample_deriv(times) - np.stack([op.deriv(t) for t in times])).max() <= 1e-12
+
+
+# -- per-point assertions ------------------------------------------------------
+def test_imaginary_mean_assertion_fires_at_first_offending_time():
+    grid = TimeGrid(0.0, 1.0, 10)
+    h = TimeDepOperator.stationary(0.5 * SZ)
+    # Hermitian at t = 0 only; <psi|A|psi> picks up an imaginary part t.
+    a = TimeDepOperator(value=lambda t: SX + 1j * t * np.eye(2), dvalue=lambda t: np.zeros((2, 2)), dim=2)
+    traj = propagate(h, qubit_plus(), grid, method="exact_commuting")
+    at = f"at t = {grid.times[1]}"
+    with pytest.raises(AssertionError, match=f"imaginary part .*{at}"):
+        bound_series(a, h, traj)
+    with pytest.raises(AssertionError, match=f"imaginary part .*{at}"):
+        snr_trace(a, h, traj)
+    with pytest.raises(AssertionError, match="imaginary part"):
+        centered_moments(a.sample(grid.times), traj.states)
+
+
+def test_hermiticity_assertion_fires_for_crafted_derivative():
+    grid = TimeGrid(0.0, 1.0, 10)
+    h = TimeDepOperator.stationary(0.5 * SZ)
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    # value(t) = t sx is Hermitian; the supplied derivative is not (past t = 0).
+    a = TimeDepOperator(value=lambda t: t * SX, dvalue=lambda t: SX + t * raising, dim=2)
+    traj = propagate(h, qubit_plus(), grid, method="exact_commuting")
+    at = f"at t = {grid.times[1]}"
+    with pytest.raises(AssertionError, match=f"not Hermitian .*{at}"):
+        bound_series(a, h, traj)
+    with pytest.raises(AssertionError, match=f"not Hermitian .*{at}"):
+        snr_trace(a, h, traj)
+    with pytest.raises(AssertionError, match="not Hermitian"):
+        velocity_observable(a, h, 0.5)
+    assert np.abs(velocity_observable(a, h, 0.0) - SX).max() <= 1e-15
+
+
+def test_time_grid_times_computed_once_and_read_only():
+    grid = TimeGrid(0.0, pi, 100)
+    assert grid.times is grid.times
+    assert np.array_equal(grid.times, np.linspace(0.0, pi, 101))
+    with pytest.raises(ValueError):
+        grid.times[0] = 1.0
+    assert grid == TimeGrid(0.0, pi, 100) and hash(grid) == hash(TimeGrid(0.0, pi, 100))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fluctdyn.cli import CSV_COLUMNS, main
+from fluctdyn.scenarios import ConfigError, ScenarioConfig
 
 EX1 = {
     "name": "example1",
@@ -85,6 +86,33 @@ def test_run_missing_required_param_exits_2(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "params.omega0" in err
+
+
+def _assert_config_rejected(tmp_path, capsys, raw, path):
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_dict(raw)
+    assert info.value.path == path
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"config error at {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{raw['name']}_series.csv").exists()
+
+
+def test_run_nan_tolerance_exits_2(tmp_path, capsys):
+    # NaN passes "value <= 0" and would mark every point not tight.
+    raw = dict(EX1, tolerances={"tight_tol": float("nan")})
+    _assert_config_rejected(tmp_path, capsys, raw, "tolerances.tight_tol")
+
+
+def test_run_bool_cutoff_exits_2(tmp_path, capsys):
+    # JSON true is a Python int; it must not pass as s = 1.
+    raw = dict(EX3, params=dict(EX3["params"], s=True))
+    _assert_config_rejected(tmp_path, capsys, raw, "params.s")
+
+
+def test_run_fractional_step_count_exits_2(tmp_path, capsys):
+    raw = dict(EX1, grid=dict(EX1["grid"], n_steps=2.7))
+    _assert_config_rejected(tmp_path, capsys, raw, "grid.n_steps")
 
 
 def test_run_invalid_json_exits_2(tmp_path, capsys):
