@@ -32,11 +32,11 @@ def main():
     print(f"  max |a| drift               : {evo.max_drift:.3e} (no renormalization applied)")
 
     worst = 0.0
+    s = rep.series
     for k, t in enumerate(rep.times):
         st = bloch_stats(model, float(t))
-        r = rep.reports[k]
-        worst = max(worst, abs(st.mean - r.mu), abs(st.sigma_sq - r.sigma**2),
-                    abs(st.v_mean - r.mu_dot), abs(st.v2_mean - r.v2_mean))
+        worst = max(worst, abs(st.mean - s.mu[k]), abs(st.sigma_sq - s.sigma[k] ** 2),
+                    abs(st.v_mean - s.mu_dot[k]), abs(st.v2_mean - s.v2_mean[k]))
     print("--- closed forms vs matrix pipeline ---")
     print(f"  max channel gap over {len(rep.times)} points: {worst:.3e}")
 

@@ -35,7 +35,7 @@ def run_with_cutoff(s, n_steps=4000):
 
 def main():
     rep = run_scenario(default_config("example3"))
-    residuals = np.array([r.residual_r2 for r in rep.reports])
+    residuals = rep.series.residual_r2
     print("--- rotating quadrature on D(2+i) S(0.5+0.5i) |0>, s = 20 ---")
     print(f"  min residual      : {residuals.min():.3e}  (bound preserved everywhere)")
     print(f"  max norm defect   : {rep.max_norm_defect:.3e}")
@@ -48,9 +48,7 @@ def main():
     print(f"  {'s':>4} {'min residual':>14} {'max |d v2|':>12} {'tail mass':>11}")
     for s in (20, 30, 40, 60):
         repc = run_with_cutoff(s, n_steps=400)
-        dv2 = max(
-            abs(a.v2_mean - b.v2_mean) for a, b in zip(base.reports, repc.reports)
-        )
+        dv2 = np.max(np.abs(base.series.v2_mean - repc.series.v2_mean))
         print(f"  {s:>4} {repc.min_residual:>14.3e} {dv2:>12.3e} {repc.tail_mass:>11.3e}")
     print("  -> channel drift vs s=20 stabilizes only once the squeezed tail clears the cutoff.")
 
@@ -64,8 +62,8 @@ def main():
         return
 
     theta = np.cos(rep.times)
-    lhs = np.array([r.mu_dot**2 + r.sigma_dot**2 for r in rep.reports])
-    v2 = np.array([r.v2_mean for r in rep.reports])
+    lhs = rep.series.mu_dot**2 + rep.series.sigma_dot**2
+    v2 = rep.series.v2_mean
     fig = plt.figure(figsize=(6, 6))
     ax = fig.add_subplot(111, projection="polar")
     ax.plot(theta, v2, "--", label=r"$\langle v_A^2\rangle$")

@@ -66,11 +66,11 @@ def main():
     print("   so the floor is exact there and the gap is pure quadrature error.)")
 
     print("--- relative-uncertainty rate ---")
+    series = rep.series
     for t_probe in (0.5, 1.0, 2.0):
         k = int(np.argmin(np.abs(rep.times - t_probe)))
-        r = rep.reports[k]
-        rate = relative_uncertainty_rate(r.mu, r.sigma, r.mu_dot, r.sigma_dot)
-        print(f"  t={t_probe:.1f}: mu={r.mu:+.4f}  d(sigma^2/mu^2)/dt = {rate:+.6f}")
+        rate = relative_uncertainty_rate(series.mu[k], series.sigma[k], series.mu_dot[k], series.sigma_dot[k])
+        print(f"  t={t_probe:.1f}: mu={series.mu[k]:+.4f}  d(sigma^2/mu^2)/dt = {rate:+.6f}")
     print("  (the rate scales as 1/mu^3, so it blows up near mean-zero crossings such as t~1.)")
 
 

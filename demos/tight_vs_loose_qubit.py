@@ -27,10 +27,10 @@ def main():
     rep2 = run_scenario(default_config("example2"))
 
     for label, rep in (("tight (A = t sx)", rep1), ("loose (A = t sx + t sz)", rep2)):
-        nondeg = [r for r in rep.reports if not r.degenerate]
-        residuals = np.array([r.residual_r2 for r in nondeg])
+        s = rep.series
+        residuals = s.residual_r2[~s.degenerate]
         print(f"--- {label} ---")
-        print(f"  grid points: {len(rep.reports)} (degenerate: {len(rep.reports) - len(nondeg)})")
+        print(f"  grid points: {len(s.t)} (degenerate: {int(s.degenerate.sum())})")
         print(f"  residual <v^2> - (mu_dot^2 + sigma_dot^2):")
         print(f"    min {residuals.min():.3e}   max {residuals.max():.3e}")
         print(f"  tight fraction: {rep.tight_fraction:.3f}")
@@ -56,10 +56,8 @@ def main():
     fig, axes = plt.subplots(1, 2, figsize=(11, 4), sharex=True)
     for ax, rep, title in zip(axes, (rep1, rep2), ("tight observable", "loose observable")):
         t = rep.times
-        v2 = np.array([r.v2_mean for r in rep.reports])
-        lhs = np.array(
-            [r.mu_dot**2 + r.sigma_dot**2 if not r.degenerate else np.nan for r in rep.reports]
-        )
+        v2 = rep.series.v2_mean
+        lhs = rep.series.mu_dot**2 + rep.series.sigma_dot**2  # NaN on degenerate points
         ax.plot(t, v2, "--", label=r"$\langle v_A^2\rangle$")
         ax.plot(t, lhs, "-", label=r"$\dot\mu_A^2 + \dot\sigma_A^2$")
         ax.set_title(title)

@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 from . import bloch, bounds, dynamics, fluctuation, hilbert, linops, scenarios
 from .dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate
-from .fluctuation import BoundReport, bound_report, bound_series
+from .fluctuation import BoundSeries, bound_series
 from .scenarios import ScenarioConfig, ScenarioReport, run_scenario
 
 __all__ = [
@@ -32,8 +32,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "propagate",
-    "BoundReport",
-    "bound_report",
+    "BoundSeries",
     "bound_series",
     "ScenarioConfig",
     "ScenarioReport",

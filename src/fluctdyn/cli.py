@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, verify
 from .fluctuation import DegenerateDispersionError
@@ -82,34 +81,45 @@ def _jsonable(obj):
 
 
 def series_csv(report: ScenarioReport) -> str:
+    """The series as CSV text, built column by column in ``CSV_COLUMNS`` order.
+
+    Degenerate rows leave ``sigma_dot``, ``lhs_sq_sum`` and ``residual_r2``
+    blank.  ``lhs_sq_sum`` is the Python-float ``mu_dot**2 + sigma_dot**2``
+    of each value: numpy's array square differs from it by one ulp at some
+    points, which would change the emitted bytes.
+    """
+    s = report.series
+    degenerate = s.degenerate.tolist()
+
+    def numbers(values):
+        return [_fmt(x) for x in values.tolist()]
+
+    def rates(cells):
+        return ["" if d else c for d, c in zip(degenerate, cells)]
+
+    def flags(values):
+        return ["1" if x else "0" for x in values.tolist()]
+
+    v2 = numbers(s.v2_mean)
+    lhs = [_fmt(m**2 + d**2) for m, d in zip(s.mu_dot.tolist(), s.sigma_dot.tolist())]
+    columns = (
+        numbers(s.t),
+        numbers(s.mu),
+        numbers(s.sigma),
+        numbers(s.mu_dot),
+        rates(numbers(s.sigma_dot)),
+        numbers(s.sigma_v),
+        v2,
+        rates(lhs),
+        v2,
+        rates(numbers(s.residual_r2)),
+        numbers(s.cs_residual),
+        flags(s.tight),
+        flags(s.degenerate),
+        numbers(s.norm_defect),
+    )
     lines = [",".join(CSV_COLUMNS)]
-    for r in report.reports:
-        if r.degenerate:
-            sigma_dot = lhs = residual = ""
-        else:
-            sigma_dot = _fmt(r.sigma_dot)
-            lhs = _fmt(r.mu_dot**2 + r.sigma_dot**2)
-            residual = _fmt(r.residual_r2)
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r.t),
-                    _fmt(r.mu),
-                    _fmt(r.sigma),
-                    _fmt(r.mu_dot),
-                    sigma_dot,
-                    _fmt(r.sigma_v),
-                    _fmt(r.v2_mean),
-                    lhs,
-                    _fmt(r.v2_mean),
-                    residual,
-                    _fmt(r.cs_residual),
-                    "1" if r.tight else "0",
-                    "1" if r.degenerate else "0",
-                    _fmt(r.norm_defect),
-                )
-            )
-        )
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -130,14 +140,14 @@ def report_json(report: ScenarioReport) -> str:
         "version": __version__,
         "config": _config_echo(report.config, report),
         "summary": {
-            "n_points": len(report.reports),
+            "n_points": len(report.series.t),
             "tight_fraction": report.tight_fraction,
             "min_residual_r2": report.min_residual,
             "min_cs_residual": report.min_cs_residual,
             "max_norm_defect": report.max_norm_defect,
             "max_overlay_deviation": report.overlay_dev,
             "tail_mass_top_levels": report.tail_mass,
-            "degenerate_points": sum(1 for r in report.reports if r.degenerate),
+            "degenerate_points": int(report.series.degenerate.sum()),
         },
         "flags": report.flags,
         "warnings": report.warnings,
@@ -273,8 +283,7 @@ def cmd_sweep(args) -> int:
 
     outdir = _outdir(args)
     try:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run_scenario, configs))
+        reports = [run_scenario(cfg) for cfg in configs]
     except DegenerateDispersionError as exc:
         print(f"numeric degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -333,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, help="dotted path into the config, e.g. params.s")
     p_sweep.add_argument("--values", nargs="*", default=[], help="values (JSON literals)")
     p_sweep.add_argument("--output-dir", default=None)
-    p_sweep.add_argument("--jobs", type=int, default=4)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -9,8 +9,8 @@ equivalently ``|d sigma_A / dt| <= sigma_{v_A}``, where the velocity
 observable ``v_A = dA/dt + (i/hbar) [H, A]`` satisfies
 ``<v_A> = d<A>/dt``.  This module computes all the ingredients
 analytically (``d mu/dt = <v_A>`` and ``d sigma/dt = cov(A, v_A) / sigma``)
-and packages them per time point into :class:`BoundReport`, including the
-residuals of the inequality and a tight/loose classification.
+and returns them over a grid as :class:`BoundSeries`, one array per channel,
+including the residuals of the inequality and a tight/loose classification.
 
 Every statistic goes through one batched kernel, :func:`centered_moments`:
 states ``(n, d)`` and operator stacks ``(n, d, d)`` in, means and centered
@@ -24,9 +24,9 @@ When both operators carry ``terms``, ``[H, A]`` is assembled from basis
 commutators formed once per call.
 
 The ``sigma -> 0`` instants are genuinely degenerate for the rate form
-(the covariance formula divides by ``sigma``); reports switch to the
+(the covariance formula divides by ``sigma``); the series switches to the
 division-free Cauchy-Schwarz certificate ``sigma^2 sigma_v^2 - cov^2 >= 0``
-there and flag the rate fields.
+there and flags the rate fields.
 """
 
 from __future__ import annotations
@@ -210,44 +210,42 @@ def sigma_rate(
     return covariance(a_t, v_t, psi) / sig
 
 
-@dataclass
-class BoundReport:
-    """Per-time-point record of the mean/deviation rates and their bounds.
+# eq=False: a generated __eq__ would compare the arrays elementwise.
+@dataclass(frozen=True, eq=False)
+class BoundSeries:
+    """Mean/deviation rates and their bounds at every grid point, one array per channel.
 
-    ``residual_r1 = sigma_{v_A}^2 - sigma_dot^2`` and
-    ``residual_r2 = <v_A^2> - mu_dot^2 - sigma_dot^2`` are algebraically
-    identical; both are kept as a cross-check.  ``cs_residual`` is the
-    division-free certificate ``sigma^2 sigma_v^2 - cov(A, v_A)^2``, the
-    only meaningful residual on degenerate (``sigma <= floor``) points,
-    where the rate fields are NaN.
+    ``residual_r2 = <v_A^2> - mu_dot^2 - sigma_dot^2`` is the gap in the
+    bound; ``cs_residual`` is the division-free certificate
+    ``sigma^2 sigma_v^2 - cov(A, v_A)^2``, the only meaningful residual on
+    degenerate (``sigma <= floor``) points, where ``sigma_dot`` and
+    ``residual_r2`` are NaN and ``tight`` is false.
     """
 
-    t: float
-    mu: float
-    sigma: float
-    mu_dot: float
-    sigma_dot: float
-    sigma_v: float
-    v2_mean: float
-    residual_r1: float
-    residual_r2: float
-    cs_residual: float
-    tight: bool
-    degenerate: bool
-    norm_defect: float = 0.0
+    t: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    mu_dot: np.ndarray
+    sigma_dot: np.ndarray
+    sigma_v: np.ndarray
+    v2_mean: np.ndarray
+    residual_r2: np.ndarray
+    cs_residual: np.ndarray
+    tight: np.ndarray
+    degenerate: np.ndarray
+    norm_defect: np.ndarray
 
 
 def rate_columns(
-    a: TimeDepOperator, h: TimeDepOperator, traj: Trajectory, points: slice = slice(None), hbar: float = 1.0
+    a: TimeDepOperator, h: TimeDepOperator, traj: Trajectory, hbar: float = 1.0
 ) -> tuple[np.ndarray, ...]:
-    """``(mu, var, mu_dot, v_sq, sigma_v_sq, cov)`` of ``A`` and ``v_A`` per grid point.
+    """``(mu, var, mu_dot, v_sq, sigma_v_sq, cov)`` of ``A`` and ``v_A`` at every grid point.
 
-    Evaluated at the grid points ``points`` selects, chunk by chunk.
-    ``v_sq`` is the direct ``<v_A^2>``; ``var``, ``sigma_v_sq`` and
-    ``cov = cov(A, v_A)`` come from the centered images.
+    Evaluated chunk by chunk.  ``v_sq`` is the direct ``<v_A^2>``; ``var``,
+    ``sigma_v_sq`` and ``cov = cov(A, v_A)`` come from the centered images.
     """
-    times = traj.grid.times[points]
-    states = traj.states[points]
+    times = traj.grid.times
+    states = traj.states
     n = len(times)
     mu, var, mu_dot, v_sq, sigma_v_sq, cov = (np.empty(n) for _ in range(6))
     velocity = velocity_sampler(a, h, hbar)
@@ -262,60 +260,6 @@ def rate_columns(
     return mu, var, mu_dot, v_sq, sigma_v_sq, cov
 
 
-def _bound_reports(
-    a: TimeDepOperator,
-    h: TimeDepOperator,
-    traj: Trajectory,
-    points: slice,
-    hbar: float,
-    sigma_floor: float,
-    tight_tol: float,
-) -> list[BoundReport]:
-    """Bound reports at the grid points ``points`` selects, evaluated as columns."""
-    mu, var, mu_dot, v_sq, sigma_v_sq, cov = rate_columns(a, h, traj, points, hbar)
-    sigma = np.sqrt(var)
-    cs_residual = var * sigma_v_sq - cov * cov
-    degenerate = sigma <= sigma_floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma_dot = np.where(degenerate, np.nan, cov / sigma)
-    residual_r1 = sigma_v_sq - sigma_dot * sigma_dot
-    residual_r2 = v_sq - mu_dot * mu_dot - sigma_dot * sigma_dot
-    tight = ~degenerate & (residual_r2 <= tight_tol * np.maximum(1.0, v_sq))
-    columns = (
-        traj.grid.times[points],
-        mu,
-        sigma,
-        mu_dot,
-        sigma_dot,
-        np.sqrt(sigma_v_sq),
-        v_sq,
-        residual_r1,
-        residual_r2,
-        cs_residual,
-        tight,
-        degenerate,
-        traj.norm_defects[points],
-    )
-    return [BoundReport(*row) for row in zip(*(c.tolist() for c in columns))]
-
-
-def bound_report(
-    a: TimeDepOperator,
-    h: TimeDepOperator,
-    traj: Trajectory,
-    t_index: int,
-    hbar: float = 1.0,
-    sigma_floor: float = SIGMA_FLOOR,
-    tight_tol: float = TIGHT_TOL,
-) -> BoundReport:
-    """Evaluate the full rate-bound record at ``traj.grid.times[t_index]``."""
-    n = len(traj.grid.times)
-    if not -n <= t_index < n:
-        raise IndexError(f"t_index {t_index} out of range for {n} grid points")
-    k = t_index % n
-    return _bound_reports(a, h, traj, slice(k, k + 1), hbar, sigma_floor, tight_tol)[0]
-
-
 def bound_series(
     a: TimeDepOperator,
     h: TimeDepOperator,
@@ -323,9 +267,28 @@ def bound_series(
     hbar: float = 1.0,
     sigma_floor: float = SIGMA_FLOOR,
     tight_tol: float = TIGHT_TOL,
-) -> list[BoundReport]:
-    """Bound reports at every grid point of the trajectory."""
-    return _bound_reports(a, h, traj, slice(None), hbar, sigma_floor, tight_tol)
+) -> BoundSeries:
+    """Rates, bounds and residuals at every grid point of the trajectory."""
+    mu, var, mu_dot, v_sq, sigma_v_sq, cov = rate_columns(a, h, traj, hbar)
+    sigma = np.sqrt(var)
+    degenerate = sigma <= sigma_floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma_dot = np.where(degenerate, np.nan, cov / sigma)
+    residual_r2 = v_sq - mu_dot * mu_dot - sigma_dot * sigma_dot
+    return BoundSeries(
+        t=traj.grid.times,
+        mu=mu,
+        sigma=sigma,
+        mu_dot=mu_dot,
+        sigma_dot=sigma_dot,
+        sigma_v=np.sqrt(sigma_v_sq),
+        v2_mean=v_sq,
+        residual_r2=residual_r2,
+        cs_residual=var * sigma_v_sq - cov * cov,
+        tight=~degenerate & (residual_r2 <= tight_tol * np.maximum(1.0, v_sq)),
+        degenerate=degenerate,
+        norm_defect=traj.norm_defects,
+    )
 
 
 def variance_rate_identity_defect(

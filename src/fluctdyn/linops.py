@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernel.
 
-Everything else in the package is built on the operations here: products,
-adjoints, commutators, Hermitian/anti-Hermitian matrix exponentials, and the
+Everything else in the package is built on the operations here: adjoints,
+commutators, Hermitian/anti-Hermitian matrix exponentials, and the
 structural predicates (Hermiticity, unitarity, normalization) with their
 default tolerances.
 
@@ -57,14 +57,6 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    a = as_operator(a)
-    b = as_operator(b)
-    _check_same_dim(a, b)
-    return a @ b
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a b - b a``."""
     a = as_operator(a)
@@ -81,25 +73,10 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Inner product ``<u|v>`` (conjugate-linear in the first argument)."""
-    u = as_state(u)
-    v = as_state(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return complex(np.vdot(u, v))
-
-
 def hermitian_defect(m: np.ndarray) -> float:
     """Max entrywise magnitude of ``m - m^dagger``."""
     m = np.asarray(m)
     return float(np.abs(m - m.conj().T).max())
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> tuple[bool, float]:
-    """Hermiticity predicate; returns ``(flag, max_defect)``."""
-    defect = hermitian_defect(as_operator(m))
-    return defect <= tol, defect
 
 
 def unitarity_defect(m: np.ndarray) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import bloch
 from .dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate
-from .fluctuation import BoundReport, bound_series
+from .fluctuation import BoundSeries, bound_series
 from .hilbert import (
     FockSpace,
     SqueezedCoherentParams,
@@ -414,11 +414,11 @@ def _build_custom(cfg: ScenarioConfig) -> ScenarioPieces:
 
 @dataclass
 class ScenarioReport:
-    """Outcome of one scenario run: per-point reports plus the summary."""
+    """Outcome of one scenario run: the bound series plus the summary."""
 
     config: ScenarioConfig
     times: np.ndarray
-    reports: list[BoundReport]
+    series: BoundSeries
     trajectory: Trajectory
     overlays: dict
     overlay_dev: dict
@@ -434,7 +434,7 @@ class ScenarioReport:
 
 
 def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> ScenarioReport:
-    """Propagate, evaluate bound reports, and compare with overlays."""
+    """Propagate, evaluate the bound series, and compare with overlays."""
     pieces = cfg.build()
     norm_budget = cfg.tol("norm_budget", 1e-8)
     traj = propagate(
@@ -446,7 +446,7 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
         store_propagators=store_propagators,
         norm_budget=norm_budget,
     )
-    reports = bound_series(
+    series = bound_series(
         pieces.observable,
         pieces.hamiltonian,
         traj,
@@ -462,27 +462,21 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
     overlays: dict = {}
     if pieces.overlays is not None:
         overlays = pieces.overlays(times)
-        numeric = {
-            "mu": np.array([r.mu for r in reports]),
-            "sigma": np.array([r.sigma for r in reports]),
-            "v2_mean": np.array([r.v2_mean for r in reports]),
-        }
         overlay_tol = cfg.tol("overlay_tol", DEFAULT_OVERLAY_TOL)
         for channel, analytic in overlays.items():
-            dev = float(np.max(np.abs(numeric[channel] - analytic)))
+            dev = float(np.max(np.abs(getattr(series, channel) - analytic)))
             overlay_dev[channel] = dev
             if dev > overlay_tol:
                 flags.append(f"overlay_deviation:{channel}:{dev:.3e}")
 
-    nondeg = [r for r in reports if not r.degenerate]
+    nondeg = ~series.degenerate
+    n_nondeg = int(np.count_nonzero(nondeg))
     residual_tol = cfg.tol("residual_tol", RESIDUAL_VIOLATION_TOL)
-    min_residual = min((r.residual_r2 for r in nondeg), default=float("nan"))
-    min_cs = min(r.cs_residual for r in reports)
-    if nondeg and min_residual < -residual_tol:
+    min_residual = float(np.min(series.residual_r2[nondeg])) if n_nondeg else float("nan")
+    min_cs = float(np.min(series.cs_residual))
+    if n_nondeg and min_residual < -residual_tol:
         flags.append(f"bound_violation:residual_r2:{min_residual:.3e}")
-    cs_scale = max(
-        1.0, max((r.sigma**2 * r.sigma_v**2 for r in reports), default=1.0)
-    )
+    cs_scale = float(np.max(series.sigma**2 * series.sigma_v**2, initial=1.0))
     if min_cs < -residual_tol * cs_scale:
         flags.append(f"bound_violation:cs_residual:{min_cs:.3e}")
     if traj.flagged:
@@ -496,13 +490,11 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
             # for squeezed inputs; recorded as a warning, not a failure.
             warnings.append(f"truncation_tail_mass:{tail_mass:.3e}")
 
-    tight_fraction = (
-        sum(1 for r in nondeg if r.tight) / len(nondeg) if nondeg else 0.0
-    )
+    tight_fraction = int(np.count_nonzero(series.tight)) / n_nondeg if n_nondeg else 0.0
     return ScenarioReport(
         config=cfg,
         times=times,
-        reports=reports,
+        series=series,
         trajectory=traj,
         overlays=overlays,
         overlay_dev=overlay_dev,
@@ -516,24 +508,6 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
         failed=bool(flags),
         pieces=pieces,
     )
-
-
-def run_example1(cfg: ScenarioConfig, **kw) -> ScenarioReport:
-    if cfg.name != "example1":
-        raise ConfigError("name", f"expected example1, got {cfg.name!r}")
-    return run_scenario(cfg, **kw)
-
-
-def run_example2(cfg: ScenarioConfig, **kw) -> ScenarioReport:
-    if cfg.name != "example2":
-        raise ConfigError("name", f"expected example2, got {cfg.name!r}")
-    return run_scenario(cfg, **kw)
-
-
-def run_example3(cfg: ScenarioConfig, **kw) -> ScenarioReport:
-    if cfg.name != "example3":
-        raise ConfigError("name", f"expected example3, got {cfg.name!r}")
-    return run_scenario(cfg, **kw)
 
 
 def picture_equivalence_check(
@@ -607,12 +581,9 @@ def snr_comparison(
         report_a.times, report_b.times
     ):
         raise ValueError("reports must share a time grid")
-    mu_a = np.array([r.mu for r in report_a.reports])
-    mu_b = np.array([r.mu for r in report_b.reports])
-    var_a = np.array([r.sigma**2 for r in report_a.reports])
-    var_b = np.array([r.sigma**2 for r in report_b.reports])
-    v2_a = np.array([r.v2_mean for r in report_a.reports])
-    v2_b = np.array([r.v2_mean for r in report_b.reports])
+    mu_a, mu_b = report_a.series.mu, report_b.series.mu
+    var_a, var_b = report_a.series.sigma**2, report_b.series.sigma**2
+    v2_a, v2_b = report_a.series.v2_mean, report_b.series.v2_mean
 
     snr_valid = (mu_a != 0) & (mu_b != 0) & (var_a > 0) & (var_b > 0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -68,8 +68,9 @@ def ex3():
 
 
 def test_criterion_01_tight_bound(ex1):
-    nondeg = [r for r in ex1.reports if not r.degenerate]
-    worst = max(abs(r.residual_r2) / max(1.0, r.v2_mean) for r in nondeg)
+    s = ex1.series
+    nondeg = ~s.degenerate
+    worst = float(np.max(np.abs(s.residual_r2[nondeg]) / np.maximum(1.0, s.v2_mean[nondeg])))
     ok = worst <= 1e-6 and ex1.runtime < 5.0
     report_line(1, "tight bound, driven qubit", ok, f"max rel residual {worst:.2e}, runtime {ex1.runtime:.2f}s")
     assert worst <= 1e-6
@@ -77,13 +78,13 @@ def test_criterion_01_tight_bound(ex1):
 
 
 def test_criterion_02_loose_bound(ex2):
-    nondeg = [r for r in ex2.reports if not r.degenerate]
-    floor = min(r.residual_r2 for r in nondeg)
+    s = ex2.series
+    floor = float(np.min(s.residual_r2[~s.degenerate]))
     idx = int(np.argmin(np.abs(ex2.times - 1.0)))
-    at_one = ex2.reports[idx].residual_r2
+    at_one = s.residual_r2[idx]
     idx_pi = int(np.argmin(np.abs(ex2.times - np.pi)))
-    r_pi = ex2.reports[idx_pi]
-    special = abs(r_pi.residual_r2 - 4.0 * r_pi.t**2 * np.cos(r_pi.t) ** 2)
+    t_pi = s.t[idx_pi]
+    special = abs(s.residual_r2[idx_pi] - 4.0 * t_pi**2 * np.cos(t_pi) ** 2)
     ok = (
         floor >= -1e-8
         and abs(at_one - EX2_RESIDUAL_AT_1) <= 1e-6
@@ -115,16 +116,12 @@ def _example3_at(s):
 
 def _channel_drift(rep_a, rep_b):
     channels = ("mu", "sigma", "mu_dot", "sigma_dot", "sigma_v", "v2_mean", "residual_r2")
-    return max(
-        abs(getattr(a, ch) - getattr(b, ch))
-        for a, b in zip(rep_a.reports, rep_b.reports)
-        for ch in channels
-    )
+    a, b = rep_a.series, rep_b.series
+    return max(float(np.max(np.abs(getattr(a, ch) - getattr(b, ch)))) for ch in channels)
 
 
 def test_criterion_03_oscillator_inequality(ex3):
-    nondeg = [r for r in ex3.reports if not r.degenerate]
-    floor = min(r.residual_r2 for r in nondeg)
+    floor = float(np.min(ex3.series.residual_r2[~ex3.series.degenerate]))
     norm_ok = ex3.max_norm_defect <= 1e-9
     runtime_ok = ex3.runtime < 30.0
     # The stock cutoff s=20 leaves ~1.1e-4 of the state above n=20 (s=20->40
@@ -245,15 +242,15 @@ def test_criterion_07_bloch_oracle_equivalence():
     for name in ("example1", "example2"):
         rep = run_scenario(default_config(name, n_steps=1000))
         model = rep.pieces.bloch_model
+        s = rep.series
         for k, t in enumerate(rep.times):
             st = bloch.bloch_stats(model, float(t))
-            r = rep.reports[k]
             worst = max(
                 worst,
-                abs(st.mean - r.mu),
-                abs(st.sigma_sq - r.sigma**2),
-                abs(st.v_mean - r.mu_dot),
-                abs(st.v2_mean - r.v2_mean),
+                abs(st.mean - s.mu[k]),
+                abs(st.sigma_sq - s.sigma[k] ** 2),
+                abs(st.v_mean - s.mu_dot[k]),
+                abs(st.v2_mean - s.v2_mean[k]),
             )
     rep1 = run_scenario(default_config("example1", n_steps=1000))
     members = all(

@@ -20,7 +20,6 @@ from fluctdyn.dynamics import TimeDepOperator, TimeGrid, propagate
 from fluctdyn.fluctuation import (
     SIGMA_FLOOR,
     TIGHT_TOL,
-    bound_report,
     bound_series,
     centered_moments,
     time_chunks,
@@ -89,31 +88,25 @@ def check_parity(a, h, traj, hbar=1.0):
     ref = reference_columns(a, h, traj, hbar)
     times = traj.grid.times
 
-    reports = bound_series(a, h, traj, hbar=hbar)
-    col = lambda name: [getattr(r, name) for r in reports]
+    series = bound_series(a, h, traj, hbar=hbar)
     sigma = np.sqrt(ref["var"])
     degenerate = sigma <= SIGMA_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma_dot = np.where(degenerate, np.nan, ref["cov"] / sigma)
     residual_r2 = ref["v2"] - ref["mu_dot"] ** 2 - sigma_dot**2
-    assert_close(col("t"), times, "t")
-    assert_close(col("mu"), ref["mu"], "mu")
-    assert_close(col("sigma"), sigma, "sigma")
-    assert_close(col("mu_dot"), ref["mu_dot"], "mu_dot")
-    assert_close(col("sigma_dot"), sigma_dot, "sigma_dot")
-    assert_close(col("sigma_v"), np.sqrt(ref["sigma_v_sq"]), "sigma_v")
-    assert_close(col("v2_mean"), ref["v2"], "v2_mean")
-    assert_close(col("residual_r1"), ref["sigma_v_sq"] - sigma_dot**2, "residual_r1")
-    assert_close(col("residual_r2"), residual_r2, "residual_r2")
-    assert_close(col("cs_residual"), ref["var"] * ref["sigma_v_sq"] - ref["cov"] ** 2, "cs_residual")
-    assert col("degenerate") == degenerate.tolist()
+    assert_close(series.t, times, "t")
+    assert_close(series.mu, ref["mu"], "mu")
+    assert_close(series.sigma, sigma, "sigma")
+    assert_close(series.mu_dot, ref["mu_dot"], "mu_dot")
+    assert_close(series.sigma_dot, sigma_dot, "sigma_dot")
+    assert_close(series.sigma_v, np.sqrt(ref["sigma_v_sq"]), "sigma_v")
+    assert_close(series.v2_mean, ref["v2"], "v2_mean")
+    assert_close(series.residual_r2, residual_r2, "residual_r2")
+    assert_close(series.cs_residual, ref["var"] * ref["sigma_v_sq"] - ref["cov"] ** 2, "cs_residual")
+    assert np.array_equal(series.degenerate, degenerate)
     tight = ~degenerate & (residual_r2 <= TIGHT_TOL * np.maximum(1.0, ref["v2"]))
-    assert col("tight") == tight.tolist()
-    assert col("norm_defect") == traj.norm_defects.tolist()
-    for k in (0, len(times) // 2, len(times) - 1):
-        single = bound_report(a, h, traj, k, hbar=hbar)
-        for name, value in vars(single).items():
-            assert_close([value], [getattr(reports[k], name)], f"bound_report {name}")
+    assert np.array_equal(series.tight, tight)
+    assert np.array_equal(series.norm_defect, traj.norm_defects)
 
     trace = snr_trace(a, h, traj, hbar=hbar)
     v2 = ref["sigma_v_sq"] + ref["mu_dot"] ** 2
@@ -138,7 +131,7 @@ def check_parity(a, h, traj, hbar=1.0):
         expected = np.full(len(times), np.nan)
         expected[ok] = 2.0 * ref["cov_h"][ok] / (hbar * ref["sigma_h"][ok])
         assert_close(accel, expected, "fs acceleration")
-    return reports
+    return series
 
 
 def _scenario(name, **grid):
@@ -164,10 +157,11 @@ def test_parity_degenerate_points():
     # A = t sx vanishes at t = 0 and the state returns to an sx eigenstate
     # whenever the accumulated phase is a multiple of pi: sigma <= floor there.
     pieces, traj = _scenario("example1")
-    reports = check_parity(pieces.observable, pieces.hamiltonian, traj)
-    degenerate = [r for r in reports if r.degenerate]
-    assert degenerate and reports[0].degenerate
-    assert all(np.isnan(r.sigma_dot) and np.isnan(r.residual_r2) and not r.tight for r in degenerate)
+    series = check_parity(pieces.observable, pieces.hamiltonian, traj)
+    degenerate = series.degenerate
+    assert degenerate.any() and degenerate[0]
+    assert np.all(np.isnan(series.sigma_dot[degenerate]) & np.isnan(series.residual_r2[degenerate]))
+    assert not series.tight[degenerate].any()
 
 
 def test_parity_tabulated_custom_operator():
@@ -217,7 +211,7 @@ def test_parity_chunked_and_two_point_grids(monkeypatch):
     chunks = list(time_chunks(61, 2))
     assert len(chunks) == 9 and chunks[-1] == slice(56, 61)
     chunked = check_parity(pieces.observable, pieces.hamiltonian, traj)
-    assert_close([r.residual_r2 for r in chunked], [r.residual_r2 for r in whole], "chunked residual")
+    assert_close(chunked.residual_r2, whole.residual_r2, "chunked residual")
 
     pieces, traj = _scenario("example3", n_steps=1)
     assert len(traj.grid.times) == 2

@@ -126,15 +126,15 @@ def test_matrix_oracle_equivalence(name, tight):
     rep = run_scenario(default_config(name, n_steps=1000))
     model = rep.pieces.bloch_model
     worst = 0.0
+    s = rep.series
     for k, t in enumerate(rep.times):
         st = bloch_stats(model, float(t))
-        r = rep.reports[k]
         worst = max(
             worst,
-            abs(st.mean - r.mu),
-            abs(st.sigma_sq - r.sigma**2),
-            abs(st.v_mean - r.mu_dot),
-            abs(st.v2_mean - r.v2_mean),
+            abs(st.mean - s.mu[k]),
+            abs(st.sigma_sq - s.sigma[k] ** 2),
+            abs(st.v_mean - s.mu_dot[k]),
+            abs(st.v2_mean - s.v2_mean[k]),
         )
     assert worst <= 1e-9
 
@@ -224,6 +224,5 @@ def test_span_coupling_with_tightness():
     rep = run_scenario(default_config("example1", n_steps=1000))
     model = rep.pieces.bloch_model
     assert all(tightness_span_test(model, float(t))[0] for t in rep.times)
-    for r in rep.reports:
-        if not r.degenerate:
-            assert r.residual_r2 <= 1e-6 * max(1.0, r.v2_mean)
+    nondeg = ~rep.series.degenerate
+    assert np.all(rep.series.residual_r2[nondeg] <= 1e-6 * np.maximum(1.0, rep.series.v2_mean[nondeg]))

@@ -153,9 +153,8 @@ def test_snr_min_monotone_in_budget():
     enlarged = np.concatenate(
         [[0.0], np.cumsum((trace.integrand[1:] + trace.integrand[:-1]) / 2 * np.diff(times))]
     ) * 1.5 + 1e-6
-    mus = np.array([r.mu for r in rep.reports])
     with np.errstate(divide="ignore"):
-        floor_enlarged = mus**2 / enlarged**2
+        floor_enlarged = rep.series.mu**2 / enlarged**2
     finite = np.isfinite(trace.snr_min)
     assert np.all(floor_enlarged[finite] <= trace.snr_min[finite] + 1e-12)
 
@@ -173,7 +172,7 @@ def test_relative_uncertainty_rate_matches_finite_difference():
     # ways: the closed form fed with the pipeline rates, and a central
     # difference of eps^2 evaluated on the exact states.
     rep = run_scenario(default_config("example1", n_steps=2000))
-    reports = rep.reports
+    s = rep.series
     times = rep.times
 
     def eps_sq(t):
@@ -186,7 +185,6 @@ def test_relative_uncertainty_rate_matches_finite_difference():
     step = 1e-5
     for t_probe in (0.4, 1.3, 2.6):
         k = int(np.argmin(np.abs(times - t_probe)))
-        r = reports[k]
-        rate = relative_uncertainty_rate(r.mu, r.sigma, r.mu_dot, r.sigma_dot)
+        rate = relative_uncertainty_rate(s.mu[k], s.sigma[k], s.mu_dot[k], s.sigma_dot[k])
         fd = (eps_sq(times[k] + step) - eps_sq(times[k] - step)) / (2 * step)
         assert rate == pytest.approx(fd, rel=1e-5, abs=1e-6)

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from fluctdyn.cli import CSV_COLUMNS, main
-from fluctdyn.scenarios import ConfigError, ScenarioConfig
+from fluctdyn import verify
+from fluctdyn.cli import CSV_COLUMNS, main, series_csv
+from fluctdyn.scenarios import ConfigError, ScenarioConfig, default_config, run_scenario
 
 EX1 = {
     "name": "example1",
@@ -59,6 +60,33 @@ def test_run_example1_emits_fixed_schema(tmp_path):
     assert len(manifest["files"]) == 2
     for f in manifest["files"]:
         assert f.endswith(("_series.csv", "_report.json"))
+
+
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_series_csv_cells_are_the_series_values(name):
+    # Stock grids: example1 has a degenerate point at t = 0, and both have
+    # points where numpy's mu_dot**2 + sigma_dot**2 is one ulp off the
+    # Python-float sum the CSV carries.
+    report = run_scenario(default_config(name))
+    s = report.series
+    header, *rows = [line.split(",") for line in series_csv(report).splitlines()]
+    assert header == list(CSV_COLUMNS) and len(rows) == len(s.t)
+    degenerate = s.degenerate.tolist()
+    assert any(degenerate) == (name == "example1")
+    lhs = [m**2 + d**2 for m, d in zip(s.mu_dot.tolist(), s.sigma_dot.tolist())]
+    for column, cells in zip(header, zip(*rows)):
+        blank = [cell == "" for cell in cells]
+        if column in ("sigma_dot", "lhs_sq_sum", "residual_r2"):
+            assert blank == degenerate, column
+        else:
+            assert not any(blank), column
+        if column in ("tight", "degenerate"):
+            assert list(cells) == ["1" if x else "0" for x in getattr(s, column).tolist()]
+            continue
+        field = "v2_mean" if column == "rhs_v2" else column
+        expected = lhs if column == "lhs_sq_sum" else getattr(s, field).tolist()
+        for cell, value in zip(cells, expected):
+            assert cell == "" or float(cell) == value, column
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -205,6 +233,14 @@ def test_verify_single_suite_stdout(capsys):
     payload = json.loads(capsys.readouterr().out)
     names = [c["name"] for c in payload["checks"]]
     assert "mean_excitation_error_s20" in names
+
+
+@pytest.mark.parametrize("seed", [995202943, 2043792527])
+def test_verify_algebra_passes_at_rounding_limited_seeds(seed):
+    # Seeds where herm_expm_additive, normalized by max(1, ||e^{(s1+s2) h}||),
+    # read 3.4e-10 and 1.2e-10 against its 1e-10 limit.
+    failed = [r for r in verify.algebra_suite(seed) if not r.passed]
+    assert not failed
 
 
 def test_console_script_installed():

@@ -11,9 +11,7 @@ import pytest
 from fluctdyn import linops
 from fluctdyn.dynamics import TimeDepOperator, TimeGrid, propagate
 from fluctdyn.fluctuation import (
-    BoundReport,
     DegenerateDispersionError,
-    bound_report,
     bound_series,
     covariance,
     expectation,
@@ -175,32 +173,29 @@ def example1_run():
 
 
 def test_bound_report_tight_on_linear_coefficient(example1_run):
-    _, _, _, reports = example1_run
-    nondeg = [r for r in reports if not r.degenerate]
-    assert nondeg
-    for r in nondeg:
-        assert abs(r.residual_r2) <= 1e-6 * max(1.0, r.v2_mean)
-        assert r.tight
+    _, _, _, series = example1_run
+    nondeg = ~series.degenerate
+    assert nondeg.any()
+    assert np.all(np.abs(series.residual_r2[nondeg]) <= 1e-6 * np.maximum(1.0, series.v2_mean[nondeg]))
+    assert np.all(series.tight[nondeg])
 
 
 def test_bound_report_internal_invariants(example1_run):
-    _, _, _, reports = example1_run
-    for r in reports:
-        decomposition = r.sigma_v**2 + r.mu_dot**2
-        assert decomposition == pytest.approx(r.v2_mean, rel=1e-9, abs=1e-12)
-        if not r.degenerate:
-            assert r.residual_r1 == pytest.approx(r.residual_r2, rel=1e-9, abs=1e-12)
-            assert r.residual_r1 >= -1e-8
-        assert r.cs_residual >= -1e-10 * max(1.0, r.sigma**2 * r.sigma_v**2)
+    _, _, _, s = example1_run
+    decomposition = s.sigma_v**2 + s.mu_dot**2
+    assert decomposition == pytest.approx(s.v2_mean, rel=1e-9, abs=1e-12)
+    # sigma_v^2 - sigma_dot^2 is algebraically the residual_r2 column.
+    nondeg = ~s.degenerate
+    residual_r1 = s.sigma_v[nondeg] ** 2 - s.sigma_dot[nondeg] ** 2
+    assert residual_r1 == pytest.approx(s.residual_r2[nondeg], rel=1e-9, abs=1e-12)
+    assert np.all(residual_r1 >= -1e-8)
+    assert np.all(s.cs_residual >= -1e-10 * np.maximum(1.0, s.sigma**2 * s.sigma_v**2))
 
 
 def test_mu_dot_matches_trajectory_finite_difference(example1_run):
-    _, _, traj, reports = example1_run
-    mus = np.array([r.mu for r in reports])
-    dt = traj.grid.dt
-    fd = (mus[2:] - mus[:-2]) / (2.0 * dt)
-    for k, r in enumerate(reports[1:-1], start=1):
-        assert r.mu_dot == pytest.approx(fd[k - 1], rel=1e-4, abs=1e-4)
+    _, _, traj, series = example1_run
+    fd = (series.mu[2:] - series.mu[:-2]) / (2.0 * traj.grid.dt)
+    assert series.mu_dot[1:-1] == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 
 def test_mean_rate_and_decomposition_at_stated_tolerance():
@@ -212,24 +207,22 @@ def test_mean_rate_and_decomposition_at_stated_tolerance():
     grid = TimeGrid(1.0, 1.01, 1000)  # dt = 1e-5
     psi0 = evolved_plus(1.0)
     traj = propagate(h, psi0, grid, method="exact_commuting")
-    reports = bound_series(a, h, traj)
-    mus = np.array([r.mu for r in reports])
-    fd = (mus[2:] - mus[:-2]) / (2.0 * grid.dt)
-    for k in range(1, len(reports) - 1, 50):
-        r = reports[k]
-        assert r.mu_dot == pytest.approx(fd[k - 1], rel=1e-8)
-        assert r.v2_mean == pytest.approx(r.sigma_v**2 + r.mu_dot**2, rel=1e-8)
+    s = bound_series(a, h, traj)
+    fd = (s.mu[2:] - s.mu[:-2]) / (2.0 * grid.dt)
+    k = np.arange(1, len(s.t) - 1, 50)
+    assert s.mu_dot[k] == pytest.approx(fd[k - 1], rel=1e-8)
+    assert s.v2_mean[k] == pytest.approx(s.sigma_v[k] ** 2 + s.mu_dot[k] ** 2, rel=1e-8)
 
 
 def test_bound_report_identity_observable(example1_run):
     _, h, traj, _ = example1_run
     ident = TimeDepOperator.stationary(np.eye(2, dtype=complex))
-    r = bound_report(ident, h, traj, 500)
-    assert r.mu == pytest.approx(1.0)
-    assert r.sigma == pytest.approx(0.0, abs=1e-12)
-    assert r.degenerate
-    assert r.mu_dot == pytest.approx(0.0, abs=1e-12)
-    assert r.cs_residual >= -1e-12
+    s = bound_series(ident, h, traj)
+    assert s.mu[500] == pytest.approx(1.0)
+    assert s.sigma[500] == pytest.approx(0.0, abs=1e-12)
+    assert s.degenerate[500]
+    assert s.mu_dot[500] == pytest.approx(0.0, abs=1e-12)
+    assert s.cs_residual[500] >= -1e-12
 
 
 def test_bound_report_loose_observable_at_special_points():
@@ -245,9 +238,9 @@ def test_bound_report_loose_observable_at_special_points():
     traj = propagate(h, qubit_plus(), grid, method="exact_commuting")
     t_special = np.pi  # 2 sin(pi) = 0 = 0 * pi
     idx = int(np.argmin(np.abs(grid.times - t_special)))
-    r = bound_report(a2, h, traj, idx)
+    residual = bound_series(a2, h, traj).residual_r2[idx]
     t = grid.times[idx]
-    assert r.residual_r2 == pytest.approx(4.0 * t**2 * np.cos(t) ** 2, abs=1e-4)
+    assert residual == pytest.approx(4.0 * t**2 * np.cos(t) ** 2, abs=1e-4)
 
 
 def test_variance_rate_identity_defect(example1_run):

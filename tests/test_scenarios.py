@@ -11,26 +11,23 @@ from fluctdyn.scenarios import (
     ScenarioConfig,
     default_config,
     picture_equivalence_check,
-    run_example1,
-    run_example2,
-    run_example3,
     run_scenario,
     snr_comparison,
 )
 
 
 def test_example1_defaults_tight_everywhere():
-    rep = run_example1(default_config("example1"))
+    rep = run_scenario(default_config("example1"))
     assert not rep.failed
     assert max(rep.overlay_dev.values()) <= 1e-7
-    nondeg = [r for r in rep.reports if not r.degenerate]
-    assert all(r.tight for r in nondeg)
+    s = rep.series
+    assert np.all(s.tight[~s.degenerate])
     assert rep.tight_fraction == 1.0
     # t = 0 has sigma = 0: degenerate flag with the division-free
     # certificate still evaluated.
-    assert rep.reports[0].degenerate
-    assert rep.reports[0].cs_residual >= -1e-12
-    assert np.isnan(rep.reports[0].sigma_dot)
+    assert s.degenerate[0]
+    assert s.cs_residual[0] >= -1e-12
+    assert np.isnan(s.sigma_dot[0])
 
 
 def test_example1_constant_coefficient():
@@ -41,37 +38,34 @@ def test_example1_constant_coefficient():
             "grid": {"t0": 0.0, "t1": 5.0, "n_steps": 2000},
         }
     )
-    rep = run_scenario(cfg)
-    for r in rep.reports:
-        if r.degenerate:
-            continue
-        lhs = r.mu_dot**2 + r.sigma_dot**2
-        assert lhs == pytest.approx(4.0 * 1.3**2 * np.cos(r.t) ** 2, abs=1e-8)
+    s = run_scenario(cfg).series
+    nondeg = ~s.degenerate
+    lhs = s.mu_dot[nondeg] ** 2 + s.sigma_dot[nondeg] ** 2
+    assert lhs == pytest.approx(4.0 * 1.3**2 * np.cos(s.t[nondeg]) ** 2, abs=1e-8)
 
 
 def test_example2_defaults_loose():
-    rep = run_example2(default_config("example2"))
+    rep = run_scenario(default_config("example2"))
     assert not rep.failed
     assert max(rep.overlay_dev.values()) <= 1e-7
-    nondeg = [r for r in rep.reports if not r.degenerate]
-    assert min(r.residual_r2 for r in nondeg) >= -1e-8
+    s = rep.series
+    assert np.min(s.residual_r2[~s.degenerate]) >= -1e-8
     # Strict gap at the generic point t = 1, equal to the overlay value.
     idx = int(np.argmin(np.abs(rep.times - 1.0)))
-    r1 = rep.reports[idx]
-    assert not r1.tight
-    assert r1.residual_r2 > 5e-3
+    assert not s.tight[idx]
+    assert s.residual_r2[idx] > 5e-3
 
 
 def test_example2_special_points_residual():
-    rep = run_example2(default_config("example2"))
+    rep = run_scenario(default_config("example2"))
     # 2 sin t = 0 at t = pi: residual collapses to 4 w0^2 a^2 cos^2 t.
     idx = int(np.argmin(np.abs(rep.times - np.pi)))
-    r = rep.reports[idx]
-    assert r.residual_r2 == pytest.approx(4.0 * r.t**2 * np.cos(r.t) ** 2, abs=1e-4)
+    t = rep.series.t[idx]
+    assert rep.series.residual_r2[idx] == pytest.approx(4.0 * t**2 * np.cos(t) ** 2, abs=1e-4)
 
 
 def test_example2_converges_to_example1_as_b_vanishes():
-    rep1 = run_example1(default_config("example1"))
+    rep1 = run_scenario(default_config("example1"))
     cfg2 = ScenarioConfig.from_dict(
         {
             "name": "example2",
@@ -85,28 +79,19 @@ def test_example2_converges_to_example1_as_b_vanishes():
         }
     )
     rep2 = run_scenario(cfg2)
-    worst = 0.0
-    for r1, r2 in zip(rep1.reports, rep2.reports):
-        if r1.degenerate or r2.degenerate:
-            continue
-        worst = max(
-            worst,
-            abs(r1.mu - r2.mu),
-            abs(r1.sigma - r2.sigma),
-            abs(r1.mu_dot - r2.mu_dot),
-            abs(r1.sigma_dot - r2.sigma_dot),
-            abs(r1.v2_mean - r2.v2_mean),
-            abs(r1.residual_r2 - r2.residual_r2),
-        )
+    both = ~rep1.series.degenerate & ~rep2.series.degenerate
+    worst = max(
+        float(np.max(np.abs(getattr(rep1.series, ch)[both] - getattr(rep2.series, ch)[both])))
+        for ch in ("mu", "sigma", "mu_dot", "sigma_dot", "v2_mean", "residual_r2")
+    )
     assert worst <= 1e-6
 
 
 def test_example3_defaults():
-    rep = run_example3(default_config("example3"))
+    rep = run_scenario(default_config("example3"))
     assert not rep.failed
-    nondeg = [r for r in rep.reports if not r.degenerate]
-    assert len(nondeg) == len(rep.reports)  # squeezed state never degenerate
-    assert min(r.residual_r2 for r in nondeg) >= -1e-8
+    assert not rep.series.degenerate.any()  # squeezed state never degenerate
+    assert np.min(rep.series.residual_r2) >= -1e-8
     assert rep.max_norm_defect <= 1e-9
     # Mandated default cutoff sits below the 1e-6 recommendation and has a
     # fat squeezed tail; both are recorded as warnings, not failures.
@@ -136,43 +121,38 @@ def test_example3_vacuum_limit():
         "params": {"alpha": [0.0, 0.0], "z": [0.0, 0.0], "s": 20},
         "grid": {"t0": 0.0, "t1": 6.283185307179586, "n_steps": 800},
     }
-    rep = run_scenario(ScenarioConfig.from_dict(raw))
-    for r in rep.reports:
-        assert r.mu == pytest.approx(0.0, abs=1e-12)
-        assert r.sigma == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
-        assert r.sigma_dot == pytest.approx(0.0, abs=1e-10)
-        # Residual equals <v^2> = (theta_dot + omega)^2 / 2 for the vacuum.
-        expected = (-np.sin(r.t) + 1.0) ** 2 / 2.0
-        assert r.v2_mean == pytest.approx(expected, abs=1e-10)
-        assert r.residual_r2 == pytest.approx(expected, abs=1e-10)
+    s = run_scenario(ScenarioConfig.from_dict(raw)).series
+    assert s.mu == pytest.approx(0.0, abs=1e-12)
+    assert s.sigma == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
+    assert s.sigma_dot == pytest.approx(0.0, abs=1e-10)
+    # Residual equals <v^2> = (theta_dot + omega)^2 / 2 for the vacuum.
+    expected = (-np.sin(s.t) + 1.0) ** 2 / 2.0
+    assert s.v2_mean == pytest.approx(expected, abs=1e-10)
+    assert s.residual_r2 == pytest.approx(expected, abs=1e-10)
 
 
 def test_example3_channels_respond_to_cutoff():
     # The s = 20 squeezed default is not converged at the 1e-8 level; the
     # recorded channels shift at the 1e-2 scale when the cutoff doubles.
-    rep20 = run_example3(default_config("example3", n_steps=200))
+    rep20 = run_scenario(default_config("example3", n_steps=200))
     raw = {
         "name": "example3",
         "params": {"alpha": [2.0, 1.0], "z": [0.5, 0.5], "s": 40},
         "grid": {"t0": 0.0, "t1": 6.283185307179586, "n_steps": 200},
     }
     rep40 = run_scenario(ScenarioConfig.from_dict(raw))
-    drift = max(
-        abs(a.v2_mean - b.v2_mean) for a, b in zip(rep20.reports, rep40.reports)
-    )
+    drift = float(np.max(np.abs(rep20.series.v2_mean - rep40.series.v2_mean)))
     assert 1e-4 < drift < 1.0
 
 
 def test_exact_commuting_reports_grid_independent():
     # The closed-form propagation route evaluates each output time
     # independently, so refining the grid leaves shared-time reports alone.
-    coarse = run_example1(default_config("example1", n_steps=500))
-    fine = run_example1(default_config("example1", n_steps=5000))
-    for k in range(0, 501, 50):
-        a = coarse.reports[k]
-        b = fine.reports[10 * k]
-        assert a.mu == pytest.approx(b.mu, abs=1e-12)
-        assert a.v2_mean == pytest.approx(b.v2_mean, abs=1e-12)
+    coarse = run_scenario(default_config("example1", n_steps=500))
+    fine = run_scenario(default_config("example1", n_steps=5000))
+    k = np.arange(0, 501, 50)
+    assert coarse.series.mu[k] == pytest.approx(fine.series.mu[10 * k], abs=1e-12)
+    assert coarse.series.v2_mean[k] == pytest.approx(fine.series.v2_mean[10 * k], abs=1e-12)
 
 
 def test_midpoint_reports_converge_to_exact():
@@ -189,10 +169,8 @@ def test_midpoint_reports_converge_to_exact():
         return run_scenario(ScenarioConfig.from_dict(raw))
 
     def gap(rep, stride):
-        worst = 0.0
-        for k in range(0, 1001, 100):
-            worst = max(worst, abs(rep.reports[k * stride].mu - exact.reports[k].mu))
-        return worst
+        k = np.arange(0, 1001, 100)
+        return float(np.max(np.abs(rep.series.mu[k * stride] - exact.series.mu[k])))
 
     g1 = gap(midpoint_rep(1000), 1)
     g2 = gap(midpoint_rep(2000), 2)
@@ -232,8 +210,8 @@ def test_picture_equivalence_requires_propagators():
 
 
 def test_snr_comparison_ratios_in_unit_interval():
-    rep1 = run_example1(default_config("example1"))
-    rep2 = run_example2(default_config("example2"))
+    rep1 = run_scenario(default_config("example1"))
+    rep2 = run_scenario(default_config("example2"))
     comp = snr_comparison(rep1, rep2)
     snr_ratio = comp["snr_ratio"][comp["snr_valid"]]
     v2_ratio = comp["v2_ratio"][comp["v2_valid"]]
@@ -299,11 +277,9 @@ def test_custom_scenario_tabulated():
     rep = run_scenario(ScenarioConfig.from_dict(raw))
     assert not rep.failed
     # Under constant sz from |+>, <sx>(t) = cos(2t); A = cos(t) sx.
-    for k in range(0, n + 1, 40):
-        t = times[k]
-        assert rep.reports[k].mu == pytest.approx(np.cos(t) * np.cos(2 * t), abs=1e-3)
-    nondeg = [r for r in rep.reports if not r.degenerate]
-    assert min(r.residual_r2 for r in nondeg) >= -1e-6  # FD-derivative budget
+    k = np.arange(0, n + 1, 40)
+    assert rep.series.mu[k] == pytest.approx(np.cos(times[k]) * np.cos(2 * times[k]), abs=1e-3)
+    assert np.min(rep.series.residual_r2[~rep.series.degenerate]) >= -1e-6  # FD-derivative budget
 
 
 def test_custom_scenario_rejects_exact_for_tabulated_h():
