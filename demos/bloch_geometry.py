@@ -26,19 +26,19 @@ def main():
     model = rep.pieces.bloch_model
 
     evo = bloch_evolve(model, TimeGrid(0.0, 5.0, 2000))
-    analytic = np.stack([model.a(t) for t in rep.times])
+    analytic = np.stack([model.a(t) for t in rep.series.t])
     print("--- Bloch evolution a_dot = 2 h x a (RK4) ---")
     print(f"  max |numeric - closed form| : {np.abs(evo.vectors - analytic).max():.3e}")
     print(f"  max |a| drift               : {evo.max_drift:.3e} (no renormalization applied)")
 
     worst = 0.0
     s = rep.series
-    for k, t in enumerate(rep.times):
+    for k, t in enumerate(rep.series.t):
         st = bloch_stats(model, float(t))
         worst = max(worst, abs(st.mean - s.mu[k]), abs(st.sigma_sq - s.sigma[k] ** 2),
                     abs(st.v_mean - s.mu_dot[k]), abs(st.v2_mean - s.v2_mean[k]))
     print("--- closed forms vs matrix pipeline ---")
-    print(f"  max channel gap over {len(rep.times)} points: {worst:.3e}")
+    print(f"  max channel gap over {len(rep.series.t)} points: {worst:.3e}")
 
     rep2 = run_scenario(default_config("example2", n_steps=2000))
     model2 = rep2.pieces.bloch_model
@@ -53,7 +53,7 @@ def main():
         print(f"  {label:<28}: residual in [{vals.min():.3e}, {vals.max():.3e}]")
 
     print("--- span-membership tightness certificate ---")
-    members = [tightness_span_test(model, float(t))[0] for t in rep.times]
+    members = [tightness_span_test(model, float(t))[0] for t in rep.series.t]
     print(f"  single-component: member at {sum(members)}/{len(members)} grid points")
     t_probe = 1.0
     member, defect = tightness_span_test(model2, t_probe)

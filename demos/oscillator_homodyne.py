@@ -61,7 +61,7 @@ def main():
         print("(matplotlib not available; skipping the figure)")
         return
 
-    theta = np.cos(rep.times)
+    theta = np.cos(rep.series.t)
     lhs = rep.series.mu_dot**2 + rep.series.sigma_dot**2
     v2 = rep.series.v2_mean
     fig = plt.figure(figsize=(6, 6))

@@ -50,7 +50,7 @@ def main():
     print(f"  min defect over the grid: {defect.min():.3e} (nonnegative up to quadrature error)")
 
     s, v, a = fs_kinematics(rep.pieces.hamiltonian, rep.trajectory)
-    sig_hdot = np.abs(np.sin(rep.times))
+    sig_hdot = np.abs(np.sin(rep.series.t))
     ok = ~np.isnan(a)
     residual = sig_hdot[ok] ** 2 - (a[ok] / 2.0) ** 2
     print("--- projective-space kinematics ---")
@@ -68,7 +68,7 @@ def main():
     print("--- relative-uncertainty rate ---")
     series = rep.series
     for t_probe in (0.5, 1.0, 2.0):
-        k = int(np.argmin(np.abs(rep.times - t_probe)))
+        k = int(np.argmin(np.abs(rep.series.t - t_probe)))
         rate = relative_uncertainty_rate(series.mu[k], series.sigma[k], series.mu_dot[k], series.sigma_dot[k])
         print(f"  t={t_probe:.1f}: mu={series.mu[k]:+.4f}  d(sigma^2/mu^2)/dt = {rate:+.6f}")
     print("  (the rate scales as 1/mu^3, so it blows up near mean-zero crossings such as t~1.)")

@@ -55,7 +55,7 @@ def main():
 
     fig, axes = plt.subplots(1, 2, figsize=(11, 4), sharex=True)
     for ax, rep, title in zip(axes, (rep1, rep2), ("tight observable", "loose observable")):
-        t = rep.times
+        t = rep.series.t
         v2 = rep.series.v2_mean
         lhs = rep.series.mu_dot**2 + rep.series.sigma_dot**2  # NaN on degenerate points
         ax.plot(t, v2, "--", label=r"$\langle v_A^2\rangle$")

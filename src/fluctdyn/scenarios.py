@@ -81,15 +81,12 @@ def coefficient(spec, path: str = "coefficient") -> tuple[Callable, Callable, di
         name, scale = spec, 1.0
     elif isinstance(spec, dict):
         name = spec.get("fn")
-        scale = spec.get("scale", 1.0)
-        if not isinstance(scale, (int, float)):
-            raise ConfigError(f"{path}.scale", "must be a number")
+        scale = _real(spec.get("scale", 1.0), f"{path}.scale")
     else:
         raise ConfigError(path, f"expected a selector string or {{'fn', 'scale'}} mapping, got {type(spec).__name__}")
     if name not in _COEFFS:
         raise ConfigError(path, f"unknown coefficient {name!r}; whitelist: {sorted(_COEFFS)}")
     base_f, base_d = _COEFFS[name]
-    scale = float(scale)
     return (
         lambda t: scale * base_f(t),
         lambda t: scale * base_d(t),
@@ -112,21 +109,45 @@ def _require(params: dict, key: str, scenario: str):
     return params[key]
 
 
+def _real(value, path: str) -> float:
+    """The one check for a scalar config number: finite, real, not a bool."""
+    try:
+        x = float(value) if _is_number(value) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, f"must be a finite real number, got {value!r}")
+    return x
+
+
+def _real_array(raw, shape: tuple, path: str) -> np.ndarray:
+    """``raw`` as a float array of ``shape``; the error path names the first non-finite entry."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise ConfigError(path, f"expected a nested list of finite real numbers of shape {shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        index = tuple(int(i) for i in bad[0])
+        entry = path + "".join(f"[{i}]" for i in index)
+        raise ConfigError(entry, f"must be a finite real number, got {float(arr[index])!r}")
+    return arr
+
+
 def _positive(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or not value > 0:
-        raise ConfigError(path, f"must be a positive number, got {value!r}")
-    return float(value)
+    x = _real(value, path)
+    if not x > 0:
+        raise ConfigError(path, f"must be a finite positive number, got {value!r}")
+    return x
 
 
 def _complex_pair(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
-        return complex(value[0], value[1])
+    if _is_number(value):
+        return complex(_real(value, path))
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_real(value[0], f"{path}[0]"), _real(value[1], f"{path}[1]"))
     raise ConfigError(path, f"expected a real number or [re, im] pair, got {value!r}")
 
 
@@ -156,17 +177,16 @@ class ScenarioConfig:
         grid_raw = raw.get("grid")
         if not isinstance(grid_raw, dict):
             raise ConfigError("grid", "must be an object with t0, t1, n_steps")
-        if "n_steps" in grid_raw and not _is_int(grid_raw["n_steps"]):
+        for key in ("t1", "n_steps"):
+            if key not in grid_raw:
+                raise ConfigError(f"grid.{key}", "required")
+        if not _is_int(grid_raw["n_steps"]):
             raise ConfigError("grid.n_steps", f"must be an integer, got {grid_raw['n_steps']!r}")
+        t0 = _real(grid_raw.get("t0", 0.0), "grid.t0")
+        t1 = _real(grid_raw["t1"], "grid.t1")
         try:
-            grid = TimeGrid(
-                t0=float(grid_raw.get("t0", 0.0)),
-                t1=float(grid_raw["t1"]),
-                n_steps=grid_raw["n_steps"],
-            )
-        except KeyError as exc:
-            raise ConfigError(f"grid.{exc.args[0]}", "required") from None
-        except (TypeError, ValueError) as exc:
+            grid = TimeGrid(t0=t0, t1=t1, n_steps=grid_raw["n_steps"])
+        except ValueError as exc:
             raise ConfigError("grid", str(exc)) from None
         method = raw.get("method", "exact_commuting")
         if method not in ("exact_commuting", "midpoint"):
@@ -175,10 +195,9 @@ class ScenarioConfig:
         if not isinstance(tolerances, dict):
             raise ConfigError("tolerances", "must be an object")
         for key, value in tolerances.items():
-            if not _is_number(value) or not math.isfinite(value) or value <= 0:
-                raise ConfigError(f"tolerances.{key}", f"must be a finite positive number, got {value!r}")
+            _positive(value, f"tolerances.{key}")
         seed = raw.get("seed", 20240617)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ConfigError("seed", "must be an integer")
         cfg = cls(name=name, params=params, grid=grid, method=method, tolerances=dict(tolerances), seed=seed)
         cfg.build()  # validate scenario-specific parameters eagerly
@@ -343,9 +362,7 @@ def _build_example3(cfg: ScenarioConfig) -> ScenarioPieces:
 
 
 def _hermitian_from_json(raw, dim: int, path: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (dim, dim, 2):
-        raise ConfigError(path, f"expected a {dim}x{dim} matrix of [re, im] pairs")
+    arr = _real_array(raw, (dim, dim, 2), path)
     mat = arr[..., 0] + 1j * arr[..., 1]
     if np.abs(mat - mat.conj().T).max() > 1e-12:
         raise ConfigError(path, "matrix is not Hermitian")
@@ -354,7 +371,7 @@ def _hermitian_from_json(raw, dim: int, path: str) -> np.ndarray:
 
 def _build_custom(cfg: ScenarioConfig) -> ScenarioPieces:
     dim = _require(cfg.params, "dim", "custom")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ConfigError("params.dim", "must be a positive integer")
     hbar = _positive(cfg.params.get("hbar", 1.0), "params.hbar")
 
@@ -389,10 +406,7 @@ def _build_custom(cfg: ScenarioConfig) -> ScenarioPieces:
 
         return TimeDepOperator(value=value, dim=dim, fd_step=cfg.grid.dt / 2.0)
 
-    psi_raw = _require(cfg.params, "psi0", "custom")
-    psi_arr = np.asarray(psi_raw, dtype=float)
-    if psi_arr.shape != (dim, 2):
-        raise ConfigError("params.psi0", f"expected {dim} [re, im] pairs")
+    psi_arr = _real_array(_require(cfg.params, "psi0", "custom"), (dim, 2), "params.psi0")
     psi0 = psi_arr[:, 0] + 1j * psi_arr[:, 1]
     nrm = np.linalg.norm(psi0)
     if nrm == 0:
@@ -417,7 +431,6 @@ class ScenarioReport:
     """Outcome of one scenario run: the bound series plus the summary."""
 
     config: ScenarioConfig
-    times: np.ndarray
     series: BoundSeries
     trajectory: Trajectory
     overlays: dict
@@ -454,14 +467,13 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
         sigma_floor=cfg.tol("sigma_floor", 1e-9),
         tight_tol=cfg.tol("tight_tol", 1e-6),
     )
-    times = cfg.grid.times
 
     flags: list[str] = []
     warnings = list(pieces.warnings)
     overlay_dev: dict = {}
     overlays: dict = {}
     if pieces.overlays is not None:
-        overlays = pieces.overlays(times)
+        overlays = pieces.overlays(series.t)
         overlay_tol = cfg.tol("overlay_tol", DEFAULT_OVERLAY_TOL)
         for channel, analytic in overlays.items():
             dev = float(np.max(np.abs(getattr(series, channel) - analytic)))
@@ -493,7 +505,6 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
     tight_fraction = int(np.count_nonzero(series.tight)) / n_nondeg if n_nondeg else 0.0
     return ScenarioReport(
         config=cfg,
-        times=times,
         series=series,
         trajectory=traj,
         overlays=overlays,
@@ -577,9 +588,8 @@ def snr_comparison(
     squared-velocity means (first over second) with validity masks; for the
     stock qubit pair both ratios stay inside [0, 1].
     """
-    if len(report_a.times) != len(report_b.times) or not np.allclose(
-        report_a.times, report_b.times
-    ):
+    times = report_a.series.t
+    if len(times) != len(report_b.series.t) or not np.allclose(times, report_b.series.t):
         raise ValueError("reports must share a time grid")
     mu_a, mu_b = report_a.series.mu, report_b.series.mu
     var_a, var_b = report_a.series.sigma**2, report_b.series.sigma**2
@@ -593,7 +603,7 @@ def snr_comparison(
         v2_valid = v2_b > 0
         v2_ratio = np.where(v2_valid, v2_a / np.where(v2_valid, v2_b, 1.0), np.nan)
     return {
-        "times": report_a.times,
+        "times": times,
         "snr_ratio": snr_ratio,
         "snr_valid": snr_valid & (snr_a > 0),
         "v2_ratio": v2_ratio,

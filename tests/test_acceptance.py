@@ -2,6 +2,9 @@
 
 Each test prints a single ``[ACCEPTANCE nn] name: PASS/FAIL`` line (visible
 with ``pytest -s`` or in captured output on failure) and then asserts.
+Criteria 04-08 assert the property checks of ``fluctdyn verify`` (run once,
+at the default seed) by name, plus the clauses on the stock scenario runs
+that the verify suites do not cover.
 
 Criterion 03 runs its clauses at two cutoffs.  The inequality, norm-defect
 and runtime clauses run on the stock ``s=20`` config, which is deliberately
@@ -20,12 +23,11 @@ import time
 import numpy as np
 import pytest
 
-from fluctdyn import bloch, bounds, linops
+from fluctdyn import verify
 from fluctdyn.bounds import mt_integral_check, snr_trace
 from fluctdyn.cli import main as cli_main
-from fluctdyn.dynamics import TimeDepOperator, TimeGrid, propagate
-from fluctdyn.fluctuation import covariance, higher_order_chain, std_dev, variance
-from fluctdyn.hilbert import pauli, qubit_plus, truncated_mean_photon
+from fluctdyn.dynamics import propagate
+from fluctdyn.fluctuation import bound_series, covariance, higher_order_chain, std_dev, variance
 from fluctdyn.scenarios import (
     ScenarioConfig,
     default_config,
@@ -33,8 +35,6 @@ from fluctdyn.scenarios import (
     run_scenario,
     snr_comparison,
 )
-
-SEED = 20240617
 
 # Frozen from the analytic overlay (differentiated closed forms) at t = 1;
 # the overlay is the authority for this value, so the check enforces
@@ -44,6 +44,23 @@ EX2_RESIDUAL_AT_1 = 0.007358260045578824
 
 def report_line(num, name, ok, detail=""):
     print(f"[ACCEPTANCE {num:02d}] {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
+
+
+def assert_checks(num, title, checks, names, extra_ok=True, extra=""):
+    """Report and assert the named ``fluctdyn verify`` checks (plus any extra clause)."""
+    results = [checks[name] for name in names]
+    ok = all(r.passed for r in results) and extra_ok
+    details = [f"{r.name}: {r.detail}" for r in results] + ([extra] if extra else [])
+    report_line(num, title, ok, "; ".join(details))
+    for r in results:
+        assert r.passed, f"{r.suite}.{r.name} failed: {r.detail}"
+    assert extra_ok, extra
+
+
+@pytest.fixture(scope="module")
+def checks():
+    """``fluctdyn verify all`` at the default seed, by check name."""
+    return {r.name: r for r in verify.run_suites(verify.SUITES, verify.DEFAULT_SEED)}
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +97,9 @@ def test_criterion_01_tight_bound(ex1):
 def test_criterion_02_loose_bound(ex2):
     s = ex2.series
     floor = float(np.min(s.residual_r2[~s.degenerate]))
-    idx = int(np.argmin(np.abs(ex2.times - 1.0)))
+    idx = int(np.argmin(np.abs(s.t - 1.0)))
     at_one = s.residual_r2[idx]
-    idx_pi = int(np.argmin(np.abs(ex2.times - np.pi)))
+    idx_pi = int(np.argmin(np.abs(s.t - np.pi)))
     t_pi = s.t[idx_pi]
     special = abs(s.residual_r2[idx_pi] - 4.0 * t_pi**2 * np.cos(t_pi) ** 2)
     ok = (
@@ -153,149 +170,61 @@ def test_criterion_03_oscillator_inequality(ex3):
     )
 
 
-def test_criterion_04_truncation_number():
-    err = abs(5.0 - truncated_mean_photon(5.0, 20))
-    ok = 1e-7 <= err <= 1e-5
-    report_line(4, "mean-excitation truncation error", ok, f"|5 - mean| = {err:.3e}")
-    assert 1e-7 <= err <= 1e-5
+def test_criterion_04_truncation_number(checks):
+    assert_checks(4, "mean-excitation truncation error", checks, ["mean_excitation_error_s20"])
 
 
-def test_criterion_05_cauchy_schwarz_suite():
-    rng = np.random.default_rng(SEED)
-    cs_viol = 0.0
-    dec_worst = 0.0
-    cov_viol = 0.0
-    for _ in range(1000):
-        dim = int(rng.choice([2, 3, 4, 8]))
-        a = linops.random_hermitian(dim, rng)
-        b = linops.random_hermitian(dim, rng)
-        psi = linops.random_state(dim, rng)
-        var_a = variance(a, psi)
-        var_b = variance(b, psi)
-        cov = covariance(a, b, psi)
-        cs = var_a * var_b - cov * cov
-        cs_viol = min(cs_viol, cs / max(1.0, var_a * var_b))
-        cov_viol = max(cov_viol, abs(cov) - np.sqrt(var_a * var_b))
-        ev = lambda m: complex(np.vdot(psi, m @ psi))
-        da = a - ev(a).real * np.eye(dim)
-        db = b - ev(b).real * np.eye(dim)
-        lhs = 4.0 * abs(ev(da @ db)) ** 2
-        rhs = abs(ev(linops.commutator(da, db))) ** 2 + abs(ev(linops.anticommutator(da, db))) ** 2
-        dec_worst = max(dec_worst, abs(lhs - rhs) / max(1.0, lhs))
-    ok = cs_viol >= -1e-10 and dec_worst <= 1e-10
-    report_line(
+def test_criterion_05_cauchy_schwarz_suite(checks):
+    assert_checks(
         5,
         "covariance Cauchy-Schwarz + magnitude decomposition, 1000 draws",
-        ok,
-        f"worst scaled CS violation {cs_viol:.2e}; decomposition defect {dec_worst:.2e}",
+        checks,
+        ["covariance_cauchy_schwarz", "magnitude_decomposition"],
     )
-    assert cs_viol >= -1e-10
-    assert dec_worst <= 1e-10
-    assert cov_viol <= 1e-10
 
 
-def test_criterion_06_acceleration_limit(ex1):
-    def residual_sweep(h_op, traj):
-        worst = -np.inf
-        for k, t in enumerate(traj.grid.times):
-            psi = traj.states[k]
-            h_t = h_op.value(t)
-            hd_t = h_op.deriv(t)
-            var_h = variance(h_t, psi)
-            if var_h <= 1e-18:
-                continue
-            cov = covariance(h_t, hd_t, psi)
-            var_hd = variance(hd_t, psi)
-            worst = max(worst, cov * cov / var_h - var_hd)
-        return worst
-
-    worst = residual_sweep(ex1.pieces.hamiltonian, ex1.trajectory)
-
-    rng = np.random.default_rng(SEED)
-    from fluctdyn.scenarios import _COEFFS, coefficient
-
-    names = sorted(_COEFFS)
-    paulis = np.stack([pauli("x"), pauli("y"), pauli("z")])
-    for _ in range(200):
-        nvec = rng.normal(size=3)
-        nvec /= np.linalg.norm(nvec)
-        kvec = rng.normal(size=3)
-        kvec /= np.linalg.norm(kvec)
-        f, fd, _ = coefficient({"fn": str(rng.choice(names)), "scale": float(rng.uniform(0.3, 2.0))})
-        g, gd, _ = coefficient({"fn": str(rng.choice(names)), "scale": float(rng.uniform(0.3, 2.0))})
-        mat_n = np.tensordot(nvec, paulis, axes=1)
-        mat_k = np.tensordot(kvec, paulis, axes=1)
-        h_op = TimeDepOperator(
-            value=lambda t, f=f, g=g, mn=mat_n, mk=mat_k: f(t) * mn + g(t) * mk,
-            dvalue=lambda t, fd=fd, gd=gd, mn=mat_n, mk=mat_k: fd(t) * mn + gd(t) * mk,
-            dim=2,
-        )
-        traj = propagate(h_op, linops.random_state(2, rng), TimeGrid(0.0, 2.0, 150), method="midpoint")
-        worst = max(worst, residual_sweep(h_op, traj))
-    ok = worst <= 1e-8
-    report_line(6, "acceleration limit, driven + 200 random qubits", ok, f"max residual {worst:.2e}")
-    assert worst <= 1e-8
-
-
-def test_criterion_07_bloch_oracle_equivalence():
-    worst = 0.0
-    for name in ("example1", "example2"):
-        rep = run_scenario(default_config(name, n_steps=1000))
-        model = rep.pieces.bloch_model
-        s = rep.series
-        for k, t in enumerate(rep.times):
-            st = bloch.bloch_stats(model, float(t))
-            worst = max(
-                worst,
-                abs(st.mean - s.mu[k]),
-                abs(st.sigma_sq - s.sigma[k] ** 2),
-                abs(st.v_mean - s.mu_dot[k]),
-                abs(st.v2_mean - s.v2_mean[k]),
-            )
-    rep1 = run_scenario(default_config("example1", n_steps=1000))
-    members = all(
-        bloch.tightness_span_test(rep1.pieces.bloch_model, float(t))[0] for t in rep1.times
+def test_criterion_06_acceleration_limit(checks, ex1):
+    # The acceleration limit is the bound at A = H, where v_H = dH/dt.
+    h = ex1.pieces.hamiltonian
+    s = bound_series(h, h, ex1.trajectory, hbar=ex1.pieces.hbar)
+    driven = float(np.min(s.residual_r2[~s.degenerate]))
+    assert_checks(
+        6,
+        "acceleration limit, driven + 200 random qubits",
+        checks,
+        ["acceleration_limit_random"],
+        driven >= -1e-8,
+        f"example1 min residual {driven:.2e}",
     )
-    rep2 = run_scenario(default_config("example2", n_steps=1000))
-    idx = int(np.argmin(np.abs(rep2.times - 1.0)))
-    member_loose, defect_loose = bloch.tightness_span_test(
-        rep2.pieces.bloch_model, float(rep2.times[idx])
-    )
-    ok = worst <= 1e-8 and members and not member_loose
-    report_line(
+
+
+def test_criterion_07_bloch_oracle_equivalence(checks):
+    assert_checks(
         7,
         "geometric oracle equivalence + span membership",
-        ok,
-        f"max channel gap {worst:.2e}; member everywhere on tight case: {members}; "
-        f"loose case defect at t=1: {defect_loose:.3f}",
+        checks,
+        [
+            "matrix_oracle_example1",
+            "matrix_oracle_example2",
+            "span_membership_implies_tight",
+            "span_rejects_loose_case",
+        ],
     )
-    assert worst <= 1e-8
-    assert members
-    assert not member_loose
 
 
-def test_criterion_08_mt_bound(ex1, ex2, ex3):
-    floors = []
-    for rep in (ex1, ex2, ex3):
-        _, _, defect = mt_integral_check(rep.pieces.hamiltonian, rep.trajectory, hbar=rep.pieces.hbar)
-        floors.append(float(np.min(defect)))
-    omega = 1.0
-    h = TimeDepOperator.stationary(omega * pauli("z"))
-    t_star = np.pi / (2.0 * omega)
-    traj = propagate(h, qubit_plus(), TimeGrid(0.0, t_star, 500), method="exact_commuting")
-    _, _, defect = mt_integral_check(h, traj)
-    floors.append(float(np.min(defect)))
-    saturation = abs(float(defect[-1]))
-    floor = min(floors)
-    ok = floor >= -1e-6 and saturation <= 1e-6
-    report_line(
+def test_criterion_08_mt_bound(checks, ex2, ex3):
+    floor = min(
+        float(np.min(mt_integral_check(rep.pieces.hamiltonian, rep.trajectory, hbar=rep.pieces.hbar)[2]))
+        for rep in (ex2, ex3)
+    )
+    assert_checks(
         8,
         "uncertainty-time integral bound",
-        ok,
-        f"min defect over suite trajectories {floor:.2e}; saturation gap {saturation:.2e}",
+        checks,
+        ["mt_integral_example1", "mt_saturation_rabi"],
+        floor >= -1e-6,
+        f"example2/example3 min defect {floor:.2e}",
     )
-    assert floor >= -1e-6
-    assert saturation <= 1e-6
 
 
 def test_criterion_09_snr_floor(ex1, ex2):

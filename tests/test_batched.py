@@ -201,6 +201,13 @@ def test_parity_finite_difference_fallback():
     fd = a.sample_deriv(t)
     assert np.abs(a_terms.sample_deriv(t) - fd).max() <= 1e-9
     assert np.abs(fd - np.stack([a.deriv(x) for x in t])).max() == 0.0
+    # A bare callable with an analytic dvalue samples both per time; at A = H
+    # this is the acceleration limit's kernel path.
+    h_d = TimeDepOperator(
+        value=lambda t: np.cos(t) * SZ + 0.4 * t * SX, dvalue=lambda t: -np.sin(t) * SZ + 0.4 * SX, dim=2
+    )
+    traj_d = propagate(h_d, qubit_plus(), TimeGrid(0.2, 1.7, 60), method="midpoint")
+    check_parity(h_d, h_d, traj_d)
 
 
 def test_parity_chunked_and_two_point_grids(monkeypatch):

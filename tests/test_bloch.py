@@ -2,16 +2,17 @@
 
 The rotation ODE has closed-form solutions for constant fields, and every
 qubit scenario can be cross-checked against the full matrix pipeline; both
-oracles are used here.
+oracles are used here.  The grid-wide checks (matrix-oracle equivalence,
+span membership and its coupling to tightness, the random geometric
+residual sweep) are the ``bloch`` suite of ``fluctdyn verify``, asserted
+by acceptance criterion 07 and by the ``verify all`` test of test_cli.py.
 """
 
 import numpy as np
 import pytest
 
-from fluctdyn import bloch
 from fluctdyn.bloch import BlochModel, bloch_evolve, bloch_stats, geometric_residual, tightness_span_test
 from fluctdyn.dynamics import TimeGrid, propagate
-from fluctdyn.fluctuation import bound_series
 from fluctdyn.hilbert import pauli
 from fluctdyn.scenarios import default_config, run_scenario
 
@@ -121,24 +122,6 @@ def test_stats_match_scenario_closed_forms():
         assert st.v2_mean == pytest.approx(2.0 + 4.0 * t**2 * np.cos(t) ** 2, abs=1e-9)
 
 
-@pytest.mark.parametrize("name,tight", [("example1", True), ("example2", False)])
-def test_matrix_oracle_equivalence(name, tight):
-    rep = run_scenario(default_config(name, n_steps=1000))
-    model = rep.pieces.bloch_model
-    worst = 0.0
-    s = rep.series
-    for k, t in enumerate(rep.times):
-        st = bloch_stats(model, float(t))
-        worst = max(
-            worst,
-            abs(st.mean - s.mu[k]),
-            abs(st.sigma_sq - s.sigma[k] ** 2),
-            abs(st.v_mean - s.mu_dot[k]),
-            abs(st.v2_mean - s.v2_mean[k]),
-        )
-    assert worst <= 1e-9
-
-
 def test_geometric_residual_scenarios():
     rep1 = run_scenario(default_config("example1", n_steps=500))
     model1 = rep1.pieces.bloch_model
@@ -170,24 +153,6 @@ def test_geometric_residual_degenerate_flag():
     assert res == pytest.approx(expected_rhs)
 
 
-def test_geometric_residual_random_sweep():
-    rng = np.random.default_rng(314)
-    worst = 0.0
-    for _ in range(1000):
-        a = rng.normal(size=3)
-        a /= np.linalg.norm(a)
-        model = BlochModel(
-            a=lambda t, v=a: v,
-            h=lambda t, v=rng.normal(size=3): v,
-            m=lambda t, v=rng.normal(size=3): v,
-            m_dot=lambda t, v=rng.normal(size=3): v,
-        )
-        res, degenerate = geometric_residual(model, 0.0)
-        if not degenerate:
-            worst = min(worst, res)
-    assert worst >= -1e-10
-
-
 def test_span_test_exact_member():
     model = BlochModel(
         a=lambda t: np.array([0.0, 0.0, 1.0]),
@@ -197,32 +162,3 @@ def test_span_test_exact_member():
     )
     member, defect = tightness_span_test(model, 0.0)
     assert member and defect <= 1e-14
-
-
-def test_span_membership_example1_grid():
-    rep = run_scenario(default_config("example1", n_steps=1000))
-    model = rep.pieces.bloch_model
-    for t in rep.times:
-        member, defect = tightness_span_test(model, float(t))
-        assert member, f"span membership failed at t={t} (defect {defect})"
-
-
-def test_span_membership_fails_for_loose_case():
-    rep = run_scenario(default_config("example2", n_steps=1000))
-    model = rep.pieces.bloch_model
-    idx = int(np.argmin(np.abs(rep.times - 1.0)))
-    member, defect = tightness_span_test(model, float(rep.times[idx]))
-    assert not member
-    # Both span vectors live in the y-(xy) plane here while m_dot has a unit
-    # z-component, so the defect is exactly 1.
-    assert defect == pytest.approx(1.0, abs=1e-12)
-
-
-def test_span_coupling_with_tightness():
-    # Membership at every grid point goes with the matrix residual being
-    # tight at every non-degenerate point.
-    rep = run_scenario(default_config("example1", n_steps=1000))
-    model = rep.pieces.bloch_model
-    assert all(tightness_span_test(model, float(t))[0] for t in rep.times)
-    nondeg = ~rep.series.degenerate
-    assert np.all(rep.series.residual_r2[nondeg] <= 1e-6 * np.maximum(1.0, rep.series.v2_mean[nondeg]))

@@ -98,7 +98,7 @@ def test_fs_kinematics_example1_speed():
     # speed is 2 w0 |cos t| and the early path length is 2 sin t.
     rep = run_scenario(default_config("example1", n_steps=2000))
     s, v, a = fs_kinematics(rep.pieces.hamiltonian, rep.trajectory)
-    times = rep.times
+    times = rep.series.t
     assert np.abs(v - 2.0 * np.abs(np.cos(times))).max() < 1e-10
     k = int(np.argmin(np.abs(times - 1.0)))
     assert s[k] == pytest.approx(2.0 * np.sin(times[k]), abs=1e-6)
@@ -116,7 +116,7 @@ def test_fs_acceleration_limit_along_example1():
     h = rep.pieces.hamiltonian
     traj = rep.trajectory
     _, _, accel = fs_kinematics(h, traj)  # factor2: accel = 2 d sigma_H/dt
-    times = rep.times
+    times = rep.series.t
     sigma_hdot = np.abs(np.sin(times))  # std of dH/dt on this trajectory
     ok = ~np.isnan(accel)
     residual = sigma_hdot[ok] ** 2 - (accel[ok] / 2.0) ** 2
@@ -173,7 +173,7 @@ def test_relative_uncertainty_rate_matches_finite_difference():
     # difference of eps^2 evaluated on the exact states.
     rep = run_scenario(default_config("example1", n_steps=2000))
     s = rep.series
-    times = rep.times
+    times = rep.series.t
 
     def eps_sq(t):
         theta = np.sin(t)

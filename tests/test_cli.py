@@ -116,7 +116,47 @@ def test_run_missing_required_param_exits_2(tmp_path, capsys):
     assert "params.omega0" in err
 
 
-def _assert_config_rejected(tmp_path, capsys, raw, path):
+NAN, INF = float("nan"), float("inf")
+
+CUSTOM = {
+    "name": "custom",
+    "params": {
+        "dim": 2,
+        "hamiltonian": {"constant": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]},
+        "observable": {"constant": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+        "psi0": [[1.0, 0.0], [0.0, 0.0]],
+    },
+    "grid": {"t0": 0.0, "t1": 1.0, "n_steps": 10},
+}
+
+
+def _with(raw, section, **fields):
+    return dict(raw, **{section: dict(raw.get(section, {}), **fields)})
+
+
+@pytest.mark.parametrize(
+    "raw,path",
+    [
+        # NaN passes "value <= 0" and would mark every point not tight.
+        pytest.param(_with(EX1, "tolerances", tight_tol=NAN), "tolerances.tight_tol", id="nan_tolerance"),
+        # JSON true is a Python int; it must not pass as s = 1 or t0 = 1.0.
+        pytest.param(_with(EX3, "params", s=True), "params.s", id="bool_cutoff"),
+        pytest.param(_with(EX1, "grid", t0=True), "grid.t0", id="bool_t0"),
+        pytest.param(_with(EX1, "grid", n_steps=2.7), "grid.n_steps", id="fractional_step_count"),
+        pytest.param(_with(EX1, "grid", t1=INF), "grid.t1", id="inf_t1"),
+        pytest.param(_with(EX1, "params", omega0=INF), "params.omega0", id="inf_omega0"),
+        pytest.param(_with(EX1, "params", omega0=10**400), "params.omega0", id="int_beyond_float_omega0"),
+        pytest.param(_with(EX1, "params", a={"fn": "t", "scale": NAN}), "params.a.scale", id="nan_coefficient_scale"),
+        pytest.param(_with(EX3, "params", alpha=[NAN, 1.0]), "params.alpha[0]", id="nan_alpha"),
+        pytest.param(
+            _with(CUSTOM, "params", observable={"constant": [[[0.0, 0.0], [1.0, NAN]], [[1.0, 0.0], [0.0, 0.0]]]}),
+            "params.observable.constant[0][1][1]",
+            id="nan_matrix_entry",
+        ),
+        pytest.param(_with(CUSTOM, "params", psi0=[[1.0, 0.0], [NAN, 0.0]]), "params.psi0[1][0]", id="nan_psi0"),
+    ],
+)
+def test_run_invalid_number_exits_2(tmp_path, capsys, raw, path):
     with pytest.raises(ConfigError) as info:
         ScenarioConfig.from_dict(raw)
     assert info.value.path == path
@@ -124,23 +164,6 @@ def _assert_config_rejected(tmp_path, capsys, raw, path):
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
     assert f"config error at {path}" in capsys.readouterr().err
     assert not (tmp_path / "out" / f"{raw['name']}_series.csv").exists()
-
-
-def test_run_nan_tolerance_exits_2(tmp_path, capsys):
-    # NaN passes "value <= 0" and would mark every point not tight.
-    raw = dict(EX1, tolerances={"tight_tol": float("nan")})
-    _assert_config_rejected(tmp_path, capsys, raw, "tolerances.tight_tol")
-
-
-def test_run_bool_cutoff_exits_2(tmp_path, capsys):
-    # JSON true is a Python int; it must not pass as s = 1.
-    raw = dict(EX3, params=dict(EX3["params"], s=True))
-    _assert_config_rejected(tmp_path, capsys, raw, "params.s")
-
-
-def test_run_fractional_step_count_exits_2(tmp_path, capsys):
-    raw = dict(EX1, grid=dict(EX1["grid"], n_steps=2.7))
-    _assert_config_rejected(tmp_path, capsys, raw, "grid.n_steps")
 
 
 def test_run_invalid_json_exits_2(tmp_path, capsys):

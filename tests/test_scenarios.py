@@ -51,7 +51,7 @@ def test_example2_defaults_loose():
     s = rep.series
     assert np.min(s.residual_r2[~s.degenerate]) >= -1e-8
     # Strict gap at the generic point t = 1, equal to the overlay value.
-    idx = int(np.argmin(np.abs(rep.times - 1.0)))
+    idx = int(np.argmin(np.abs(rep.series.t - 1.0)))
     assert not s.tight[idx]
     assert s.residual_r2[idx] > 5e-3
 
@@ -59,7 +59,7 @@ def test_example2_defaults_loose():
 def test_example2_special_points_residual():
     rep = run_scenario(default_config("example2"))
     # 2 sin t = 0 at t = pi: residual collapses to 4 w0^2 a^2 cos^2 t.
-    idx = int(np.argmin(np.abs(rep.times - np.pi)))
+    idx = int(np.argmin(np.abs(rep.series.t - np.pi)))
     t = rep.series.t[idx]
     assert rep.series.residual_r2[idx] == pytest.approx(4.0 * t**2 * np.cos(t) ** 2, abs=1e-4)
 
