@@ -22,8 +22,8 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .dynamics import TimeDepOperator, Trajectory
-from .fluctuation import centered_moments, inner_re, rate_columns, time_chunks
+from .dynamics import TimeDepOperator, Trajectory, time_chunks
+from .fluctuation import centered_moments, inner_re, rate_columns
 from .linops import require_hermitian, require_normalized
 
 

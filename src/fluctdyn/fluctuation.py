@@ -17,9 +17,9 @@ states ``(n, d)`` and operator stacks ``(n, d, d)`` in, means and centered
 images ``(A_k - <A_k>) psi_k`` out, with variances and covariances as
 row-wise inner products of the centered images (cancellation-free, so an
 eigenstate gives exactly zero).  Grid functions sample their operators
-with :meth:`TimeDepOperator.sample` and walk the time axis in chunks of at
-most ``CHUNK_BYTES`` per ``(n, d, d)`` stack, so memory stays bounded on
-long grids and large cutoffs.  Single-point functions are batches of one.
+with :meth:`TimeDepOperator.sample` and walk the time axis with
+:func:`~fluctdyn.dynamics.time_chunks`, so memory stays bounded on long
+grids and large cutoffs.  Single-point functions are batches of one.
 When both operators carry ``terms``, ``[H, A]`` is assembled from basis
 commutators formed once per call.
 
@@ -33,36 +33,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import TimeDepOperator, Trajectory, coefficient_values, weighted_sum
-from .linops import anticommutator, commutator, require_hermitian, require_normalized
+from .dynamics import TimeDepOperator, Trajectory, coefficient_values, time_chunks, weighted_sum
+from .linops import at_time, commutator, require_hermitian, require_normalized
 
 SIGMA_FLOOR = 1e-9
 TIGHT_TOL = 1e-6
 IMAG_TOL = 1e-10
 HERM_ASSERT_TOL = 1e-10
-# Largest (n, d, d) complex stack a grid function holds at once.  Larger
-# chunks ran no faster but raised the peak memory of a 50k-point trace and
-# of a d=33 sweep above that of a point-by-point loop.
-CHUNK_BYTES = 1 << 18
 
 
 class DegenerateDispersionError(ValueError):
     """Raised when a rate needs sigma_A > floor but the dispersion vanishes."""
-
-
-def time_chunks(n: int, dim: int) -> Iterator[slice]:
-    """Slices covering ``range(n)`` whose ``(len, dim, dim)`` stacks fit ``CHUNK_BYTES``."""
-    step = max(1, CHUNK_BYTES // (16 * dim * dim))
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
-
-
-def _at(times: Optional[np.ndarray], k: int) -> str:
-    return "" if times is None else f" at t = {times[k]}"
 
 
 def centered_moments(
@@ -81,7 +66,7 @@ def centered_moments(
     bad = np.abs(means.imag) > IMAG_TOL * np.maximum(1.0, np.abs(means.real))
     if np.count_nonzero(bad):
         k = int(np.argmax(bad))
-        raise AssertionError(f"{what} has non-negligible imaginary part {means.imag[k]:.3e}{_at(times, k)}")
+        raise AssertionError(f"{what} has non-negligible imaginary part {means.imag[k]:.3e}{at_time(times, k)}")
     means = means.real
     return means, images - means[:, None] * states, images
 
@@ -125,7 +110,7 @@ def velocity_sampler(
         defects = np.abs(v - v.conj().swapaxes(1, 2)).max(axis=(1, 2))
         if np.count_nonzero(defects > HERM_ASSERT_TOL):
             k = int(np.argmax(defects > HERM_ASSERT_TOL))
-            raise AssertionError(f"velocity observable not Hermitian (defect {defects[k]:.3e}){_at(times, k)}")
+            raise AssertionError(f"velocity observable not Hermitian (defect {defects[k]:.3e}){at_time(times, k)}")
         return v
 
     return sample
@@ -289,41 +274,6 @@ def bound_series(
         degenerate=degenerate,
         norm_defect=traj.norm_defects,
     )
-
-
-def variance_rate_identity_defect(
-    a: TimeDepOperator, h: TimeDepOperator, traj: Trajectory, t_index: int, hbar: float = 1.0
-) -> float:
-    """``| d(sigma_A^2)/dt - 2 cov(A, v_A) |`` at a grid point.
-
-    The derivative side is a finite difference of the variance along the
-    trajectory (central in the interior, one-sided at the ends); the
-    covariance side is analytic.
-    """
-    times = traj.grid.times
-    n = len(times) - 1
-    if not 0 <= t_index <= n:
-        raise IndexError(f"t_index {t_index} out of range")
-    dt = traj.grid.dt
-
-    def var_at(k):
-        return variance(np.asarray(a.value(times[k]), dtype=complex), traj.states[k])
-
-    if t_index == 0:
-        fd = (var_at(1) - var_at(0)) / dt
-    elif t_index == n:
-        fd = (var_at(n) - var_at(n - 1)) / dt
-    else:
-        fd = (var_at(t_index + 1) - var_at(t_index - 1)) / (2.0 * dt)
-
-    t = float(times[t_index])
-    psi = traj.states[t_index]
-    a_t = np.asarray(a.value(t), dtype=complex)
-    v_t = velocity_observable(a, h, t, hbar)
-    cov = expectation(anticommutator(a_t, v_t) / 2.0, psi) - expectation(a_t, psi) * expectation(
-        v_t, psi
-    )
-    return abs(fd - 2.0 * cov)
 
 
 def higher_order_chain(

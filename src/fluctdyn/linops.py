@@ -47,6 +47,11 @@ def as_state(v) -> np.ndarray:
     return v
 
 
+def at_time(times, k: int) -> str:
+    """`` at t = <times[k]>`` for error messages, or nothing when ``times`` is None."""
+    return "" if times is None else f" at t = {times[k]}"
+
+
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -112,28 +117,48 @@ def require_normalized(v: np.ndarray, tol: float = NORM_TOL, what: str = "state"
     return v
 
 
-def herm_expm(h: np.ndarray, scale: complex = 1.0, herm_tol: float = HERM_TOL) -> np.ndarray:
+def herm_expm(h: np.ndarray, scale: complex = 1.0, herm_tol: float = HERM_TOL, times=None) -> np.ndarray:
     """``exp(scale * h)`` for Hermitian ``h`` via eigendecomposition.
 
     Parameters
     ----------
     h : ndarray
-        Hermitian matrix (checked within ``herm_tol``).
+        Hermitian matrix, or an ``(n, d, d)`` stack of them exponentiated
+        with one batched eigendecomposition; a single matrix is a batch of
+        one.  Every matrix is checked for finite entries and Hermiticity
+        within ``herm_tol``; the first offending one raises ``ValueError``.
     scale : complex
         Scalar multiplying ``h`` in the exponent.  For purely imaginary
         ``scale`` the result is unitary up to eigensolver accuracy.
+    times : array, optional
+        The time of each matrix of the stack, named in the error message.
 
     Returns
     -------
     ndarray
-        ``V diag(exp(scale * w)) V^dagger`` where ``h = V diag(w) V^dagger``.
+        ``V diag(exp(scale * w)) V^dagger`` where ``h = V diag(w) V^dagger``,
+        with the shape of ``h``.
     """
-    h = require_hermitian(h, tol=herm_tol, what="herm_expm argument")
+    h = np.asarray(h, dtype=complex)
+    stack = h[None] if h.ndim == 2 else h
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError(f"herm_expm argument must be a square matrix or a stack of them, got shape {h.shape}")
     scale = complex(scale)
     if not (np.isfinite(scale.real) and np.isfinite(scale.imag)):
         raise ValueError("scale must be finite")
-    w, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(scale * w)) @ vecs.conj().T
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"herm_expm argument has non-finite entries{at_time(times, int(np.argmin(finite)))}")
+    defects = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    bad = defects > herm_tol
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"herm_expm argument is not Hermitian (defect {defects[k]:.3e} > tol {herm_tol:.1e}){at_time(times, k)}"
+        )
+    w, vecs = np.linalg.eigh(stack)
+    out = (vecs * np.exp(scale * w)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    return out.reshape(h.shape)
 
 
 def antiherm_expm(g: np.ndarray, herm_tol: float = HERM_TOL) -> np.ndarray:

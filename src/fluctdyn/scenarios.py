@@ -34,8 +34,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bloch
-from .dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate
-from .fluctuation import BoundSeries, bound_series
+from .dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate, time_chunks
+from .fluctuation import BoundSeries, bound_series, velocity_sampler
 from .hilbert import (
     FockSpace,
     SqueezedCoherentParams,
@@ -121,18 +121,21 @@ def _real(value, path: str) -> float:
 
 
 def _real_array(raw, shape: tuple, path: str) -> np.ndarray:
-    """``raw`` as a float array of ``shape``; the error path names the first non-finite entry."""
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != shape:
+    """``raw`` as a float array of ``shape``; every entry goes through :func:`_real`.
+
+    The error path names the first entry that fails, e.g. ``params.psi0[0][1]``.
+    """
+    entries = np.asarray(raw, dtype=object)  # ragged nesting gives a shallower shape
+    if entries.shape != shape:
         raise ConfigError(path, f"expected a nested list of finite real numbers of shape {shape}")
-    bad = np.argwhere(~np.isfinite(arr))
-    if len(bad):
-        index = tuple(int(i) for i in bad[0])
-        entry = path + "".join(f"[{i}]" for i in index)
-        raise ConfigError(entry, f"must be a finite real number, got {float(arr[index])!r}")
+    arr = np.empty(shape)
+    for index, value in np.ndenumerate(entries):
+        try:
+            arr[index] = _real(value, path)
+        except ConfigError:
+            # Check again under the entry's path; formatting a path for
+            # every entry would double the cost of a large sample table.
+            _real(value, path + "".join(f"[{i}]" for i in index))
     return arr
 
 
@@ -531,18 +534,17 @@ def picture_equivalence_check(
     along the trajectory; requires the trajectory to carry its cumulative
     propagators.
     """
-    from .fluctuation import velocity_observable
-
     if traj.propagators is None:
         raise ValueError("trajectory lacks stored propagators; propagate(store_propagators=True)")
+    times = traj.grid.times
     psi0 = traj.states[0]
+    velocity = velocity_sampler(a, h, hbar)
     worst = 0.0
-    for k, t in enumerate(traj.grid.times):
-        v = velocity_observable(a, h, float(t), hbar)
-        u = traj.propagators[k]
-        rotated = complex(np.vdot(psi0, (u.conj().T @ (v @ u)) @ psi0)).real
-        direct = complex(np.vdot(traj.states[k], v @ traj.states[k])).real
-        worst = max(worst, abs(rotated - direct))
+    for chunk in time_chunks(len(times), a.dim):
+        v, u, psi = velocity(times[chunk]), traj.propagators[chunk], traj.states[chunk]
+        rotated = np.einsum("i,kij,j->k", psi0.conj(), u.conj().swapaxes(1, 2) @ v @ u, psi0).real
+        direct = np.einsum("ki,kij,kj->k", psi.conj(), v, psi).real
+        worst = max(worst, float(np.max(np.abs(rotated - direct))))
     return worst
 
 

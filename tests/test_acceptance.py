@@ -2,8 +2,9 @@
 
 Each test prints a single ``[ACCEPTANCE nn] name: PASS/FAIL`` line (visible
 with ``pytest -s`` or in captured output on failure) and then asserts.
-Criteria 04-08 assert the property checks of ``fluctdyn verify`` (run once,
-at the default seed) by name, plus the clauses on the stock scenario runs
+Criteria 04-08 assert the property checks of ``fluctdyn verify all`` (run
+once per test session, at the default seed, by the ``verify_all`` fixture of
+``conftest.py``) by name, plus the clauses on the stock scenario runs
 that the verify suites do not cover.
 
 Criterion 03 runs its clauses at two cutoffs.  The inequality, norm-defect
@@ -58,9 +59,11 @@ def assert_checks(num, title, checks, names, extra_ok=True, extra=""):
 
 
 @pytest.fixture(scope="module")
-def checks():
+def checks(verify_all):
     """``fluctdyn verify all`` at the default seed, by check name."""
-    return {r.name: r for r in verify.run_suites(verify.SUITES, verify.DEFAULT_SEED)}
+    _, payload = verify_all
+    assert payload["seed"] == verify.DEFAULT_SEED
+    return {c["name"]: verify.CheckResult(**c) for c in payload["checks"]}
 
 
 @pytest.fixture(scope="module")

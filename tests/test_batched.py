@@ -14,15 +14,14 @@ from math import pi
 import numpy as np
 import pytest
 
-from fluctdyn import fluctuation
+from fluctdyn import dynamics
 from fluctdyn.bounds import fs_kinematics, mt_integral_check, snr_trace
-from fluctdyn.dynamics import TimeDepOperator, TimeGrid, propagate
+from fluctdyn.dynamics import TimeDepOperator, TimeGrid, propagate, time_chunks
 from fluctdyn.fluctuation import (
     SIGMA_FLOOR,
     TIGHT_TOL,
     bound_series,
     centered_moments,
-    time_chunks,
     velocity_observable,
 )
 from fluctdyn.hilbert import pauli, qubit_plus
@@ -214,7 +213,7 @@ def test_parity_chunked_and_two_point_grids(monkeypatch):
     pieces, traj = _scenario("example2", n_steps=60)
     whole = bound_series(pieces.observable, pieces.hamiltonian, traj)
     # 7 points per 2x2 stack: 61 points is not a multiple of the chunk.
-    monkeypatch.setattr(fluctuation, "CHUNK_BYTES", 7 * 16 * 4)
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * 16 * 4)
     chunks = list(time_chunks(61, 2))
     assert len(chunks) == 9 and chunks[-1] == slice(56, 61)
     chunked = check_parity(pieces.observable, pieces.hamiltonian, traj)
@@ -231,7 +230,7 @@ def test_time_chunks_cover_the_grid():
         chunks = list(time_chunks(n, dim))
         assert chunks[0].start == 0 and chunks[-1].stop == n
         assert all(c.stop == d.start for c, d in zip(chunks, chunks[1:]))
-        assert all((c.stop - c.start) * 16 * dim * dim <= max(fluctuation.CHUNK_BYTES, 16 * dim * dim) for c in chunks)
+        assert all((c.stop - c.start) * 16 * dim * dim <= max(dynamics.CHUNK_BYTES, 16 * dim * dim) for c in chunks)
 
 
 def test_sample_matches_value_per_point():

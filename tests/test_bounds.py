@@ -124,8 +124,7 @@ def test_fs_acceleration_limit_along_example1():
 
 
 def test_fs_acceleration_fd_fallback():
-    h_no_deriv = TimeDepOperator(value=lambda t: np.cos(t) * SZ, dim=2, dvalue=None)
-    h_no_deriv.commuting_family = True
+    h_no_deriv = TimeDepOperator.linear([(np.cos, None, SZ)])
     traj = propagate(h_no_deriv, qubit_plus(), TimeGrid(0.2, 1.2, 500), method="exact_commuting")
     _, v, accel = fs_kinematics(h_no_deriv, traj)
     interior = slice(1, -1)

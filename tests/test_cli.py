@@ -154,6 +154,13 @@ def _with(raw, section, **fields):
             id="nan_matrix_entry",
         ),
         pytest.param(_with(CUSTOM, "params", psi0=[[1.0, 0.0], [NAN, 0.0]]), "params.psi0[1][0]", id="nan_psi0"),
+        # JSON true and numeric strings must not pass as 1.0 and 0.0.
+        pytest.param(_with(CUSTOM, "params", psi0=[[True, 0.0], [0.0, 0.0]]), "params.psi0[0][0]", id="bool_psi0"),
+        pytest.param(
+            _with(CUSTOM, "params", hamiltonian={"constant": [[[1.0, 0.0], ["0", 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}),
+            "params.hamiltonian.constant[0][1][0]",
+            id="string_matrix_entry",
+        ),
     ],
 )
 def test_run_invalid_number_exits_2(tmp_path, capsys, raw, path):
@@ -240,10 +247,8 @@ def test_sweep_empty_values_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--param", "params.nu0", "--values"]) == 2
 
 
-def test_verify_subcommand_all_green(tmp_path):
-    out = tmp_path / "verify.json"
-    code = main(["verify", "all", "--output", str(out)])
-    payload = json.loads(out.read_text())
+def test_verify_subcommand_all_green(verify_all):
+    code, payload = verify_all
     assert code == 0
     assert payload["failed"] == 0
     suites = {c["suite"] for c in payload["checks"]}

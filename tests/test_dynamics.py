@@ -1,9 +1,10 @@
 """Propagation tests.
 
-Oracles: closed-form phase evolution for scalar commuting families,
-entrywise phases for diagonal (commuting, non-scalar) families, refinement
-invariance of the closed-form route, and the midpoint stepper's measured
-convergence order against the closed form.
+Oracles: closed-form phase evolution for scalar commuting families and
+for a two-term commuting family, refinement invariance of the closed-form
+route, the midpoint stepper's measured convergence order against the
+closed form, and a per-step exponential loop for the chunked midpoint
+stepper.
 """
 
 import numpy as np
@@ -12,12 +13,12 @@ import pytest
 from fluctdyn.dynamics import (
     TimeDepOperator,
     TimeGrid,
-    Trajectory,
     adaptive_simpson,
     propagate,
-    unitary_defect,
+    time_chunks,
 )
 from fluctdyn.hilbert import FockSpace, number_op, oscillator_hamiltonian, pauli, qubit_plus
+from fluctdyn.linops import herm_expm, random_hermitian
 
 
 def example1_hamiltonian(omega0=1.0, nu0=1.0):
@@ -45,7 +46,7 @@ def test_zero_hamiltonian_freezes_state():
     h = TimeDepOperator.stationary(np.zeros((2, 2), dtype=complex))
     traj = propagate(h, qubit_plus(), TimeGrid(0.0, 3.0, 50), method="exact_commuting")
     assert np.allclose(traj.states, qubit_plus()[None, :])
-    assert unitary_defect(traj) < 1e-15
+    assert traj.norm_defects.max() < 1e-15
 
 
 def test_exact_commuting_matches_closed_form_phases():
@@ -70,18 +71,20 @@ def test_stationary_phase_on_number_state():
 
 
 def test_commuting_non_scalar_family():
-    # Diagonal family with independent entries: commuting but not a scalar
-    # multiple of one matrix, so the entrywise quadrature path is exercised.
-    def value(t):
-        return np.diag([np.cos(t), 0.5]).astype(complex)
-
-    h = TimeDepOperator(value=value, dim=2, commuting_family=True)
+    # H(t) = cos(t) P + 0.5 Q with commuting projectors P, Q: not a scalar
+    # multiple of one matrix, so the bases share one eigenbasis.  In a
+    # rotated frame that eigenbasis is not the standard one.
     grid = TimeGrid(0.0, 4.0, 80)
-    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    traj = propagate(h, psi0, grid, method="exact_commuting")
-    for k, t in enumerate(grid.times):
-        expected = np.array([np.exp(-1j * np.sin(t)), np.exp(-1j * 0.5 * t)]) / np.sqrt(2.0)
-        assert np.abs(traj.states[k] - expected).max() < 1e-11
+    c, s = np.cos(0.7), np.sin(0.7)
+    for frame in (np.eye(2), np.array([[c, -s], [s, c]], dtype=complex)):
+        p = frame @ np.diag([1.0, 0.0]) @ frame.conj().T
+        q = frame @ np.diag([0.0, 1.0]) @ frame.conj().T
+        h = TimeDepOperator.linear([(np.cos, lambda t: -np.sin(t), p), (lambda t: 0.5, lambda t: 0.0, q)])
+        psi0 = frame @ np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+        traj = propagate(h, psi0, grid, method="exact_commuting")
+        for k, t in enumerate(grid.times):
+            expected = frame @ np.array([np.exp(-1j * np.sin(t)), np.exp(-1j * 0.5 * t)]) / np.sqrt(2.0)
+            assert np.abs(traj.states[k] - expected).max() < 1e-11
 
 
 def test_midpoint_vs_exact_self_consistency():
@@ -146,19 +149,31 @@ def test_propagate_preconditions():
         TimeGrid(1.0, 1.0, 5)
 
 
-def test_unitary_defect_reports_injected_corruption():
-    h = example1_hamiltonian()
-    grid = TimeGrid(0.0, 1.0, 20)
-    traj = propagate(h, qubit_plus(), grid)
-    assert unitary_defect(traj) < 1e-12
-    states = traj.states.copy()
-    states[7] = states[7] * 1.001
-    corrupted = Trajectory(
-        grid=grid,
-        states=states,
-        norm_defects=np.abs(np.linalg.norm(states, axis=1) - 1.0),
-    )
-    assert unitary_defect(corrupted) == pytest.approx(1e-3, rel=1e-6)
+def test_midpoint_chunked_matches_per_step_loop():
+    # d = 21 fits 37 steps per chunk, so 100 steps span three chunks.  The
+    # batched exponentials must reproduce a per-step loop bit for bit.
+    rng = np.random.default_rng(5)
+    h0, h1 = random_hermitian(21, rng), random_hermitian(21, rng)
+    h = TimeDepOperator(value=lambda t: h0 + np.cos(3.0 * t) * h1, dim=21)
+    grid = TimeGrid(0.0, 1.5, 100)
+    assert len(list(time_chunks(grid.n_steps, 21))) == 3
+    psi0 = np.zeros(21, dtype=complex)
+    psi0[[0, 7]] = 1.0 / np.sqrt(2.0)
+    traj = propagate(h, psi0, grid, method="midpoint", hbar=0.8, store_propagators=True)
+    psi, prop = psi0, np.eye(21)
+    for k, t in enumerate(grid.times[:-1]):
+        u = herm_expm(h.value(t + grid.dt / 2.0), scale=-1j * grid.dt / 0.8)
+        psi, prop = u @ psi, u @ prop
+        assert np.array_equal(traj.states[k + 1], psi)
+        assert np.array_equal(traj.propagators[k + 1], prop)
+
+
+def test_midpoint_rejects_non_hermitian_h_at_its_time():
+    grid = TimeGrid(0.0, 1.0, 10)
+    h = TimeDepOperator(value=lambda t: pauli("x") + (1j * pauli("z") if t > 0.5 else 0.0), dim=2)
+    first_bad = grid.times[5] + grid.dt / 2.0
+    with pytest.raises(ValueError, match=f"not Hermitian .* at t = {first_bad}$"):
+        propagate(h, qubit_plus(), grid, method="midpoint")
 
 
 def test_norm_budget_flags_trajectory():

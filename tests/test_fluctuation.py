@@ -17,10 +17,10 @@ from fluctdyn.fluctuation import (
     expectation,
     higher_order_chain,
     mean_rate,
+    rate_columns,
     sigma_rate,
     std_dev,
     variance,
-    variance_rate_identity_defect,
     velocity_observable,
 )
 from fluctdyn.hilbert import pauli, qubit_plus
@@ -243,16 +243,25 @@ def test_bound_report_loose_observable_at_special_points():
     assert residual == pytest.approx(4.0 * t**2 * np.cos(t) ** 2, abs=1e-4)
 
 
+def variance_rate_defects(a, h, traj):
+    """``| d(sigma_A^2)/dt - 2 cov(A, v_A) |`` at every grid point.
+
+    The derivative side differentiates the ``var`` column of
+    ``rate_columns`` along the trajectory (central in the interior,
+    one-sided at the ends); the covariance side is that call's ``cov``.
+    """
+    _, var, _, _, _, cov = rate_columns(a, h, traj)
+    return np.abs(np.gradient(var, traj.grid.dt) - 2.0 * cov)
+
+
 def test_variance_rate_identity_defect(example1_run):
     a, h, traj, _ = example1_run
     n = len(traj.grid.times) - 1
-    worst = max(
-        variance_rate_identity_defect(a, h, traj, k) for k in range(1, n, 7)
-    )
+    defects = variance_rate_defects(a, h, traj)
     # dt = 5e-3 here; the defect is pure finite-difference truncation,
     # bounded by (dt^2 / 6) * max |d^3(sigma^2)/dt^3| ~= 1.4e-3 on [0, 5].
-    assert worst <= 1.5e-3
-    assert variance_rate_identity_defect(a, h, traj, 0) < 0.1  # one-sided end
+    assert defects[1:n:7].max() <= 1.5e-3
+    assert defects[0] < 0.1  # one-sided end
 
 
 def test_variance_rate_identity_defect_fine_grid():
@@ -263,13 +272,11 @@ def test_variance_rate_identity_defect_fine_grid():
     a = a_op_linear()
     grid = TimeGrid(0.0, 5.0, 12500)
     traj = propagate(h, qubit_plus(), grid, method="exact_commuting")
-    sample = range(1, 12500, 97)
-    worst = max(variance_rate_identity_defect(a, h, traj, k) for k in sample)
-    assert worst <= 1e-5
+    assert variance_rate_defects(a, h, traj)[1:12500:97].max() <= 1e-5
 
     coarse = TimeGrid(0.0, 5.0, 5000)
     traj_c = propagate(h, qubit_plus(), coarse, method="exact_commuting")
-    worst_c = max(variance_rate_identity_defect(a, h, traj_c, k) for k in range(1, 5000, 97))
+    worst_c = variance_rate_defects(a, h, traj_c)[1:5000:97].max()
     assert worst_c <= 6e-5  # measured 5.54e-5, matching the dt^2 bound
 
 
@@ -279,7 +286,7 @@ def test_variance_rate_identity_stationary():
     grid = TimeGrid(0.0, 1.0, 100)
     psi0 = np.array([0.8, 0.6], dtype=complex)
     traj = propagate(h, psi0, grid, method="exact_commuting")
-    assert variance_rate_identity_defect(a, h, traj, 50) <= 1e-12
+    assert variance_rate_defects(a, h, traj)[50] <= 1e-12
 
 
 def test_chain_stationary_collapses():
