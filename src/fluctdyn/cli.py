@@ -6,7 +6,7 @@ seed yields byte-identical files (shortest round-trip float formatting,
 fixed column order, writes go to a temp file and are renamed into place).
 
 Exit codes: 0 success; 1 verification failure; 2 malformed config or
-arguments; 3 scenario invariant failure; 4 unhandled numeric degeneracy.
+arguments; 3 scenario invariant failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sys
 import tempfile
 
 from . import __version__, verify
-from .fluctuation import DegenerateDispersionError
 from .scenarios import ConfigError, ScenarioConfig, ScenarioReport, run_scenario
 
 CSV_COLUMNS = (
@@ -43,7 +42,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
-EXIT_DEGENERATE = 4
 
 OUTDIR_ENV = "FLUCTDYN_OUTDIR"
 
@@ -202,11 +200,7 @@ def cmd_run(args) -> int:
         print(f"config error at {exc.path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     outdir = _outdir(args)
-    try:
-        report = run_scenario(cfg)
-    except DegenerateDispersionError as exc:
-        print(f"numeric degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    report = run_scenario(cfg)
     stem = args.name or cfg.name
     emitted = _emit_run(report, outdir, stem, args.config)
     for path in emitted:
@@ -282,11 +276,7 @@ def cmd_sweep(args) -> int:
             return EXIT_CONFIG
 
     outdir = _outdir(args)
-    try:
-        reports = [run_scenario(cfg) for cfg in configs]
-    except DegenerateDispersionError as exc:
-        print(f"numeric degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    reports = [run_scenario(cfg) for cfg in configs]
 
     emitted = []
     param_token = args.param.replace(".", "_")

@@ -10,10 +10,12 @@ Operators
     return the operator over a whole array of times as an ``(n, d, d)``
     stack: one array expression over the coefficients when ``terms`` is
     set, otherwise the value map evaluated per time (tabulated samples,
-    composed chain levels, user callables), with the same central
-    difference as :meth:`~TimeDepOperator.deriv` when there is no
-    derivative.  Grid functions walk the time axis with :func:`time_chunks`,
-    so no stack exceeds ``CHUNK_BYTES``.
+    user callables), with the same central difference as
+    :meth:`~TimeDepOperator.deriv` when there is no derivative.  A ``terms``
+    operator's ``value``/``dvalue`` are its samples at one time, so the
+    per-point and the batched route agree to the last bit.  Grid functions
+    walk the time axis with :func:`time_chunks`, so no stack exceeds
+    ``CHUNK_BYTES``.
 
 Two propagation routes, both reading ``H`` only through ``sample`` or its
 ``terms``:
@@ -136,14 +138,6 @@ class TimeDepOperator:
         h = self.fd_step if step is None else step
         return (self.value(t + h) - self.value(t - h)) / (2.0 * h)
 
-    def deriv_richardson(self, t: float, step: float = 1e-3) -> np.ndarray:
-        """Richardson-refined central difference (O(step^4) truncation)."""
-        if self.dvalue is not None:
-            return self.dvalue(t)
-        d1 = (self.value(t + step) - self.value(t - step)) / (2.0 * step)
-        d2 = (self.value(t + step / 2) - self.value(t - step / 2)) / step
-        return (4.0 * d2 - d1) / 3.0
-
     def sample(self, times: np.ndarray) -> np.ndarray:
         """The operator at every entry of ``times`` as an ``(n, d, d)`` stack."""
         times = np.asarray(times, dtype=float)
@@ -177,15 +171,13 @@ class TimeDepOperator:
         dim = terms[0][2].shape[0]
         if any(b.shape != (dim, dim) for _, _, b in terms):
             raise ValueError("operator basis matrices differ in dimension")
+        # value and dvalue are the samples at one time; the closures read
+        # ``op`` once it is bound below.
         dvalue = None
         if all(dc is not None for _, dc, _ in terms):
-            dvalue = lambda t: sum(dc(t) * b for _, dc, b in terms)
-        return cls(
-            value=lambda t: sum(c(t) * b for c, _, b in terms),
-            dim=dim,
-            dvalue=dvalue,
-            terms=terms,
-        )
+            dvalue = lambda t: op.sample_deriv(np.array([t], dtype=float))[0]
+        op = cls(value=lambda t: op.sample(np.array([t], dtype=float))[0], dim=dim, dvalue=dvalue, terms=terms)
+        return op
 
     @classmethod
     def stationary(cls, mat: np.ndarray) -> "TimeDepOperator":
@@ -206,15 +198,18 @@ class TimeDepOperator:
 def weighted_sum(weighted: list) -> np.ndarray:
     """``sum_k c_k[:, None, None] * B_k`` over ``(c_k, B_k)`` pairs with real ``c_k``.
 
-    Evaluated as one real matrix product of the ``(n, K)`` coefficients
-    with the bases' real and imaginary parts.
+    Evaluated as one contraction of the ``(n, K)`` coefficients with the
+    bases' real and imaginary parts.  ``einsum`` adds the terms of every
+    entry in the same order whatever the batch, so a time's matrix does not
+    depend on the other times sampled with it (a BLAS product rounds a
+    one-row batch differently from a longer one).
     """
     if len(weighted) == 1:  # BLAS is slow at rank-1 products
         (c, b), = weighted
         return np.asarray(c, dtype=float)[:, None, None] * b
     coeffs = np.stack([np.asarray(c, dtype=float) for c, _ in weighted], axis=1)
     bases = np.stack([np.asarray(b, dtype=complex) for _, b in weighted])
-    flat = coeffs @ bases.view(float).reshape(len(weighted), -1)
+    flat = np.einsum("nk,kx->nx", coeffs, bases.view(float).reshape(len(weighted), -1))
     return flat.view(complex).reshape(len(coeffs), *bases.shape[1:])
 
 
@@ -269,9 +264,6 @@ class Trajectory:
     propagators: Optional[np.ndarray] = None
     flagged: bool = False
     norm_budget: float = DEFAULT_NORM_BUDGET
-
-    def state(self, k: int) -> np.ndarray:
-        return self.states[k]
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):

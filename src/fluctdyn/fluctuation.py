@@ -12,6 +12,15 @@ analytically (``d mu/dt = <v_A>`` and ``d sigma/dt = cov(A, v_A) / sigma``)
 and returns them over a grid as :class:`BoundSeries`, one array per channel,
 including the residuals of the inequality and a tight/loose classification.
 
+:func:`velocity` is the one construction of ``v_A``, as a
+:class:`~fluctdyn.dynamics.TimeDepOperator`; the grid functions sample it,
+:func:`velocity_observable` evaluates it at one time, and
+:func:`higher_order_chain` iterates it.  When both operators carry
+``terms``, so does ``v_A``: its bases ``A_k`` and ``(i/hbar) [H_j, A_k]``
+are formed once, and every coefficient carries its own derivative, so each
+level of the chain is again a batched ``terms`` operator.  Bare callables
+give a per-point ``v_A`` with a Richardson-difference derivative.
+
 Every statistic goes through one batched kernel, :func:`centered_moments`:
 states ``(n, d)`` and operator stacks ``(n, d, d)`` in, means and centered
 images ``(A_k - <A_k>) psi_k`` out, with variances and covariances as
@@ -20,8 +29,6 @@ eigenstate gives exactly zero).  Grid functions sample their operators
 with :meth:`TimeDepOperator.sample` and walk the time axis with
 :func:`~fluctdyn.dynamics.time_chunks`, so memory stays bounded on long
 grids and large cutoffs.  Single-point functions are batches of one.
-When both operators carry ``terms``, ``[H, A]`` is assembled from basis
-commutators formed once per call.
 
 The ``sigma -> 0`` instants are genuinely degenerate for the rate form
 (the covariance formula divides by ``sigma``); the series switches to the
@@ -37,17 +44,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import TimeDepOperator, Trajectory, coefficient_values, time_chunks, weighted_sum
-from .linops import at_time, commutator, require_hermitian, require_normalized
+from .dynamics import TimeDepOperator, Trajectory, coefficient_values, time_chunks
+from .linops import at_time, require_hermitian, require_normalized
 
 SIGMA_FLOOR = 1e-9
 TIGHT_TOL = 1e-6
 IMAG_TOL = 1e-10
 HERM_ASSERT_TOL = 1e-10
-
-
-class DegenerateDispersionError(ValueError):
-    """Raised when a rate needs sigma_A > floor but the dispersion vanishes."""
+# Step of the Richardson difference wherever a derivative is not given.
+RICHARDSON_STEP = 1e-3
 
 
 def centered_moments(
@@ -76,44 +81,78 @@ def inner_re(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", x.conj(), y).real
 
 
-def velocity_sampler(
-    a: TimeDepOperator, h: TimeDepOperator, hbar: float = 1.0
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``times -> (n, d, d)`` stack of ``v_A = dA/dt + (i/hbar) [H, A]``.
+def _richardson(f: Callable, step: float = RICHARDSON_STEP) -> Callable:
+    """Richardson-refined central difference of ``f`` (O(step^4) truncation)."""
 
-    With ``terms`` on both operators the commutator is
-    ``sum_jk h_j(t) a_k(t) [H_j, A_k]`` over basis commutators formed here,
-    once; otherwise both operators are sampled and multiplied per point.
-    Hermiticity of every ``v_A`` is asserted; the first offending point
-    raises.
+    def df(t):
+        d1 = (f(t + step) - f(t - step)) / (2.0 * step)
+        d2 = (f(t + step / 2) - f(t - step / 2)) / step
+        return (4.0 * d2 - d1) / 3.0
+
+    return df
+
+
+def _rate(c: Callable, dc: Optional[Callable]) -> Callable:
+    """The derivative of coefficient ``c``: ``dc`` when given, else a Richardson difference of ``c``."""
+    return dc if dc is not None else _richardson(lambda t: coefficient_values(c, t))
+
+
+def _product(f: Callable, g: Callable) -> Callable:
+    return lambda t: coefficient_values(f, t) * coefficient_values(g, t)
+
+
+def _product_rate(f: Callable, df: Callable, g: Callable, dg: Callable) -> Callable:
+    """``(f g)' = f' g + f g'``."""
+    df_g, f_dg = _product(df, g), _product(f, dg)
+    return lambda t: df_g(t) + f_dg(t)
+
+
+def velocity(a: TimeDepOperator, h: TimeDepOperator, hbar: float = 1.0) -> TimeDepOperator:
+    """The velocity observable ``v_A = dA/dt + (i/hbar) [H, A]`` as an operator.
+
+    With ``terms`` on both operators, ``v_A`` has ``terms`` too:
+    ``(dc_k, A_k)`` and ``(h_j a_k, (i/hbar) [H_j, A_k])``, with the
+    commutator bases formed here, once, and Hermitian by construction.
+    Every coefficient carries its derivative: analytic where given, the
+    product rule for ``h_j a_k``, and a Richardson difference of the
+    coefficient where no derivative exists.  So ``v_A`` samples a grid as
+    one array expression, and ``velocity`` applies to its own result.
+
+    Otherwise ``v_A(t)`` is formed per point from :meth:`~TimeDepOperator.deriv`
+    and the operators' values, with its Hermiticity asserted; its
+    derivative is a Richardson difference of that value map.
     """
     if a.dim != h.dim:
         raise ValueError(f"dimension mismatch: observable dim {a.dim}, generator dim {h.dim}")
     scale = 1j / hbar
     if a.terms is not None and h.terms is not None:
-        pairs = [(hc, ac, scale * commutator(hb, ab)) for hc, _, hb in h.terms for ac, _, ab in a.terms]
+        terms = []
+        for c, dc, b in a.terms:
+            dc = _rate(c, dc)
+            terms.append((dc, _rate(dc, None), b))  # no derivative of dc_k is given
+        for hc, hdc, hb in h.terms:
+            for ac, adc, ab in a.terms:
+                bracket = scale * (hb @ ab - ab @ hb)
+                # Symmetrized, the basis is Hermitian to the last bit, so
+                # linear's absolute check holds at any scale of H and A.
+                terms.append(
+                    (
+                        _product(hc, ac),
+                        _product_rate(hc, _rate(hc, hdc), ac, _rate(ac, adc)),
+                        (bracket + bracket.conj().T) / 2.0,
+                    )
+                )
+        return TimeDepOperator.linear(terms)
 
-        def bracket(times):
-            return weighted_sum(
-                [(coefficient_values(hc, times) * coefficient_values(ac, times), c) for hc, ac, c in pairs]
-            )
-
-    else:
-
-        def bracket(times):
-            h_t, a_t = h.sample(times), a.sample(times)
-            return scale * (h_t @ a_t - a_t @ h_t)
-
-    def sample(times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        v = a.sample_deriv(times) + bracket(times)
-        defects = np.abs(v - v.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        if np.count_nonzero(defects > HERM_ASSERT_TOL):
-            k = int(np.argmax(defects > HERM_ASSERT_TOL))
-            raise AssertionError(f"velocity observable not Hermitian (defect {defects[k]:.3e}){at_time(times, k)}")
+    def value(t):
+        h_t, a_t = h.value(t), a.value(t)
+        v = a.deriv(t) + scale * (h_t @ a_t - a_t @ h_t)
+        defect = float(np.abs(v - v.conj().T).max())
+        if defect > HERM_ASSERT_TOL:
+            raise AssertionError(f"velocity observable not Hermitian (defect {defect:.3e}) at t = {t}")
         return v
 
-    return sample
+    return TimeDepOperator(value=value, dim=a.dim, dvalue=_richardson(value))
 
 
 def _one(a: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -163,36 +202,8 @@ def covariance(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> float:
 def velocity_observable(
     a: TimeDepOperator, h: TimeDepOperator, t: float, hbar: float = 1.0
 ) -> np.ndarray:
-    """``v_A(t) = dA/dt + (i/hbar) [H(t), A(t)]``; Hermitian (asserted)."""
-    return velocity_sampler(a, h, hbar)(np.array([t], dtype=float))[0]
-
-
-def mean_rate(a: TimeDepOperator, h: TimeDepOperator, psi: np.ndarray, t: float, hbar: float = 1.0) -> float:
-    """``d<A>/dt = <v_A>``."""
-    return expectation(velocity_observable(a, h, t, hbar), psi)
-
-
-def sigma_rate(
-    a: TimeDepOperator,
-    h: TimeDepOperator,
-    psi: np.ndarray,
-    t: float,
-    hbar: float = 1.0,
-    sigma_floor: float = SIGMA_FLOOR,
-) -> float:
-    """``d sigma_A / dt = cov(A, v_A) / sigma_A``.
-
-    Raises :class:`DegenerateDispersionError` when ``sigma_A <= sigma_floor``;
-    callers must fall back to the Cauchy-Schwarz certificate there.
-    """
-    a_t = a.value(t)
-    v_t = velocity_observable(a, h, t, hbar)
-    sig = std_dev(a_t, psi)
-    if sig <= sigma_floor:
-        raise DegenerateDispersionError(
-            f"sigma_A = {sig:.3e} <= floor {sigma_floor:.1e} at t = {t}; rate undefined"
-        )
-    return covariance(a_t, v_t, psi) / sig
+    """``v_A(t) = dA/dt + (i/hbar) [H(t), A(t)]``: :func:`velocity` at one time."""
+    return velocity(a, h, hbar).value(t)
 
 
 # eq=False: a generated __eq__ would compare the arrays elementwise.
@@ -233,11 +244,11 @@ def rate_columns(
     states = traj.states
     n = len(times)
     mu, var, mu_dot, v_sq, sigma_v_sq, cov = (np.empty(n) for _ in range(6))
-    velocity = velocity_sampler(a, h, hbar)
+    v = velocity(a, h, hbar)
     for chunk in time_chunks(n, a.dim):
         t, psi = times[chunk], states[chunk]
         mu[chunk], da, _ = centered_moments(a.sample(t), psi, t)
-        mu_dot[chunk], dv, vpsi = centered_moments(velocity(t), psi, t, what="<v_A>")
+        mu_dot[chunk], dv, vpsi = centered_moments(v.sample(t), psi, t, what="<v_A>")
         var[chunk] = inner_re(da, da)
         v_sq[chunk] = inner_re(vpsi, vpsi)
         sigma_v_sq[chunk] = inner_re(dv, dv)
@@ -281,39 +292,16 @@ def higher_order_chain(
     h: TimeDepOperator,
     n_max: int,
     hbar: float = 1.0,
-    fd_step: float = 1e-3,
 ) -> list[TimeDepOperator]:
     """Iterated velocity observables ``[V^0 = A, V^1, ..., V^{n_max}]``.
 
-    ``V^{k+1}(t) = dV^k/dt + (i/hbar) [H(t), V^k(t)]``.  The time derivative
-    of level 0 uses the supplied analytic ``dvalue`` when present; composed
-    levels differentiate the previous level's value map with a
-    Richardson-refined central difference of step ``fd_step`` (plain
-    first-difference noise at the default operator step would swamp the
-    deeper levels).
+    ``V^{k+1} = dV^k/dt + (i/hbar) [H(t), V^k(t)]`` is :func:`velocity` of
+    ``V^k``: a ``terms`` operator at every level when ``a`` and ``h`` carry
+    ``terms``, a per-point value map otherwise.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if a.dim != h.dim:
-        raise ValueError("dimension mismatch between observable and generator")
-
-    def lift(op: TimeDepOperator, first: bool) -> TimeDepOperator:
-        def value(t, _op=op, _first=first):
-            if _first:
-                d = _op.deriv(t)
-            else:
-                d = _op.deriv_richardson(t, step=fd_step)
-            v = d + (1j / hbar) * commutator(h.value(t), _op.value(t))
-            defect = float(np.abs(v - v.conj().T).max())
-            if defect > HERM_ASSERT_TOL:
-                raise AssertionError(
-                    f"chain level lost Hermiticity (defect {defect:.3e} at t = {t})"
-                )
-            return (v + v.conj().T) / 2.0
-
-        return TimeDepOperator(value=value, dim=op.dim)
-
     chain = [a]
-    for level in range(n_max):
-        chain.append(lift(chain[-1], first=(level == 0)))
+    for _ in range(n_max):
+        chain.append(velocity(chain[-1], h, hbar))
     return chain

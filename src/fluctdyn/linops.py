@@ -1,6 +1,6 @@
 """Dense complex linear-algebra kernel.
 
-Everything else in the package is built on the operations here: adjoints,
+Everything else in the package is built on the operations here:
 commutators, Hermitian/anti-Hermitian matrix exponentials, and the
 structural predicates (Hermiticity, unitarity, normalization) with their
 default tolerances.
@@ -55,11 +55,6 @@ def at_time(times, k: int) -> str:
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

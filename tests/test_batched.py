@@ -234,11 +234,19 @@ def test_time_chunks_cover_the_grid():
 
 
 def test_sample_matches_value_per_point():
-    pieces, traj = _scenario("example3", n_steps=30)
-    times = traj.grid.times
-    for op in (pieces.observable, pieces.hamiltonian):
-        assert np.abs(op.sample(times) - np.stack([op.value(t) for t in times])).max() <= 1e-12
-        assert np.abs(op.sample_deriv(times) - np.stack([op.deriv(t) for t in times])).max() <= 1e-12
+    # A terms operator's value(t) is its sample at t, bit for bit, including
+    # where two terms add into the same entries.
+    pieces, _ = _scenario("example3", n_steps=30)
+    overlapping = TimeDepOperator.linear(
+        [
+            (np.cos, lambda t: -np.sin(t), 0.3 * SX + 0.2 * SZ),
+            (lambda t: t * t, lambda t: 2.0 * t, 0.7 * SX - 0.6 * SY + 0.9 * SZ),
+        ]
+    )
+    times = np.linspace(0.0, 5.0, 201)
+    for op in (pieces.observable, pieces.hamiltonian, overlapping):
+        assert np.array_equal(op.sample(times), np.stack([op.value(t) for t in times]))
+        assert np.array_equal(op.sample_deriv(times), np.stack([op.deriv(t) for t in times]))
 
 
 # -- per-point assertions ------------------------------------------------------

@@ -188,4 +188,3 @@ def test_time_dep_operator_fd_fallback():
     op = TimeDepOperator(value=lambda t: np.cos(t) * pauli("x"), dim=2)
     analytic = -np.sin(1.2) * pauli("x")
     assert np.abs(op.deriv(1.2) - analytic).max() < 1e-9
-    assert np.abs(op.deriv_richardson(1.2) - analytic).max() < 1e-11

@@ -9,18 +9,16 @@ import numpy as np
 import pytest
 
 from fluctdyn import linops
-from fluctdyn.dynamics import TimeDepOperator, TimeGrid, propagate
+from fluctdyn.dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate
 from fluctdyn.fluctuation import (
-    DegenerateDispersionError,
     bound_series,
     covariance,
     expectation,
     higher_order_chain,
-    mean_rate,
     rate_columns,
-    sigma_rate,
     std_dev,
     variance,
+    velocity,
     velocity_observable,
 )
 from fluctdyn.hilbert import pauli, qubit_plus
@@ -44,6 +42,13 @@ def a_op_linear():
 def evolved_plus(t, omega0=1.0, nu0=1.0):
     theta = (omega0 / nu0) * np.sin(nu0 * t)
     return np.array([np.exp(-1j * theta), np.exp(1j * theta)]) / np.sqrt(2.0)
+
+
+def exact_trajectory(t0, t1, n_steps):
+    """The closed-form states ``evolved_plus`` on a grid, as a trajectory."""
+    grid = TimeGrid(t0, t1, n_steps)
+    states = np.stack([evolved_plus(t) for t in grid.times])
+    return Trajectory(grid=grid, states=states, norm_defects=np.abs(np.linalg.norm(states, axis=1) - 1.0))
 
 
 def test_expectation_eigenstate():
@@ -113,54 +118,65 @@ def test_velocity_observable_stationary_hamiltonian():
     assert np.abs(v).max() < 1e-15
 
 
-def test_sigma_rate_against_analytic_derivative():
+def test_velocity_of_bare_callable_differentiates_by_richardson():
+    # v_A = dA/dt under H = 0; its own derivative is a Richardson difference
+    # (a plain central difference at the same 1e-3 step is off by 6.0e-8).
+    h = TimeDepOperator(value=lambda t: np.zeros((2, 2), dtype=complex), dim=2)
+    a = TimeDepOperator(value=lambda t: np.cos(t) * SX, dvalue=lambda t: -np.sin(t) * SX, dim=2)
+    v = velocity(a, h)
+    assert np.abs(v.value(1.2) + np.sin(1.2) * SX).max() == 0.0
+    assert np.abs(v.deriv(1.2) + np.cos(1.2) * SX).max() < 1e-11
+
+
+def test_sigma_dot_against_analytic_derivative():
     # d/dt [ t sin(2 sin t) ] = sin(2 sin t) + 2 t cos(2 sin t) cos t;
     # frozen value at t = 1 from that formula.
-    h = h_op()
-    a = a_op_linear()
     t = 1.0
-    psi = evolved_plus(t)
     analytic = np.sin(2 * np.sin(t)) + 2.0 * t * np.cos(2 * np.sin(t)) * np.cos(t)
     assert analytic == pytest.approx(0.8727870236300611, abs=1e-15)
-    assert sigma_rate(a, h, psi, t) == pytest.approx(analytic, abs=1e-8)
+    s = bound_series(a_op_linear(), h_op(), exact_trajectory(0.0, 2.0, 2))
+    assert s.t[1] == t
+    assert s.sigma_dot[1] == pytest.approx(analytic, abs=1e-8)
 
 
-def test_sigma_rate_degenerate_raises():
-    h = h_op()
-    a = a_op_linear()
-    with pytest.raises(DegenerateDispersionError):
-        sigma_rate(a, h, evolved_plus(0.0), 0.0)  # sigma = 0 at t = 0
+def test_sigma_dot_degenerate_is_nan():
+    # sigma = 0 at t = 0: the rate is undefined there and the point is
+    # flagged, with the division-free certificate in its place.
+    s = bound_series(a_op_linear(), h_op(), exact_trajectory(0.0, 1.0, 2))
+    assert s.sigma[0] == 0.0 and s.degenerate[0] and not s.tight[0]
+    assert np.isnan(s.sigma_dot[0]) and np.isnan(s.residual_r2[0])
+    assert s.cs_residual[0] == 0.0
+    assert not s.degenerate[1:].any()
 
 
-def test_sigma_rate_stationary_zero():
+def test_sigma_dot_stationary_zero():
     h = TimeDepOperator.stationary(0.8 * SZ)
     a = TimeDepOperator.stationary(SZ)
-    psi = np.array([np.sqrt(0.81), np.sqrt(0.19)], dtype=complex)
-    assert sigma_rate(a, h, psi, 1.1) == pytest.approx(0.0, abs=1e-12)
+    psi0 = np.array([np.sqrt(0.81), np.sqrt(0.19)], dtype=complex)
+    traj = propagate(h, psi0, TimeGrid(0.0, 1.1, 11), method="exact_commuting")
+    s = bound_series(a, h, traj)
+    assert not s.degenerate.any()
+    assert np.abs(s.sigma_dot).max() <= 1e-12
 
 
-def test_sigma_rate_matches_finite_difference_of_std_dev():
+def test_sigma_dot_matches_finite_difference_of_sigma():
     h = h_op()
     a = a_op_linear()
     step = 1e-5
     for t in (0.5, 1.0, 2.0, 4.5):
-        fd = (
-            std_dev(a.value(t + step), evolved_plus(t + step))
-            - std_dev(a.value(t - step), evolved_plus(t - step))
-        ) / (2.0 * step)
-        assert sigma_rate(a, h, evolved_plus(t), t) == pytest.approx(fd, abs=1e-6)
+        s = bound_series(a, h, exact_trajectory(t - step, t + step, 2))
+        fd = (s.sigma[2] - s.sigma[0]) / (2.0 * step)
+        assert s.sigma_dot[1] == pytest.approx(fd, abs=1e-6)
 
 
-def test_mean_rate_matches_finite_difference():
+def test_mu_dot_matches_finite_difference_of_mu():
     h = h_op()
     a = a_op_linear()
     step = 1e-5
     for t in (0.3, 1.7, 3.9):
-        fd = (
-            expectation(a.value(t + step), evolved_plus(t + step))
-            - expectation(a.value(t - step), evolved_plus(t - step))
-        ) / (2.0 * step)
-        assert mean_rate(a, h, evolved_plus(t), t) == pytest.approx(fd, abs=1e-6)
+        s = bound_series(a, h, exact_trajectory(t - step, t + step, 2))
+        fd = (s.mu[2] - s.mu[0]) / (2.0 * step)
+        assert s.mu_dot[1] == pytest.approx(fd, abs=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +214,7 @@ def test_mu_dot_matches_trajectory_finite_difference(example1_run):
     assert series.mu_dot[1:-1] == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 
-def test_mean_rate_and_decomposition_at_stated_tolerance():
+def test_mu_dot_and_decomposition_at_stated_tolerance():
     # <v_A> = d mu / dt within 1e-8 relative needs an FD step ~1e-5 for the
     # central-difference oracle along the trajectory; run a dense short
     # window and check both identities there.
@@ -306,37 +322,28 @@ def test_chain_level1_matches_velocity_formula():
 
 
 def test_chain_dual_construction_agreement():
-    # Same chain assembled with analytic derivatives and with pure finite
-    # differences; level 2 must agree.
+    # Same chain assembled with analytic derivatives (terms) and with pure
+    # finite differences (bare callables); levels 1-3 must agree.  The
+    # finite-difference levels differentiate by Richardson: a plain central
+    # difference gives a level-3 gap of 1.1e-5.
     h_analytic = h_op()
     a_analytic = a_op_linear()
     h_fd = TimeDepOperator(value=lambda t: np.cos(t) * SZ, dim=2)
     a_fd = TimeDepOperator(value=lambda t: t * SX, dim=2)
-    chain_an = higher_order_chain(a_analytic, h_analytic, 2)
-    chain_fd = higher_order_chain(a_fd, h_fd, 2)
+    chain_an = higher_order_chain(a_analytic, h_analytic, 3)
+    chain_fd = higher_order_chain(a_fd, h_fd, 3)
+    assert all(op.terms is not None for op in chain_an)
     worst = 0.0
     for t in np.linspace(0.2, 4.8, 12):
-        worst = max(worst, np.abs(chain_an[2].value(t) - chain_fd[2].value(t)).max())
-    assert worst <= 1e-5
+        for n in (1, 2, 3):
+            worst = max(worst, np.abs(chain_an[n].value(t) - chain_fd[n].value(t)).max())
+    assert worst <= 1e-8
 
 
 def test_chain_inequality_three_levels(example1_run):
     a, h, traj, _ = example1_run
     chain = higher_order_chain(a, h, 3)
-    times = traj.grid.times[:: len(traj.grid.times) // 200]
-    floor = 1e-6
-    worst = 0.0
-    for t in times:
-        k = int(round((t - traj.grid.t0) / traj.grid.dt))
-        psi = traj.states[k]
-        for n in range(3):
-            vn = chain[n].value(t)
-            vnp = chain[n + 1].value(t)
-            sig_n = std_dev(vn, psi)
-            if sig_n <= floor:
-                continue
-            cov = covariance(vn, vnp, psi)
-            rate_sq = (cov / sig_n) ** 2
-            residual = variance(vnp, psi) - rate_sq
-            worst = min(worst, residual)
-    assert worst >= -1e-6
+    for n in range(3):
+        s = bound_series(chain[n], h, traj, sigma_floor=1e-6)
+        assert (~s.degenerate).any()
+        assert s.residual_r2[~s.degenerate].min() >= -1e-6

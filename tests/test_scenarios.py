@@ -30,6 +30,24 @@ def test_example1_defaults_tight_everywhere():
     assert np.isnan(s.sigma_dot[0])
 
 
+@pytest.mark.parametrize("omega0", [1e3, 1e4])
+def test_example1_verdict_independent_of_units(omega0):
+    # The residual grows as omega0^2 in absolute terms (-1.9e-8 at 1e3) but
+    # stays at rounding relative to <v_A^2>; the run must not fail.
+    cfg = ScenarioConfig.from_dict(
+        {
+            "name": "example1",
+            "params": {"omega0": omega0, "nu0": 1.0, "a": "t"},
+            "grid": {"t0": 0.0, "t1": 5.0, "n_steps": 5000},
+        }
+    )
+    rep = run_scenario(cfg)
+    assert not rep.failed, rep.flags
+    s = rep.series
+    nondeg = ~s.degenerate
+    assert np.min(s.residual_r2[nondeg] / np.maximum(1.0, s.v2_mean[nondeg])) >= -1e-14
+
+
 def test_example1_constant_coefficient():
     cfg = ScenarioConfig.from_dict(
         {
