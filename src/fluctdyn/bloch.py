@@ -38,22 +38,19 @@ class BlochModel:
 
     ``a(t)`` is the Bloch vector, ``h(t)`` the field vector (angular
     frequency units, hbar = 1), ``m(t)`` the observable vector, and
-    ``m_dot(t)`` its time derivative (finite difference when omitted).
+    ``m_dot(t)`` its time derivative, which the statistics need and
+    :func:`bloch_evolve` does not.
     """
 
     a: Callable[[float], np.ndarray]
     h: Callable[[float], np.ndarray]
     m: Callable[[float], np.ndarray]
     m_dot: Optional[Callable[[float], np.ndarray]] = None
-    fd_step: float = 1e-6
 
     def m_deriv(self, t: float) -> np.ndarray:
-        if self.m_dot is not None:
-            return np.asarray(self.m_dot(t), dtype=float)
-        h = self.fd_step
-        return (np.asarray(self.m(t + h), dtype=float) - np.asarray(self.m(t - h), dtype=float)) / (
-            2.0 * h
-        )
+        if self.m_dot is None:
+            raise ValueError("BlochModel.m_dot is required for the statistics")
+        return np.asarray(self.m_dot(t), dtype=float)
 
 
 @dataclass

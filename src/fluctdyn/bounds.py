@@ -123,8 +123,7 @@ def fs_kinematics(
     ``convention`` picks the line-element normalization: ``factor2`` gives
     ``v = 2 sigma_H / hbar``, ``factor1`` gives ``v = sigma_H / hbar``.
     The path length is the trapezoid integral of ``v``; the acceleration is
-    analytic (``factor * cov(H, dH/dt) / (hbar sigma_H)``) when ``h`` has a
-    derivative, else a central finite difference of ``v``.  Instants with
+    ``factor * cov(H, dH/dt) / (hbar sigma_H)``.  Instants with
     ``sigma_H = 0`` get NaN acceleration (undefined there).
     """
     if convention == "factor2":
@@ -134,20 +133,14 @@ def fs_kinematics(
     else:
         raise ValueError(f"unknown convention {convention!r}")
     times = traj.grid.times
-    analytic = h.dvalue is not None
-    sig, cov = _energy_spread(h, traj, with_rate=analytic)
+    sig, cov = _energy_spread(h, traj, with_rate=True)
     v = factor * sig / hbar
     s = _cumtrapz(v, times)
 
     accel = np.full(len(times), np.nan)
     floor = 1e-12
     ok = sig > floor
-    if analytic:
-        accel[ok] = factor * cov[ok] / (hbar * sig[ok])
-    else:
-        inner = ok[1:-1] & ok[2:] & ok[:-2]
-        idx = np.nonzero(inner)[0] + 1
-        accel[idx] = (v[idx + 1] - v[idx - 1]) / (times[idx + 1] - times[idx - 1])
+    accel[ok] = factor * cov[ok] / (hbar * sig[ok])
     return s, v, accel
 
 

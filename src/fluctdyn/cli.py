@@ -6,7 +6,8 @@ seed yields byte-identical files (shortest round-trip float formatting,
 fixed column order, writes go to a temp file and are renamed into place).
 
 Exit codes: 0 success; 1 verification failure; 2 malformed config or
-arguments; 3 scenario invariant failure.
+arguments; 3 scenario invariant failure or numeric breakdown (a non-finite
+or non-real value met during a run, reported on stderr; no files written).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 import tempfile
 
 from . import __version__, verify
+from .linops import NumericBreakdown
 from .scenarios import ConfigError, ScenarioConfig, ScenarioReport, run_scenario
 
 CSV_COLUMNS = (
@@ -200,7 +202,11 @@ def cmd_run(args) -> int:
         print(f"config error at {exc.path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     outdir = _outdir(args)
-    report = run_scenario(cfg)
+    try:
+        report = run_scenario(cfg)
+    except NumericBreakdown as exc:
+        print(f"numeric breakdown: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     stem = args.name or cfg.name
     emitted = _emit_run(report, outdir, stem, args.config)
     for path in emitted:
@@ -276,7 +282,13 @@ def cmd_sweep(args) -> int:
             return EXIT_CONFIG
 
     outdir = _outdir(args)
-    reports = [run_scenario(cfg) for cfg in configs]
+    reports = []
+    for value, cfg in zip(values, configs):
+        try:
+            reports.append(run_scenario(cfg))
+        except NumericBreakdown as exc:
+            print(f"numeric breakdown for {args.param}={value}: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
 
     emitted = []
     param_token = args.param.replace(".", "_")

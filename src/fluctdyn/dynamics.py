@@ -1,27 +1,30 @@
 """Time evolution under time-dependent Hermitian generators.
 
 Operators
-    :class:`TimeDepOperator` wraps a value map ``t -> ndarray`` (and
-    optionally its analytic derivative).  Operators of the form
-    ``sum_k c_k(t) B_k`` also carry that decomposition as ``terms``, a tuple
-    of ``(c_k, dc_k, B_k)`` triples filled in by :meth:`TimeDepOperator.linear`,
-    :meth:`~TimeDepOperator.scaled` and :meth:`~TimeDepOperator.stationary`.
+    :class:`TimeDepOperator` is ``sum_k c_k(t) B_k``: a tuple ``terms`` of
+    ``(c_k, dc_k, B_k)`` triples with real coefficients ``c_k``, their
+    derivatives ``dc_k`` and Hermitian bases ``B_k``.  :meth:`~TimeDepOperator.linear`
+    validates the bases (keeping their Hermitian parts) and fills a missing
+    derivative with a Richardson difference of the coefficient, so every
+    operator has exactly one derivative rule; :meth:`~TimeDepOperator.scaled`,
+    :meth:`~TimeDepOperator.stationary` and :meth:`~TimeDepOperator.tabulated`
+    (piecewise-linear interpolation of sampled matrices, expanded in the
+    real Hermitian basis :func:`hermitian_basis`) build on it.
     :meth:`~TimeDepOperator.sample` and :meth:`~TimeDepOperator.sample_deriv`
-    return the operator over a whole array of times as an ``(n, d, d)``
-    stack: one array expression over the coefficients when ``terms`` is
-    set, otherwise the value map evaluated per time (tabulated samples,
-    user callables), with the same central difference as
-    :meth:`~TimeDepOperator.deriv` when there is no derivative.  A ``terms``
-    operator's ``value``/``dvalue`` are its samples at one time, so the
-    per-point and the batched route agree to the last bit.  Grid functions
-    walk the time axis with :func:`time_chunks`, so no stack exceeds
-    ``CHUNK_BYTES``.
+    return the operator and its derivative over a whole array of times as
+    an ``(n, d, d)`` stack, one array expression over the coefficients;
+    ``value``/``dvalue`` are those samples at one time, bit for bit.
+    Coefficients that are the columns of one table (:func:`table_columns`)
+    are evaluated with one call.  Coefficient values must be finite and
+    real: the first time where one is not raises
+    :class:`~fluctdyn.linops.NumericBreakdown`.  Grid functions walk the
+    time axis with :func:`time_chunks`, so no stack exceeds ``CHUNK_BYTES``.
 
 Two propagation routes, both reading ``H`` only through ``sample`` or its
 ``terms``:
 
 ``exact_commuting``
-    For ``terms`` operators whose bases commute pairwise
+    For operators whose bases commute pairwise
     (:attr:`TimeDepOperator.commuting_family`) the propagator is the closed
     form ``exp(-(i/hbar) * Integral_0^t H)``.  Each coefficient is
     integrated by adaptive Simpson quadrature (absolute tolerance 1e-12),
@@ -38,21 +41,23 @@ Two propagation routes, both reading ``H`` only through ``sample`` or its
 
 Trajectories store the full state history plus per-step normalization
 defects, and optionally the cumulative propagators (needed by the
-representation-equivalence diagnostics).
+representation-equivalence diagnostics).  A non-finite norm defect counts
+as over budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .linops import HERM_TOL, herm_expm, require_hermitian, require_normalized
+from .linops import HERM_TOL, NumericBreakdown, at_time, herm_expm, require_hermitian, require_normalized
 
 SIMPSON_TOL = 1e-12
-DEFAULT_FD_STEP = 1e-6
+# Step of the Richardson difference that stands in for a derivative not given.
+RICHARDSON_STEP = 1e-3
 DEFAULT_NORM_BUDGET = 1e-8
 # Largest (n, d, d) complex stack a grid function holds at once.  Larger
 # chunks ran no faster but raised the peak memory of a 50k-point trace and
@@ -67,8 +72,8 @@ def time_chunks(n: int, dim: int) -> Iterator[slice]:
         yield slice(start, min(start + step, n))
 
 
-def coefficient_values(f: Callable, times: np.ndarray) -> np.ndarray:
-    """``f`` evaluated at every entry of ``times``.
+def coefficient_array(f: Callable, times: np.ndarray) -> np.ndarray:
+    """``f`` at every entry of ``times``, unchecked.
 
     One array call when ``f`` accepts arrays (a constant result is
     broadcast); one call per time otherwise.
@@ -76,54 +81,128 @@ def coefficient_values(f: Callable, times: np.ndarray) -> np.ndarray:
     try:
         out = np.asarray(f(times))
         if out.ndim == 0:
-            return np.full(times.shape, out)
-        if out.shape == times.shape:
-            return out
+            out = np.full(times.shape, out)
+    except NumericBreakdown:
+        raise
     except (TypeError, ValueError):
-        pass
-    return np.array([f(t) for t in times])
+        out = None
+    if out is None or out.shape != times.shape:
+        out = np.array([f(t) for t in times])
+    return out
+
+
+def coefficient_values(f: Callable, times: np.ndarray) -> np.ndarray:
+    """:func:`coefficient_array` of ``f``, checked to be finite and real.
+
+    Raises
+    ------
+    NumericBreakdown
+        If a value is not finite or has an imaginary part, naming the
+        first such time.
+    """
+    return _checked(coefficient_array(f, times), times)
+
+
+def _checked(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    rows = values.reshape(np.size(times), -1)
+    bad = ~np.isfinite(rows)
+    if np.iscomplexobj(rows):
+        bad |= rows.imag != 0.0
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        value = rows[k][bad[k]][0]
+        raise NumericBreakdown(f"coefficient value {value} is not a finite real number{at_time(np.ravel(times), k)}")
+    return values.real
+
+
+def richardson(f: Callable) -> Callable:
+    """Richardson-refined central difference (O(step^4)) of ``f``, a function of an array of times.
+
+    ``f``'s values are used unchecked: the reader of the derivative checks
+    it, so a breakdown is named at the time sampled, not at a shifted one.
+    """
+    step = RICHARDSON_STEP
+
+    def df(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1 = (f(t + step) - f(t - step)) / (2.0 * step)
+            d2 = (f(t + step / 2) - f(t - step / 2)) / step
+            return (4.0 * d2 - d1) / 3.0
+
+    return df
+
+
+def hermitian_basis(dim: int) -> np.ndarray:
+    """``E_jj``, then ``E_jk + E_kj`` and ``i (E_kj - E_jk)`` for ``j < k``: a ``(d^2, d, d)`` stack."""
+    diag = np.arange(dim)
+    rows, cols = np.triu_indices(dim, 1)
+    sym = dim + np.arange(len(rows))
+    asym = sym + len(rows)
+    bases = np.zeros((dim * dim, dim, dim), dtype=complex)
+    bases[diag, diag, diag] = 1.0
+    bases[sym, rows, cols] = bases[sym, cols, rows] = 1.0
+    bases[asym, rows, cols], bases[asym, cols, rows] = -1j, 1j
+    return bases
+
+
+def hermitian_coordinates(mats: np.ndarray) -> np.ndarray:
+    """Coordinates ``(..., d^2)`` of Hermitian ``(..., d, d)`` matrices in :func:`hermitian_basis`, read off."""
+    dim = mats.shape[-1]
+    diag = np.arange(dim)
+    rows, cols = np.triu_indices(dim, 1)
+    upper = mats[..., rows, cols]
+    return np.concatenate([mats[..., diag, diag].real, upper.real, -upper.imag], axis=-1)
+
+
+def table_columns(table: Callable, count: int) -> list:
+    """Coefficients ``t -> table(t)[:, m]``, ``m < count``, of one ``(n, count)`` array function of times.
+
+    An operator whose coefficients (or derivatives) are all columns of one
+    table samples them with a single call of ``table``.
+    """
+    return [partial(_column, table, m) for m in range(count)]
+
+
+def _column(table: Callable, index: int, t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    return table(np.atleast_1d(t))[:, index].reshape(t.shape)
 
 
 @dataclass
 class TimeDepOperator:
-    """A time-indexed Hermitian operator with optional analytic derivative.
+    """A time-dependent Hermitian operator ``sum_k c_k(t) B_k``.
 
     Parameters
     ----------
-    value : callable
-        ``t -> ndarray`` returning the operator at time ``t``.
+    terms : tuple
+        ``((c_1, dc_1, B_1), ...)``: real coefficients ``c_k``, their
+        derivatives ``dc_k`` and Hermitian bases ``B_k``, all ``(d, d)``.
+        Build operators with :meth:`linear` (or :meth:`scaled`,
+        :meth:`stationary`, :meth:`tabulated`), which checks the bases and
+        supplies missing derivatives; the constructor takes the terms as
+        they are.
     dim : int
-        Matrix dimension.
-    dvalue : callable, optional
-        ``t -> ndarray`` analytic time derivative.  When absent,
-        :meth:`deriv` falls back to a central finite difference with step
-        ``fd_step``.
-    terms : tuple, optional
-        ``((c_1, dc_1, B_1), ...)`` with ``value(t) == sum_k c_k(t) B_k``;
-        ``dc_k`` is the derivative of ``c_k`` or None.  Populated by
-        :meth:`linear`, :meth:`scaled` and :meth:`stationary`; lets
-        :meth:`sample` evaluate a whole grid as one array expression.
+        Matrix dimension ``d``.
     """
 
-    value: Callable[[float], np.ndarray]
+    terms: tuple
     dim: int
-    dvalue: Optional[Callable[[float], np.ndarray]] = None
-    fd_step: float = DEFAULT_FD_STEP
-    terms: Optional[tuple] = None
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.value(t)
+    def value(self, t: float) -> np.ndarray:
+        """The operator at time ``t``: :meth:`sample` at one time."""
+        return self.sample(np.array([t], dtype=float))[0]
+
+    def dvalue(self, t: float) -> np.ndarray:
+        """The time derivative at ``t``: :meth:`sample_deriv` at one time."""
+        return self.sample_deriv(np.array([t], dtype=float))[0]
 
     @property
     def commuting_family(self) -> bool:
-        """Whether ``[value(t), value(t')] = 0`` is known for all ``t, t'``.
+        """Whether ``[value(t), value(t')] = 0`` for all ``t, t'``: the bases commute pairwise.
 
-        True for ``terms`` operators whose bases commute pairwise; this
-        enables the ``exact_commuting`` propagation route.  A bare value map
-        is never known to commute.
+        This enables the ``exact_commuting`` propagation route.
         """
-        if self.terms is None:
-            return False
         bases = [b for _, _, b in self.terms]
         return all(
             np.abs(bj @ bk - bk @ bj).max() <= HERM_TOL * max(1.0, np.abs(bj).max() * np.abs(bk).max())
@@ -131,39 +210,83 @@ class TimeDepOperator:
             for bk in bases[j + 1 :]
         )
 
-    def deriv(self, t: float, step: Optional[float] = None) -> np.ndarray:
-        """Analytic derivative when available, else central finite difference."""
-        if self.dvalue is not None:
-            return self.dvalue(t)
-        h = self.fd_step if step is None else step
-        return (self.value(t + h) - self.value(t - h)) / (2.0 * h)
-
     def sample(self, times: np.ndarray) -> np.ndarray:
         """The operator at every entry of ``times`` as an ``(n, d, d)`` stack."""
-        times = np.asarray(times, dtype=float)
-        if self.terms is not None:
-            return weighted_sum([(coefficient_values(c, times), b) for c, _, b in self.terms])
-        return _stack(self.value, times)
+        return self._sample(0, np.asarray(times, dtype=float))
 
     def sample_deriv(self, times: np.ndarray) -> np.ndarray:
-        """Time derivative at every entry of ``times``, as :meth:`deriv` defines it."""
-        times = np.asarray(times, dtype=float)
-        if self.terms is not None and all(dc is not None for _, dc, _ in self.terms):
-            return weighted_sum([(coefficient_values(dc, times), b) for _, dc, b in self.terms])
-        if self.dvalue is not None:
-            return _stack(self.dvalue, times)
-        h = self.fd_step
-        return (self.sample(times + h) - self.sample(times - h)) / (2.0 * h)
+        """The time derivative at every entry of ``times`` as an ``(n, d, d)`` stack."""
+        return self._sample(1, np.asarray(times, dtype=float))
+
+    def _sample(self, slot: int, times: np.ndarray) -> np.ndarray:
+        """``sum_k x_k(t) B_k`` over the coefficients (slot 0) or their derivatives (slot 1).
+
+        One contraction of the ``(n, K)`` values with the bases' real and
+        imaginary parts.  ``einsum`` adds the terms of every entry in the
+        same order whatever the batch, so a time's matrix does not depend on
+        the other times sampled with it (a BLAS product rounds a one-row
+        batch differently from a longer one).  When no two bases share an
+        entry, as in :func:`hermitian_basis`, it is a gather with the same
+        values, ``O(n d^2)`` instead of ``O(n K d^2)``.
+        """
+        rows, gather, tables = self._layout()
+        if tables[slot] is None:
+            coeffs = np.stack([coefficient_values(term[slot], times) for term in self.terms], axis=1)
+        else:
+            coeffs = _checked(tables[slot][0](times)[:, tables[slot][1]], times)
+        if len(self.terms) == 1:  # BLAS is slow at rank-1 products
+            return coeffs[:, 0, None, None] * self.terms[0][2]
+        if gather is None:
+            flat = np.einsum("nk,kx->nx", coeffs, rows)
+        else:
+            owned, owner, weight = gather
+            flat = np.zeros((len(times), 2 * self.dim * self.dim))
+            flat[:, owned] = coeffs[:, owner] * weight
+        return flat.view(complex).reshape(len(times), self.dim, self.dim)
+
+    def _layout(self) -> tuple:
+        """``(rows, gather, tables)`` for :meth:`_sample`, worked out once per ``terms``.
+
+        ``rows`` is the ``(K, 2 d^2)`` real view of the bases, or None when
+        no two bases share an entry; ``gather`` then holds the owned entries,
+        their bases and their values.  ``tables[slot]`` is the table whose
+        :func:`table_columns` every coefficient (slot 0) or derivative
+        (slot 1) is, with their column indices, or None.
+        """
+        cached = self.__dict__.get("_cached_layout")
+        if cached is None or cached[0] is not self.terms:
+            rows = np.stack([b for _, _, b in self.terms]).astype(complex, copy=False)
+            rows = rows.view(float).reshape(len(self.terms), -1)
+            nonzero = rows != 0.0
+            gather = None
+            if np.count_nonzero(nonzero, axis=0).max() <= 1:
+                owned = np.flatnonzero(nonzero.any(axis=0))
+                owner = np.argmax(nonzero[:, owned], axis=0)
+                gather, rows = (owned, owner, rows[owner, owned]), None
+            tables = [None, None]
+            for slot in (0, 1):
+                fns = [term[slot] for term in self.terms]
+                if all(isinstance(f, partial) and f.func is _column and f.args[0] is fns[0].args[0] for f in fns):
+                    tables[slot] = (fns[0].args[0], np.array([f.args[1] for f in fns]))
+            cached = self._cached_layout = (self.terms, rows, gather, tables)
+        return cached[1:]
 
     @classmethod
     def linear(cls, terms) -> "TimeDepOperator":
         """Operator ``sum_k c_k(t) B_k`` from ``(c_k, dc_k, B_k)`` triples.
 
-        The bases must be Hermitian and the coefficients real.  The analytic
-        derivative exists when every ``dc_k`` is given.
+        The bases must be Hermitian (within ``HERM_TOL``) and of one
+        dimension; each is kept as its Hermitian part ``(B + B^dagger)/2``,
+        so the operator is Hermitian to the last bit.  A ``dc_k`` given as
+        None becomes a Richardson difference of ``c_k`` (step
+        ``RICHARDSON_STEP``).
         """
         terms = tuple(
-            (c, dc, require_hermitian(np.asarray(b, dtype=complex), what="operator basis"))
+            (
+                c,
+                richardson(partial(coefficient_array, c)) if dc is None else dc,
+                hermitian_part(require_hermitian(b, what="operator basis")),
+            )
             for c, dc, b in terms
         )
         if not terms:
@@ -171,13 +294,7 @@ class TimeDepOperator:
         dim = terms[0][2].shape[0]
         if any(b.shape != (dim, dim) for _, _, b in terms):
             raise ValueError("operator basis matrices differ in dimension")
-        # value and dvalue are the samples at one time; the closures read
-        # ``op`` once it is bound below.
-        dvalue = None
-        if all(dc is not None for _, dc, _ in terms):
-            dvalue = lambda t: op.sample_deriv(np.array([t], dtype=float))[0]
-        op = cls(value=lambda t: op.sample(np.array([t], dtype=float))[0], dim=dim, dvalue=dvalue, terms=terms)
-        return op
+        return cls(terms=terms, dim=dim)
 
     @classmethod
     def stationary(cls, mat: np.ndarray) -> "TimeDepOperator":
@@ -194,27 +311,38 @@ class TimeDepOperator:
         """Operator of the form ``f(t) * base`` (a commuting family)."""
         return cls.linear([(f, fdot, base)])
 
+    @classmethod
+    def tabulated(cls, times: np.ndarray, samples: np.ndarray) -> "TimeDepOperator":
+        """Piecewise-linear interpolation of Hermitian ``samples[k]`` taken at ``times[k]``.
 
-def weighted_sum(weighted: list) -> np.ndarray:
-    """``sum_k c_k[:, None, None] * B_k`` over ``(c_k, B_k)`` pairs with real ``c_k``.
+        Each sample is expanded in :func:`hermitian_basis`.  A coefficient
+        interpolates its column linearly (constant beyond the ends), and its
+        derivative interpolates ``np.gradient`` of the column: at a sample
+        time, a central difference inside and one-sided at the ends.  At the
+        sample times an exactly Hermitian table comes back bit for bit.
+        Columns that vanish at every sample are dropped, keeping at least
+        one term.
+        """
+        times = np.asarray(times, dtype=float)
+        samples = np.asarray(samples, dtype=complex)
+        columns = hermitian_coordinates(samples)
+        keep = np.flatnonzero(np.any(columns != 0.0, axis=0)) if np.any(columns) else [0]
+        values = table_columns(partial(_interpolate, times, columns[:, keep]), len(keep))
+        rates = table_columns(partial(_interpolate, times, np.gradient(columns[:, keep], times, axis=0)), len(keep))
+        bases = hermitian_basis(samples.shape[1])[keep]
+        return cls(terms=tuple(zip(values, rates, bases)), dim=samples.shape[1])
 
-    Evaluated as one contraction of the ``(n, K)`` coefficients with the
-    bases' real and imaginary parts.  ``einsum`` adds the terms of every
-    entry in the same order whatever the batch, so a time's matrix does not
-    depend on the other times sampled with it (a BLAS product rounds a
-    one-row batch differently from a longer one).
-    """
-    if len(weighted) == 1:  # BLAS is slow at rank-1 products
-        (c, b), = weighted
-        return np.asarray(c, dtype=float)[:, None, None] * b
-    coeffs = np.stack([np.asarray(c, dtype=float) for c, _ in weighted], axis=1)
-    bases = np.stack([np.asarray(b, dtype=complex) for _, b in weighted])
-    flat = np.einsum("nk,kx->nx", coeffs, bases.view(float).reshape(len(weighted), -1))
-    return flat.view(complex).reshape(len(coeffs), *bases.shape[1:])
+
+def hermitian_part(b: np.ndarray) -> np.ndarray:
+    """``(b + b^dagger) / 2``: exactly Hermitian, and ``b`` itself when ``b`` is."""
+    return (b + b.conj().T) / 2.0
 
 
-def _stack(fn: Callable, times: np.ndarray) -> np.ndarray:
-    return np.stack([np.asarray(fn(t), dtype=complex) for t in times])
+def _interpolate(times: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # (1 - w) a + w b returns the rows exactly at the sample times.
+    j = np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2)
+    w = np.clip((t - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0)[:, None]
+    return (1.0 - w) * table[j] + w * table[j + 1]
 
 
 @dataclass(frozen=True)
@@ -255,7 +383,8 @@ class Trajectory:
     ``states[k]`` is the state at ``grid.times[k]``; ``norm_defects[k]`` is
     ``| ||states[k]|| - 1 |``.  ``propagators``, when stored, holds the
     cumulative unitaries ``U(t_k)`` with ``states[k] = U(t_k) @ states[0]``.
-    ``flagged`` marks a norm defect beyond the budget the run was given.
+    ``flagged`` marks a norm defect beyond the budget the run was given,
+    or one that is not finite.
     """
 
     grid: TimeGrid
@@ -364,9 +493,10 @@ def propagate(
     ------
     ValueError
         If ``psi0`` is not normalized, dimensions mismatch, ``H`` is not
-        Hermitian or finite at a midpoint (named by its time), or
-        ``exact_commuting`` is requested for an operator that is not a
-        commuting ``terms`` family.
+        finite (:class:`~fluctdyn.linops.NumericBreakdown`) or not
+        Hermitian at a time it is sampled (named in the message), or
+        ``exact_commuting`` is requested for an operator whose bases do not
+        commute.
     """
     psi0 = require_normalized(psi0, what="initial state")
     if psi0.shape[0] != h.dim:
@@ -378,7 +508,7 @@ def propagate(
 
     if method == "exact_commuting":
         if not h.commuting_family:
-            raise ValueError("exact_commuting requires a commuting_family operator: terms with commuting bases")
+            raise ValueError("exact_commuting requires a commuting_family operator: commuting bases")
         lams, vecs = _common_eigenbasis([b for _, _, b in h.terms])
         # Integral of H at every grid time, in the shared eigenbasis; a
         # temporary, so it is freed before the states are formed.
@@ -410,7 +540,7 @@ def propagate(
         raise ValueError(f"unknown propagation method {method!r}")
 
     defects = np.abs(np.linalg.norm(states, axis=1) - 1.0)
-    flagged = bool(np.max(defects) > norm_budget)
+    flagged = not bool(np.max(defects) <= norm_budget)
     return Trajectory(
         grid=grid,
         states=states,

@@ -15,11 +15,14 @@ including the residuals of the inequality and a tight/loose classification.
 :func:`velocity` is the one construction of ``v_A``, as a
 :class:`~fluctdyn.dynamics.TimeDepOperator`; the grid functions sample it,
 :func:`velocity_observable` evaluates it at one time, and
-:func:`higher_order_chain` iterates it.  When both operators carry
-``terms``, so does ``v_A``: its bases ``A_k`` and ``(i/hbar) [H_j, A_k]``
-are formed once, and every coefficient carries its own derivative, so each
-level of the chain is again a batched ``terms`` operator.  Bare callables
-give a per-point ``v_A`` with a Richardson-difference derivative.
+:func:`higher_order_chain` iterates it.  Its bases ``A_k`` and
+``(i/hbar) [H_j, A_k]`` are formed once (commutators that vanish exactly
+are skipped), and every coefficient carries its own derivative, so each
+level of the chain is again a batched operator.  When the commutators
+could outnumber the ``d^2`` directions of the Hermitian matrices (tabulated
+operators, deep chain levels), ``v_A`` is held in the real Hermitian basis
+instead, its coordinates read off ``dA/dt + (i/hbar) [H, A]`` sampled from
+``A`` and ``H``.
 
 Every statistic goes through one batched kernel, :func:`centered_moments`:
 states ``(n, d)`` and operator stacks ``(n, d, d)`` in, means and centered
@@ -39,20 +42,20 @@ there and flags the rate fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import TimeDepOperator, Trajectory, coefficient_values, time_chunks
+from .dynamics import TimeDepOperator, Trajectory, coefficient_array, richardson, time_chunks
+from .dynamics import hermitian_basis, hermitian_coordinates, hermitian_part, table_columns
 from .linops import at_time, require_hermitian, require_normalized
 
 SIGMA_FLOOR = 1e-9
 TIGHT_TOL = 1e-6
 IMAG_TOL = 1e-10
 HERM_ASSERT_TOL = 1e-10
-# Step of the Richardson difference wherever a derivative is not given.
-RICHARDSON_STEP = 1e-3
 
 
 def centered_moments(
@@ -81,24 +84,8 @@ def inner_re(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", x.conj(), y).real
 
 
-def _richardson(f: Callable, step: float = RICHARDSON_STEP) -> Callable:
-    """Richardson-refined central difference of ``f`` (O(step^4) truncation)."""
-
-    def df(t):
-        d1 = (f(t + step) - f(t - step)) / (2.0 * step)
-        d2 = (f(t + step / 2) - f(t - step / 2)) / step
-        return (4.0 * d2 - d1) / 3.0
-
-    return df
-
-
-def _rate(c: Callable, dc: Optional[Callable]) -> Callable:
-    """The derivative of coefficient ``c``: ``dc`` when given, else a Richardson difference of ``c``."""
-    return dc if dc is not None else _richardson(lambda t: coefficient_values(c, t))
-
-
 def _product(f: Callable, g: Callable) -> Callable:
-    return lambda t: coefficient_values(f, t) * coefficient_values(g, t)
+    return lambda t: coefficient_array(f, t) * coefficient_array(g, t)
 
 
 def _product_rate(f: Callable, df: Callable, g: Callable, dg: Callable) -> Callable:
@@ -110,49 +97,63 @@ def _product_rate(f: Callable, df: Callable, g: Callable, dg: Callable) -> Calla
 def velocity(a: TimeDepOperator, h: TimeDepOperator, hbar: float = 1.0) -> TimeDepOperator:
     """The velocity observable ``v_A = dA/dt + (i/hbar) [H, A]`` as an operator.
 
-    With ``terms`` on both operators, ``v_A`` has ``terms`` too:
-    ``(dc_k, A_k)`` and ``(h_j a_k, (i/hbar) [H_j, A_k])``, with the
-    commutator bases formed here, once, and Hermitian by construction.
-    Every coefficient carries its derivative: analytic where given, the
-    product rule for ``h_j a_k``, and a Richardson difference of the
-    coefficient where no derivative exists.  So ``v_A`` samples a grid as
+    Its terms are ``(dc_k, A_k)`` and ``(h_j a_k, (i/hbar) [H_j, A_k])``,
+    with the commutator bases formed here, once, and Hermitian by
+    construction; a commutator that is exactly zero adds no term.  Every
+    coefficient carries its derivative: the product rule for ``h_j a_k``
+    and a Richardson difference of ``dc_k``.  So ``v_A`` samples a grid as
     one array expression, and ``velocity`` applies to its own result.
 
-    Otherwise ``v_A(t)`` is formed per point from :meth:`~TimeDepOperator.deriv`
-    and the operators' values, with its Hermiticity asserted; its
-    derivative is a Richardson difference of that value map.
+    When the commutators could outnumber the ``d^2`` directions of the
+    Hermitian matrices, ``v_A`` is held in :func:`hermitian_basis` instead
+    (see :func:`_velocity_in_basis`): its terms never number more than
+    ``d^2`` beyond those of ``a``, and at most ``d^2`` in the basis.  Below
+    that count the precomputed commutators are cheaper than the batched
+    matrix products the basis route needs.
     """
     if a.dim != h.dim:
         raise ValueError(f"dimension mismatch: observable dim {a.dim}, generator dim {h.dim}")
+    if len(a.terms) * len(h.terms) > a.dim * a.dim:
+        return _velocity_in_basis(a, h, hbar)
     scale = 1j / hbar
-    if a.terms is not None and h.terms is not None:
-        terms = []
-        for c, dc, b in a.terms:
-            dc = _rate(c, dc)
-            terms.append((dc, _rate(dc, None), b))  # no derivative of dc_k is given
-        for hc, hdc, hb in h.terms:
-            for ac, adc, ab in a.terms:
-                bracket = scale * (hb @ ab - ab @ hb)
-                # Symmetrized, the basis is Hermitian to the last bit, so
-                # linear's absolute check holds at any scale of H and A.
-                terms.append(
-                    (
-                        _product(hc, ac),
-                        _product_rate(hc, _rate(hc, hdc), ac, _rate(ac, adc)),
-                        (bracket + bracket.conj().T) / 2.0,
-                    )
-                )
-        return TimeDepOperator.linear(terms)
+    # No derivative of dc_k is given.
+    terms = [(dc, richardson(partial(coefficient_array, dc)), b) for _, dc, b in a.terms]
+    for hc, hdc, hb in h.terms:
+        for ac, adc, ab in a.terms:
+            bracket = scale * (hb @ ab - ab @ hb)
+            if not bracket.any():
+                continue
+            # The symmetrized basis is Hermitian to the last bit; the
+            # coefficients are real, so v_A needs no validation.
+            terms.append((_product(hc, ac), _product_rate(hc, hdc, ac, adc), hermitian_part(bracket)))
+    return TimeDepOperator(terms=tuple(terms), dim=a.dim)
+
+
+def _velocity_in_basis(a: TimeDepOperator, h: TimeDepOperator, hbar: float) -> TimeDepOperator:
+    """``v_A`` with one term per direction of :func:`hermitian_basis`.
+
+    Its coefficients are the coordinates of ``dA/dt + (i/hbar) [H, A]``,
+    sampled from ``a`` and ``h``; their derivatives those of
+    ``d^2A/dt^2 + (i/hbar) ([dH/dt, A] + [H, dA/dt])``, with ``d^2A/dt^2``
+    a Richardson difference of ``a.sample_deriv``.  The coordinates are
+    real, so ``v_A`` is Hermitian by construction.  Sampling costs
+    ``O(n d^3)`` whatever the number of terms of ``a`` and ``h``.
+    """
+    scale = 1j / hbar
+    second = richardson(a.sample_deriv)
 
     def value(t):
-        h_t, a_t = h.value(t), a.value(t)
-        v = a.deriv(t) + scale * (h_t @ a_t - a_t @ h_t)
-        defect = float(np.abs(v - v.conj().T).max())
-        if defect > HERM_ASSERT_TOL:
-            raise AssertionError(f"velocity observable not Hermitian (defect {defect:.3e}) at t = {t}")
-        return v
+        hm, am = h.sample(t), a.sample(t)
+        return a.sample_deriv(t) + scale * (hm @ am - am @ hm)
 
-    return TimeDepOperator(value=value, dim=a.dim, dvalue=_richardson(value))
+    def rate(t):
+        hm, am, dh, da = h.sample(t), a.sample(t), h.sample_deriv(t), a.sample_deriv(t)
+        return second(t) + scale * (dh @ am - am @ dh + hm @ da - da @ hm)
+
+    count = a.dim * a.dim
+    coords = table_columns(lambda t: hermitian_coordinates(value(t)), count)
+    rates = table_columns(lambda t: hermitian_coordinates(rate(t)), count)
+    return TimeDepOperator(terms=tuple(zip(coords, rates, hermitian_basis(a.dim))), dim=a.dim)
 
 
 def _one(a: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
@@ -296,8 +297,7 @@ def higher_order_chain(
     """Iterated velocity observables ``[V^0 = A, V^1, ..., V^{n_max}]``.
 
     ``V^{k+1} = dV^k/dt + (i/hbar) [H(t), V^k(t)]`` is :func:`velocity` of
-    ``V^k``: a ``terms`` operator at every level when ``a`` and ``h`` carry
-    ``terms``, a per-point value map otherwise.
+    ``V^k``, a batched operator at every level.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

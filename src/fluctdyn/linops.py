@@ -25,6 +25,10 @@ UNIT_TOL = 1e-10
 NORM_TOL = 1e-10
 
 
+class NumericBreakdown(ValueError):
+    """A value met during a computation is not finite, or not real where it must be."""
+
+
 def as_operator(m) -> np.ndarray:
     """Coerce ``m`` to a square complex matrix with finite entries."""
     m = np.asarray(m, dtype=complex)
@@ -120,8 +124,9 @@ def herm_expm(h: np.ndarray, scale: complex = 1.0, herm_tol: float = HERM_TOL, t
     h : ndarray
         Hermitian matrix, or an ``(n, d, d)`` stack of them exponentiated
         with one batched eigendecomposition; a single matrix is a batch of
-        one.  Every matrix is checked for finite entries and Hermiticity
-        within ``herm_tol``; the first offending one raises ``ValueError``.
+        one.  Every matrix is checked for finite entries
+        (:class:`NumericBreakdown`) and Hermiticity within ``herm_tol``
+        (``ValueError``); the first offending one raises.
     scale : complex
         Scalar multiplying ``h`` in the exponent.  For purely imaginary
         ``scale`` the result is unitary up to eigensolver accuracy.
@@ -143,7 +148,7 @@ def herm_expm(h: np.ndarray, scale: complex = 1.0, herm_tol: float = HERM_TOL, t
         raise ValueError("scale must be finite")
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
-        raise ValueError(f"herm_expm argument has non-finite entries{at_time(times, int(np.argmin(finite)))}")
+        raise NumericBreakdown(f"herm_expm argument has non-finite entries{at_time(times, int(np.argmin(finite)))}")
     defects = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
     bad = defects > herm_tol
     if bad.any():

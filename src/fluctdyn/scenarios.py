@@ -21,8 +21,10 @@ and the squared-velocity channel; runs compare the numeric pipeline to the
 overlays and summarize tight/loose classification per grid point.
 Coefficient functions come from a whitelisted expression set with analytic
 derivatives (a general expression parser is deliberately out of scope); a
-``custom`` scenario accepts tabulated operator samples with
-finite-difference derivatives instead.
+``custom`` scenario accepts constant or tabulated operators instead, the
+latter interpolated piecewise-linearly by
+:meth:`~fluctdyn.dynamics.TimeDepOperator.tabulated`, with central
+differences of the samples as derivatives.
 """
 
 from __future__ import annotations
@@ -400,14 +402,7 @@ def _build_custom(cfg: ScenarioConfig) -> ScenarioPieces:
                 for i, s in enumerate(samples)
             ]
         )
-
-        def value(t, _times=times, _mats=mats):
-            # Linear interpolation between tabulated samples.
-            k = np.clip(np.searchsorted(_times, t) - 1, 0, len(_times) - 2)
-            w = (t - _times[k]) / (_times[k + 1] - _times[k])
-            return (1.0 - w) * _mats[k] + w * _mats[k + 1]
-
-        return TimeDepOperator(value=value, dim=dim, fd_step=cfg.grid.dt / 2.0)
+        return TimeDepOperator.tabulated(times, mats)
 
     psi_arr = _real_array(_require(cfg.params, "psi0", "custom"), (dim, 2), "params.psi0")
     psi0 = psi_arr[:, 0] + 1j * psi_arr[:, 1]
@@ -418,7 +413,8 @@ def _build_custom(cfg: ScenarioConfig) -> ScenarioPieces:
 
     h_op = tabulated("hamiltonian")
     a_op = tabulated("observable")
-    if cfg.method == "exact_commuting" and not h_op.commuting_family:
+    # A rule on the config, not on commuting_family: a diagonal table commutes.
+    if cfg.method == "exact_commuting" and "constant" not in cfg.params["hamiltonian"]:
         raise ConfigError("method", "tabulated custom Hamiltonians require method=midpoint")
     return ScenarioPieces(
         observable=a_op,

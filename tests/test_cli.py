@@ -191,6 +191,26 @@ def test_run_invariant_failure_exits_3(tmp_path, capsys):
     assert report["failed"] and report["flags"]
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # a = t^2 overflows beyond t ~ 1.3e154, so A has no finite value there.
+        pytest.param(_with(_with(EX1, "params", a="t2"), "grid", t1=1e200), id="overflowing_observable"),
+        # hbar * omega0 = 1e309 overflows at every midpoint of H.
+        pytest.param(_with(EX1, "params", omega0=1e308, hbar=10.0), id="overflowing_hamiltonian"),
+    ],
+)
+def test_run_numeric_breakdown_exits_3(tmp_path, capsys, raw):
+    cfg = write_config(tmp_path, dict(raw, method="midpoint"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 3
+    assert "numeric breakdown: coefficient value inf is not a finite real number at t = " in capsys.readouterr().err
+    args = ["sweep", "--config", cfg, "--param", "params.nu0", "--values", "1.0", "2.0", "--output-dir", str(out)]
+    assert main(args) == 3
+    assert "numeric breakdown for params.nu0=1.0: coefficient value inf" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_sweep_example3_cutoffs(tmp_path):
     raw = json.loads(json.dumps(EX3))
     raw["grid"]["n_steps"] = 150

@@ -14,11 +14,12 @@ from fluctdyn.dynamics import (
     TimeDepOperator,
     TimeGrid,
     adaptive_simpson,
+    coefficient_values,
     propagate,
     time_chunks,
 )
 from fluctdyn.hilbert import FockSpace, number_op, oscillator_hamiltonian, pauli, qubit_plus
-from fluctdyn.linops import herm_expm, random_hermitian
+from fluctdyn.linops import NumericBreakdown, herm_expm, random_hermitian
 
 
 def example1_hamiltonian(omega0=1.0, nu0=1.0):
@@ -138,9 +139,7 @@ def test_propagate_preconditions():
     grid = TimeGrid(0.0, 1.0, 10)
     with pytest.raises(ValueError, match="not normalized"):
         propagate(h, np.array([1.0, 1.0]), grid)
-    noncomm = TimeDepOperator(
-        value=lambda t: np.cos(t) * pauli("z") + np.sin(t) * pauli("x"), dim=2
-    )
+    noncomm = TimeDepOperator.linear([(np.cos, None, pauli("z")), (np.sin, None, pauli("x"))])
     with pytest.raises(ValueError, match="commuting_family"):
         propagate(noncomm, qubit_plus(), grid, method="exact_commuting")
     with pytest.raises(ValueError, match="method"):
@@ -154,7 +153,7 @@ def test_midpoint_chunked_matches_per_step_loop():
     # batched exponentials must reproduce a per-step loop bit for bit.
     rng = np.random.default_rng(5)
     h0, h1 = random_hermitian(21, rng), random_hermitian(21, rng)
-    h = TimeDepOperator(value=lambda t: h0 + np.cos(3.0 * t) * h1, dim=21)
+    h = TimeDepOperator.linear([(lambda t: 1.0, None, h0), (lambda t: np.cos(3.0 * t), None, h1)])
     grid = TimeGrid(0.0, 1.5, 100)
     assert len(list(time_chunks(grid.n_steps, 21))) == 3
     psi0 = np.zeros(21, dtype=complex)
@@ -169,10 +168,57 @@ def test_midpoint_chunked_matches_per_step_loop():
 
 
 def test_midpoint_rejects_non_hermitian_h_at_its_time():
+    # The constructor takes terms as they are: a non-Hermitian basis switched
+    # on after t = 0.5 fails at the first midpoint past it.
     grid = TimeGrid(0.0, 1.0, 10)
-    h = TimeDepOperator(value=lambda t: pauli("x") + (1j * pauli("z") if t > 0.5 else 0.0), dim=2)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    step = lambda t: np.where(t > 0.5, 1.0, 0.0)
+    h = TimeDepOperator(terms=((lambda t: 1.0, lambda t: 0.0, pauli("x")), (step, lambda t: 0.0, skew)), dim=2)
     first_bad = grid.times[5] + grid.dt / 2.0
     with pytest.raises(ValueError, match=f"not Hermitian .* at t = {first_bad}$"):
+        propagate(h, qubit_plus(), grid, method="midpoint")
+
+
+def test_linear_keeps_the_hermitian_part_of_its_bases():
+    # A basis 5e-13 off Hermitian passes linear's check; scaled by 100 it
+    # would fail herm_expm's 1e-12 check if it were kept as given.
+    base = pauli("x").copy()
+    base[0, 1] += 5e-13
+    h = TimeDepOperator.scaled(lambda t: 100.0, None, base)
+    b = h.terms[0][2]
+    assert np.array_equal(b, b.conj().T) and np.abs(b - base).max() < 3e-13
+    traj = propagate(h, qubit_plus(), TimeGrid(0.0, 1.0, 10), method="midpoint")
+    assert not traj.flagged
+    assert np.array_equal(TimeDepOperator.stationary(pauli("y")).terms[0][2], pauli("y"))
+
+
+def test_richardson_derivative_breaks_down_at_the_time_sampled():
+    # The difference reads t + 1e-3 past the jump, but the error names t.
+    op = TimeDepOperator.scaled(lambda t: np.where(t > 0.6, np.inf, t), None, pauli("z"))
+    with pytest.raises(NumericBreakdown, match=r"at t = 0\.6$"):
+        op.sample_deriv(np.array([0.0, 0.3, 0.6, 0.9]))
+
+
+def test_breakdown_inside_a_coefficient_is_not_retried_per_point():
+    # A coefficient that samples another operator (v_A held in the Hermitian
+    # basis does) passes its breakdown on; only a TypeError or another
+    # ValueError means "call me one time at a time".
+    calls = []
+
+    def f(t):
+        calls.append(np.shape(t))
+        raise NumericBreakdown("inner breakdown at t = 0.25")
+
+    with pytest.raises(NumericBreakdown, match="inner"):
+        coefficient_values(f, np.linspace(0.0, 1.0, 5))
+    assert calls == [(5,)]
+
+
+def test_midpoint_rejects_non_finite_h_at_its_time():
+    grid = TimeGrid(0.0, 1.0, 10)
+    h = TimeDepOperator.linear([(lambda t: np.where(t > 0.5, np.inf, 1.0), None, pauli("x"))])
+    first_bad = grid.times[5] + grid.dt / 2.0
+    with pytest.raises(ValueError, match=f"not a finite real number at t = {first_bad}$"):
         propagate(h, qubit_plus(), grid, method="midpoint")
 
 
@@ -182,9 +228,49 @@ def test_norm_budget_flags_trajectory():
     h = example1_hamiltonian()
     traj = propagate(h, qubit_plus(), TimeGrid(0.0, 1.0, 10), norm_budget=1e-17)
     assert traj.flagged
+    # Phases beyond the float range give NaN states: a NaN defect is over budget.
+    huge = TimeDepOperator.stationary(1e200 * pauli("z"))
+    for method in ("exact_commuting", "midpoint"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = propagate(huge, qubit_plus(), TimeGrid(0.0, 1e200, 4), method=method)
+        assert np.isnan(traj.norm_defects).any() and traj.flagged
 
 
 def test_time_dep_operator_fd_fallback():
-    op = TimeDepOperator(value=lambda t: np.cos(t) * pauli("x"), dim=2)
+    # A coefficient given without its derivative is differentiated by Richardson.
+    op = TimeDepOperator.scaled(np.cos, None, pauli("x"))
     analytic = -np.sin(1.2) * pauli("x")
-    assert np.abs(op.deriv(1.2) - analytic).max() < 1e-9
+    assert np.abs(op.dvalue(1.2) - analytic).max() < 1e-12
+
+
+@pytest.mark.parametrize("method", ["exact_commuting", "midpoint"])
+def test_non_real_or_non_finite_coefficient_raises_at_first_time(method):
+    grid = TimeGrid(0.0, 1.0, 10)
+    first = grid.times[1] if method == "exact_commuting" else grid.times[0] + grid.dt / 2.0
+    # exp(1j t) would silently become cos t in a real cast.
+    complex_h = TimeDepOperator.scaled(lambda t: np.exp(1j * t), None, pauli("z"))
+    with pytest.raises(ValueError, match=f"not a finite real number at t = {first}$"):
+        propagate(complex_h, qubit_plus(), grid, method=method)
+    nan_h = TimeDepOperator.scaled(lambda t: np.where(t > 0.0, np.nan, 1.0), None, pauli("z"))
+    with pytest.raises(ValueError, match=f"not a finite real number at t = {first}$"):
+        propagate(nan_h, qubit_plus(), grid, method=method)
+
+
+def test_tabulated_operator_round_trips_samples():
+    # A complex d = 3 table: the samples come back bit for bit at the grid
+    # times, and the interior derivative is (M_{k+1} - M_{k-1}) / (2 dt).
+    rng = np.random.default_rng(3)
+    grid = TimeGrid(0.0, 2.0, 20)
+    mats = np.stack([random_hermitian(3, rng) for _ in grid.times])
+    op = TimeDepOperator.tabulated(grid.times, mats)
+    assert len(op.terms) == 9
+    assert np.array_equal(op.sample(grid.times), mats)
+    assert all(np.array_equal(op.value(t), m) for t, m in zip(grid.times, mats))
+    central = (mats[2:] - mats[:-2]) / (2.0 * grid.dt)
+    assert np.abs(op.sample_deriv(grid.times[1:-1]) - central).max() <= 1e-12 * np.abs(central).max()
+    ends = np.stack([mats[1] - mats[0], mats[-1] - mats[-2]]) / grid.dt
+    assert np.abs(op.sample_deriv(grid.times[[0, -1]]) - ends).max() <= 1e-12 * np.abs(ends).max()
+    # Halfway between samples: their mean; an all-zero table keeps one term.
+    assert np.abs(op.value(grid.times[3] + grid.dt / 2.0) - (mats[3] + mats[4]) / 2.0).max() <= 1e-14
+    zero = TimeDepOperator.tabulated(grid.times, np.zeros_like(mats))
+    assert len(zero.terms) == 1 and not zero.sample(grid.times).any()

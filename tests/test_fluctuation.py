@@ -22,6 +22,7 @@ from fluctdyn.fluctuation import (
     velocity_observable,
 )
 from fluctdyn.hilbert import pauli, qubit_plus
+from fluctdyn.scenarios import default_config
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 
@@ -101,11 +102,7 @@ def test_velocity_observable_closed_forms():
         expected = SX - 2.0 * t * np.cos(t) * SY
         assert np.abs(v - expected).max() < 1e-12
 
-    b = TimeDepOperator(
-        value=lambda t: t * SX + (t**2) * SZ,
-        dvalue=lambda t: SX + 2.0 * t * SZ,
-        dim=2,
-    )
+    b = TimeDepOperator.linear([(lambda t: t + 0.0, lambda t: 1.0, SX), (lambda t: t**2, lambda t: 2.0 * t, SZ)])
     for t in (0.5, 1.9):
         v = velocity_observable(b, h, t)
         expected = SX + 2.0 * t * SZ - 2.0 * t * np.cos(t) * SY
@@ -118,14 +115,16 @@ def test_velocity_observable_stationary_hamiltonian():
     assert np.abs(v).max() < 1e-15
 
 
-def test_velocity_of_bare_callable_differentiates_by_richardson():
-    # v_A = dA/dt under H = 0; its own derivative is a Richardson difference
-    # (a plain central difference at the same 1e-3 step is off by 6.0e-8).
-    h = TimeDepOperator(value=lambda t: np.zeros((2, 2), dtype=complex), dim=2)
-    a = TimeDepOperator(value=lambda t: np.cos(t) * SX, dvalue=lambda t: -np.sin(t) * SX, dim=2)
+def test_velocity_differentiates_coefficient_rates_by_richardson():
+    # v_A = dA/dt under H = 0 (its zero commutator adds no term); the
+    # derivative of dc is a Richardson difference (a plain central
+    # difference at the same 1e-3 step is off by 6.0e-8).
+    h = TimeDepOperator.stationary(np.zeros((2, 2)))
+    a = TimeDepOperator.scaled(np.cos, lambda t: -np.sin(t), SX)
     v = velocity(a, h)
+    assert len(v.terms) == 1
     assert np.abs(v.value(1.2) + np.sin(1.2) * SX).max() == 0.0
-    assert np.abs(v.deriv(1.2) + np.cos(1.2) * SX).max() < 1e-11
+    assert np.abs(v.dvalue(1.2) + np.cos(1.2) * SX).max() < 1e-11
 
 
 def test_sigma_dot_against_analytic_derivative():
@@ -245,11 +244,7 @@ def test_bound_report_loose_observable_at_special_points():
     # A = a sx + b sz with a = b = t: at times where 2 sin t = n pi the
     # residual collapses to 4 w0^2 a^2 cos^2(t).
     h = h_op()
-    a2 = TimeDepOperator(
-        value=lambda t: t * SX + t * SZ,
-        dvalue=lambda t: SX + SZ,
-        dim=2,
-    )
+    a2 = TimeDepOperator.linear([(lambda t: t + 0.0, lambda t: 1.0, SX), (lambda t: t + 0.0, lambda t: 1.0, SZ)])
     grid = TimeGrid(0.0, 5.0, 5000)
     traj = propagate(h, qubit_plus(), grid, method="exact_commuting")
     t_special = np.pi  # 2 sin(pi) = 0 = 0 * pi
@@ -322,17 +317,16 @@ def test_chain_level1_matches_velocity_formula():
 
 
 def test_chain_dual_construction_agreement():
-    # Same chain assembled with analytic derivatives (terms) and with pure
-    # finite differences (bare callables); levels 1-3 must agree.  The
-    # finite-difference levels differentiate by Richardson: a plain central
-    # difference gives a level-3 gap of 1.1e-5.
+    # Same chain assembled with analytic coefficient derivatives and with
+    # none given (dc=None, so every derivative is a Richardson difference);
+    # levels 1-3 must agree (measured 1.4e-9).  A plain central difference
+    # in place of Richardson gives gaps of 1.6e-6 and 4.2e-6 at levels 2-3.
     h_analytic = h_op()
     a_analytic = a_op_linear()
-    h_fd = TimeDepOperator(value=lambda t: np.cos(t) * SZ, dim=2)
-    a_fd = TimeDepOperator(value=lambda t: t * SX, dim=2)
+    h_fd = TimeDepOperator.scaled(np.cos, None, SZ)
+    a_fd = TimeDepOperator.scaled(lambda t: t + 0.0, None, SX)
     chain_an = higher_order_chain(a_analytic, h_analytic, 3)
     chain_fd = higher_order_chain(a_fd, h_fd, 3)
-    assert all(op.terms is not None for op in chain_an)
     worst = 0.0
     for t in np.linspace(0.2, 4.8, 12):
         for n in (1, 2, 3):
@@ -347,3 +341,47 @@ def test_chain_inequality_three_levels(example1_run):
         s = bound_series(chain[n], h, traj, sigma_floor=1e-6)
         assert (~s.degenerate).any()
         assert s.residual_r2[~s.degenerate].min() >= -1e-6
+
+
+def test_velocity_of_large_operators_is_held_in_the_hermitian_basis():
+    # Tabulated d = 4 operators have 16 terms each, so the bracket expansion
+    # could have 16 * 17 terms: v_A is held in the 16 directions of the
+    # Hermitian matrices, read off dA/dt + (i/hbar) [H, A].
+    rng = np.random.default_rng(11)
+    grid = TimeGrid(0.0, 2.0, 40)
+    h0, h1, a0, a1 = (linops.random_hermitian(4, rng) for _ in range(4))
+    h = TimeDepOperator.tabulated(grid.times, h0 + np.cos(grid.times)[:, None, None] * h1)
+    a = TimeDepOperator.tabulated(grid.times, a0 + np.sin(grid.times)[:, None, None] * a1)
+    v = velocity(a, h, hbar=0.7)
+    assert [len(op.terms) for op in higher_order_chain(a, h, 3)] == [16, 16, 16, 16]
+    t = grid.times[5:9] + 0.3 * grid.dt
+    hm, am = h.sample(t), a.sample(t)
+    direct = a.sample_deriv(t) + (1j / 0.7) * (hm @ am - am @ hm)
+    sampled = v.sample(t)
+    assert np.array_equal(sampled, sampled.conj().swapaxes(1, 2))
+    assert np.abs(sampled - direct).max() <= 1e-14 * np.abs(direct).max()
+    # Its derivative: d^2A/dt^2 + (i/hbar) ([dH/dt, A] + [H, dA/dt]), with
+    # the tables' rates as dH/dt and dA/dt.
+    dh, da = h.sample_deriv(t), a.sample_deriv(t)
+    second = (a.sample_deriv(t + 1e-4) - a.sample_deriv(t - 1e-4)) / 2e-4  # dA/dt is linear here
+    expected = second + (1j / 0.7) * (dh @ am - am @ dh + hm @ da - da @ hm)
+    assert np.abs(v.sample_deriv(t) - expected).max() <= 1e-9 * np.abs(expected).max()
+    # With analytic coefficients (3 * 2 commutators > 4 at d = 2) the
+    # derivative is that of the samples: a central difference agrees.
+    h = TimeDepOperator.linear([(np.cos, lambda t: -np.sin(t), SX), (lambda t: t * t, lambda t: 2.0 * t, SZ)])
+    a = TimeDepOperator.linear([(np.sin, np.cos, SY), (np.exp, np.exp, SZ), (np.cos, lambda t: -np.sin(t), SX)])
+    v = velocity(a, h)
+    assert len(v.terms) == 4
+    t = np.array([0.3, 1.1, 2.0])
+    central = (v.sample(t + 1e-5) - v.sample(t - 1e-5)) / 2e-5
+    assert np.abs(v.sample_deriv(t) - central).max() <= 1e-8 * np.abs(central).max()
+
+
+def test_chain_skips_zero_commutators():
+    # On example2, [sz, sz] = 0: levels 1 and 2 have 3 and 5 terms, 4 and 8
+    # with the dead ones.  Level 3 could have 5 commutators, more than the 4
+    # directions of the 2x2 Hermitian matrices: it is held in their basis.
+    pieces = default_config("example2").build()
+    chain = higher_order_chain(pieces.observable, pieces.hamiltonian, 3)
+    assert [len(op.terms) for op in chain] == [2, 3, 5, 4]
+    assert all(b.any() for op in chain for _, _, b in op.terms)
