@@ -98,9 +98,12 @@ def coefficient_values(f: Callable, times: np.ndarray) -> np.ndarray:
     ------
     NumericBreakdown
         If a value is not finite or has an imaginary part, naming the
-        first such time.
+        first such time.  Overflow and invalid operations inside ``f`` are
+        not warned about: the check reports them.
     """
-    return _checked(coefficient_array(f, times), times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = coefficient_array(f, times)
+    return _checked(values, times)
 
 
 def _checked(values: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -31,7 +31,10 @@ row-wise inner products of the centered images (cancellation-free, so an
 eigenstate gives exactly zero).  Grid functions sample their operators
 with :meth:`TimeDepOperator.sample` and walk the time axis with
 :func:`~fluctdyn.dynamics.time_chunks`, so memory stays bounded on long
-grids and large cutoffs.  Single-point functions are batches of one.
+grids and large cutoffs.  :func:`checked_moments` is the kernel for
+outside input: it validates a whole stack (Hermitian operators, normalized
+states) in one pass first.  The single-point functions (``expectation``,
+``variance``, ``covariance``) are batches of one through it.
 
 The ``sigma -> 0`` instants are genuinely degenerate for the rate form
 (the covariance formula divides by ``sigma``); the series switches to the
@@ -156,11 +159,26 @@ def _velocity_in_basis(a: TimeDepOperator, h: TimeDepOperator, hbar: float) -> T
     return TimeDepOperator(terms=tuple(zip(coords, rates, hermitian_basis(a.dim))), dim=a.dim)
 
 
+def checked_moments(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`centered_moments` of outside input, validated first.
+
+    ``ops`` is an ``(n, d, d)`` stack and ``states`` the ``(n, d)`` matching
+    states, or one matrix and one state as a batch of one.  Every operator
+    must be Hermitian within ``HERM_ASSERT_TOL`` and every state normalized
+    within ``NORM_TOL``; the whole stack is checked in one pass and the
+    first offending member raises.
+    """
+    ops = require_hermitian(ops, tol=HERM_ASSERT_TOL, what="observable")
+    states = require_normalized(states)
+    if ops.shape[:-1] != states.shape:
+        raise ValueError(f"dimension mismatch: operators {ops.shape} vs states {states.shape}")
+    dim = states.shape[-1]
+    return centered_moments(ops.reshape(-1, dim, dim), states.reshape(-1, dim))
+
+
 def _one(a: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
     # Validated single point through the batched kernel: mean and centered image.
-    a = require_hermitian(a, tol=HERM_ASSERT_TOL, what="observable")
-    psi = require_normalized(psi)
-    means, centered, _ = centered_moments(a[None], psi[None])
+    means, centered, _ = checked_moments(a, psi)
     return float(means[0]), centered
 
 

@@ -11,7 +11,11 @@ package needs has an (anti-)Hermitian generator, and the eigendecomposition
 route keeps the result unitary up to eigensolver accuracy.
 
 All functions are pure and operate on plain ``numpy`` arrays
-(``complex128``); nothing here mutates its inputs.
+(``complex128``); nothing here mutates its inputs.  Operators may also be
+``(n, d, d)`` stacks and states ``(n, d)`` stacks: the commutators act
+member by member, the checks validate a whole stack in one pass and name
+its first offending member, and :func:`herm_expm` exponentiates the stack
+with one batched eigendecomposition.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ class NumericBreakdown(ValueError):
 
 
 def as_operator(m) -> np.ndarray:
-    """Coerce ``m`` to a square complex matrix with finite entries."""
+    """Coerce ``m`` to a square complex matrix, or an ``(n, d, d)`` stack of them, with finite entries."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"operator must be a square matrix or a stack of them, got shape {m.shape}")
+    if m.shape[-1] < 1:
         raise ValueError("operator dimension must be >= 1")
     if not np.all(np.isfinite(m)):
         raise ValueError("operator has non-finite entries")
@@ -42,10 +46,10 @@ def as_operator(m) -> np.ndarray:
 
 
 def as_state(v) -> np.ndarray:
-    """Coerce ``v`` to a complex state vector with finite entries."""
+    """Coerce ``v`` to a complex state vector, or an ``(n, d)`` stack of them, with finite entries."""
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValueError(f"state must be a 1-d vector, got shape {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[-1] < 1:
+        raise ValueError(f"state must be a 1-d vector or a stack of them, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("state has non-finite entries")
     return v
@@ -62,7 +66,7 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a b - b a``."""
+    """``a b - b a``, member by member for two ``(n, d, d)`` stacks."""
     a = as_operator(a)
     b = as_operator(b)
     _check_same_dim(a, b)
@@ -70,23 +74,24 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a b + b a``."""
+    """``a b + b a``, member by member for two ``(n, d, d)`` stacks."""
     a = as_operator(a)
     b = as_operator(b)
     _check_same_dim(a, b)
     return a @ b + b @ a
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """Max entrywise magnitude of ``m - m^dagger``."""
+def hermitian_defect(m: np.ndarray):
+    """Max entrywise magnitude of ``m - m^dagger``; one per member of an ``(n, d, d)`` stack."""
     m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
+    defects = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return float(defects) if m.ndim == 2 else defects
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """Max entrywise magnitude of ``m^dagger m - 1``."""
+    """Max entrywise magnitude of ``m^dagger m - 1``, the largest over an ``(n, d, d)`` stack."""
     m = np.asarray(m)
-    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+    return float(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max())
 
 
 def is_unitary(m: np.ndarray, tol: float = UNIT_TOL) -> tuple[bool, float]:
@@ -95,24 +100,38 @@ def is_unitary(m: np.ndarray, tol: float = UNIT_TOL) -> tuple[bool, float]:
     return defect <= tol, defect
 
 
-def norm_defect(v: np.ndarray) -> float:
-    """``| ||v|| - 1 |`` of a state vector."""
-    return float(abs(np.linalg.norm(np.asarray(v)) - 1.0))
+def norm_defect(v: np.ndarray):
+    """``| ||v|| - 1 |`` of a state vector; one per row of an ``(n, d)`` stack."""
+    v = np.asarray(v)
+    defects = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
+    return float(defects) if v.ndim == 1 else defects
+
+
+def _check_defects(defects, tol: float, stacked: bool, failure: str) -> None:
+    """Raise ``ValueError`` with ``failure`` and the first defect above ``tol``, if any is."""
+    defects = np.atleast_1d(defects)
+    bad = defects > tol
+    if bad.any():
+        k = int(np.argmax(bad))
+        member = f" at member {k} of the stack" if stacked else ""
+        raise ValueError(f"{failure} (defect {defects[k]:.3e} > tol {tol:.1e}){member}")
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, what: str = "operator") -> np.ndarray:
+    """``m`` as a finite complex matrix Hermitian within ``tol``.
+
+    An ``(n, d, d)`` stack is checked in one pass; the first offending
+    member raises, named by its index.
+    """
     m = as_operator(m)
-    defect = hermitian_defect(m)
-    if defect > tol:
-        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > tol {tol:.1e})")
+    _check_defects(hermitian_defect(m), tol, m.ndim == 3, f"{what} is not Hermitian")
     return m
 
 
 def require_normalized(v: np.ndarray, tol: float = NORM_TOL, what: str = "state") -> np.ndarray:
+    """``v`` as a finite complex state normalized within ``tol``; an ``(n, d)`` stack row by row."""
     v = as_state(v)
-    defect = norm_defect(v)
-    if defect > tol:
-        raise ValueError(f"{what} is not normalized (defect {defect:.3e} > tol {tol:.1e})")
+    _check_defects(norm_defect(v), tol, v.ndim == 2, f"{what} is not normalized")
     return v
 
 
@@ -149,7 +168,7 @@ def herm_expm(h: np.ndarray, scale: complex = 1.0, herm_tol: float = HERM_TOL, t
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise NumericBreakdown(f"herm_expm argument has non-finite entries{at_time(times, int(np.argmin(finite)))}")
-    defects = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    defects = hermitian_defect(stack)
     bad = defects > herm_tol
     if bad.any():
         k = int(np.argmax(bad))
@@ -167,7 +186,7 @@ def antiherm_expm(g: np.ndarray, herm_tol: float = HERM_TOL) -> np.ndarray:
     Routed through :func:`herm_expm` on the Hermitian matrix ``-i g``.
     """
     g = as_operator(g)
-    defect = float(np.abs(g + g.conj().T).max())
+    defect = float(np.abs(g + g.conj().swapaxes(-1, -2)).max())
     if defect > herm_tol:
         raise ValueError(
             f"antiherm_expm argument is not anti-Hermitian (defect {defect:.3e} > tol {herm_tol:.1e})"

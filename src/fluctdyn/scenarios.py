@@ -236,6 +236,11 @@ class ScenarioPieces:
     params_echo: dict = field(default_factory=dict)
 
 
+def _rows(x, y, z) -> np.ndarray:
+    """Components broadcast together and stacked as the rows' last axis."""
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
 def _qubit_pieces(cfg: ScenarioConfig, with_b: bool) -> ScenarioPieces:
     scenario = cfg.name
     omega0 = _positive(_require(cfg.params, "omega0", scenario), "params.omega0")
@@ -279,17 +284,18 @@ def _qubit_pieces(cfg: ScenarioConfig, with_b: bool) -> ScenarioPieces:
             sigma = np.abs(a_vals * np.sin(phi))
         return {"mu": mu, "sigma": sigma, "v2_mean": v2}
 
+    # Bloch vectors over an array of times, one (n, 3) row per time.
     def a_vec(t):
-        phi = float(phase(t))
-        return np.array([math.cos(phi), math.sin(phi), 0.0])
+        phi = phase(t)
+        return _rows(np.cos(phi), np.sin(phi), 0.0)
 
-    h_vec = lambda t: np.array([0.0, 0.0, omega0 * math.cos(nu0 * t)])
+    h_vec = lambda t: _rows(0.0, 0.0, omega0 * np.cos(nu0 * t))
     if with_b:
-        m_vec = lambda t: np.array([float(af(t)), 0.0, float(bf(t))])
-        md_vec = lambda t: np.array([float(afd(t)), 0.0, float(bfd(t))])
+        m_vec = lambda t: _rows(af(t), 0.0, bf(t))
+        md_vec = lambda t: _rows(afd(t), 0.0, bfd(t))
     else:
-        m_vec = lambda t: np.array([float(af(t)), 0.0, 0.0])
-        md_vec = lambda t: np.array([float(afd(t)), 0.0, 0.0])
+        m_vec = lambda t: _rows(af(t), 0.0, 0.0)
+        md_vec = lambda t: _rows(afd(t), 0.0, 0.0)
     model = bloch.BlochModel(a=a_vec, h=h_vec, m=m_vec, m_dot=md_vec)
 
     echo = {"omega0": omega0, "nu0": nu0, "hbar": hbar, "a": a_echo}

@@ -4,12 +4,20 @@ Each suite returns a list of :class:`CheckResult`; all randomness is driven
 by explicit seeds so repeated runs are bit-for-bit reproducible.  These are
 the only implementations of the property checks: the acceptance criteria
 assert the results returned here.  A check computes its statistics with the
-library's own kernels (``fluctuation.bound_series``, ``variance``,
-``covariance``) and tests them against routes that do not share that code:
-the Bloch-vector closed forms of :mod:`fluctdyn.bloch`, analytic values
-(orthogonality times, exact span defects, truncated Poisson means) and
-identities that must hold for every random draw.  The per-point reference
-that pins the moments kernel itself lives in ``tests/test_batched.py``.
+library's own kernels (``fluctuation.bound_series``,
+``fluctuation.checked_moments``) and tests them against routes that do not
+share that code: the Bloch-vector closed forms of :mod:`fluctdyn.bloch`,
+analytic values (orthogonality times, exact span defects, truncated Poisson
+means) and identities that must hold for every random draw.
+
+The sweeps are array programs wherever the draws allow it.  The covariance
+sweep draws one observable pair and state at a time, in a fixed order, and
+then checks one stack per dimension (:func:`covariance_sweep`); the Bloch
+oracle is evaluated once per scenario grid and once for all random
+residual draws.  The bounds suite's random sweep stays one draw at a time,
+because ``propagate`` and ``bound_series`` on each draw are what it tests.
+The per-point references that pin these kernels live in
+``tests/test_batched.py`` and ``tests/test_bloch.py``.
 """
 
 from __future__ import annotations
@@ -39,6 +47,36 @@ class CheckResult:
 
 def _result(suite, name, passed, detail):
     return CheckResult(suite=suite, name=name, passed=bool(passed), detail=detail)
+
+
+def _braket(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Row-wise ``<psi_k| O_k |psi_k>`` of an ``(n, d, d)`` stack and ``(n, d)`` states."""
+    return np.einsum("ki,ki->k", states.conj(), np.matmul(ops, states[:, :, None])[:, :, 0])
+
+
+def covariance_sweep(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per draw of two ``(n, d, d)`` observable stacks and ``(n, d)`` states:
+    ``(var_a, var_b, cov, lhs, rhs)``.
+
+    ``cov`` is the symmetrized covariance, ``lhs = 4 |<dA dB>|^2`` and
+    ``rhs = |<[dA, dB]>|^2 + |<{dA, dB}>|^2`` with ``dA = A - <A>``; the
+    stacks are validated first (:func:`fluctuation.checked_moments`).
+    """
+    mean_a, ca, _ = fluctuation.checked_moments(a, psi)
+    mean_b, cb, _ = fluctuation.checked_moments(b, psi)
+    eye = np.eye(psi.shape[-1])
+    da = a - mean_a[:, None, None] * eye
+    db = b - mean_b[:, None, None] * eye
+    cross = _braket(da @ db, psi)
+    comm = _braket(linops.commutator(da, db), psi)
+    anti = _braket(linops.anticommutator(da, db), psi)
+    return (
+        fluctuation.inner_re(ca, ca),
+        fluctuation.inner_re(cb, cb),
+        fluctuation.inner_re(ca, cb),
+        4.0 * np.abs(cross) ** 2,
+        np.abs(comm) ** 2 + np.abs(anti) ** 2,
+    )
 
 
 def algebra_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
@@ -85,30 +123,24 @@ def algebra_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         )
     out.append(_result("algebra", "commutator_symmetry", worst <= 1e-12, f"max defect {worst:.3e}"))
 
-    cs_worst = 0.0
-    cov_worst = 0.0
-    dec_worst = 0.0
+    # The draws stay in the order of a per-draw loop; the checks run on one
+    # stack per dimension.
+    draws = {}
     for _ in range(1000):
         dim = int(rng.choice([2, 3, 4, 8]))
         a = linops.random_hermitian(dim, rng)
         b = linops.random_hermitian(dim, rng)
         psi = linops.random_state(dim, rng)
-        # Cauchy-Schwarz for covariances
-        var_a = fluctuation.variance(a, psi)
-        var_b = fluctuation.variance(b, psi)
-        cov = fluctuation.covariance(a, b, psi)
-        cs_worst = min(cs_worst, (var_a * var_b - cov * cov) / max(1.0, var_a * var_b))
-        cov_worst = max(cov_worst, abs(cov) - math.sqrt(var_a * var_b))
-        # magnitude decomposition 4|<dA dB>|^2 = |<[dA,dB]>|^2 + |<{dA,dB}>|^2
-        ev = lambda m: float(np.vdot(psi, m @ psi).real)
-        da = a - ev(a) * np.eye(dim)
-        db = b - ev(b) * np.eye(dim)
-        cross = complex(np.vdot(psi, (da @ db) @ psi))
-        comm = complex(np.vdot(psi, linops.commutator(da, db) @ psi))
-        anti = complex(np.vdot(psi, linops.anticommutator(da, db) @ psi))
-        lhs = 4.0 * abs(cross) ** 2
-        rhs = abs(comm) ** 2 + abs(anti) ** 2
-        dec_worst = max(dec_worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        for stack, x in zip(draws.setdefault(dim, ([], [], [])), (a, b, psi)):
+            stack.append(x)
+    cs_worst = 0.0
+    cov_worst = 0.0
+    dec_worst = 0.0
+    for a, b, psi in draws.values():
+        var_a, var_b, cov, lhs, rhs = covariance_sweep(np.array(a), np.array(b), np.array(psi))
+        cs_worst = min(cs_worst, float(np.min((var_a * var_b - cov * cov) / np.maximum(1.0, var_a * var_b))))
+        cov_worst = max(cov_worst, float(np.max(np.abs(cov) - np.sqrt(var_a * var_b))))
+        dec_worst = max(dec_worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, lhs))))
     out.append(
         _result(
             "algebra",
@@ -199,43 +231,30 @@ def bloch_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         for name in ("example1", "example2")
     }
     for name, rep in runs.items():
-        model = rep.pieces.bloch_model
         s = rep.series
-        worst = 0.0
-        for k, t in enumerate(s.t):
-            st = bloch.bloch_stats(model, float(t))
-            worst = max(
-                worst,
-                abs(st.mean - s.mu[k]),
-                abs(st.sigma_sq - s.sigma[k] ** 2),
-                abs(st.v_mean - s.mu_dot[k]),
-                abs(st.v2_mean - s.v2_mean[k]),
-            )
+        st = bloch.bloch_stats(rep.pieces.bloch_model, s.t)
+        gaps = (st.mean - s.mu, st.sigma_sq - s.sigma**2, st.v_mean - s.mu_dot, st.v2_mean - s.v2_mean)
+        worst = max(float(np.max(np.abs(g))) for g in gaps)
         out.append(
             _result("bloch", f"matrix_oracle_{name}", worst <= 1e-9, f"max channel gap {worst:.3e}")
         )
 
-    worst = 0.0
-    for _ in range(1000):
-        a = rng.normal(size=3)
-        a /= np.linalg.norm(a)
-        model = bloch.BlochModel(
-            a=lambda t, a=a: a,
-            h=lambda t, v=rng.normal(size=3): v,
-            m=lambda t, v=rng.normal(size=3): v,
-            m_dot=lambda t, v=rng.normal(size=3): v,
-        )
-        res, degenerate = bloch.geometric_residual(model, 0.0)
-        if not degenerate:
-            worst = min(worst, res)
+    # One (1000, 4, 3) draw is the stream of 1000 sequential draws of the
+    # vectors a, h, m and m_dot.
+    vecs = rng.normal(size=(1000, 4, 3))
+    a = vecs[:, 0] / np.linalg.norm(vecs[:, 0], axis=1, keepdims=True)
+    model = bloch.BlochModel(
+        a=lambda t: a, h=lambda t: vecs[:, 1], m=lambda t: vecs[:, 2], m_dot=lambda t: vecs[:, 3]
+    )
+    res, degenerate = bloch.geometric_residual(model, np.zeros(len(vecs)))
+    worst = float(np.min(res[~degenerate], initial=0.0))
     out.append(
         _result("bloch", "geometric_residual_nonnegative", worst >= -1e-10, f"min residual {worst:.3e}")
     )
 
     rep = runs["example1"]
-    model = rep.pieces.bloch_model
-    members = [bloch.tightness_span_test(model, float(t))[0] for t in rep.series.t]
-    all_member = all(members)
+    members, _ = bloch.tightness_span_test(rep.pieces.bloch_model, rep.series.t)
+    all_member = bool(np.all(members))
     nondeg = ~rep.series.degenerate
     tight_ok = bool(
         np.all(rep.series.residual_r2[nondeg] <= 1e-6 * np.maximum(1.0, rep.series.v2_mean[nondeg]))
@@ -254,7 +273,8 @@ def bloch_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     # m_dot has a unit z-component: the defect is exactly 1.
     rep2 = runs["example2"]
     idx = int(np.argmin(np.abs(rep2.series.t - 1.0)))
-    member, defect = bloch.tightness_span_test(rep2.pieces.bloch_model, float(rep2.series.t[idx]))
+    member, defect = bloch.tightness_span_test(rep2.pieces.bloch_model, rep2.series.t[idx])
+    member, defect = bool(member[0]), float(defect[0])
     out.append(
         _result(
             "bloch",

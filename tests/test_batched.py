@@ -6,7 +6,8 @@ with the plain formulas: ``A psi``, ``np.vdot`` means, centered images
 plus an explicit commutator.  The batched kernels in ``fluctuation`` and
 ``bounds`` must agree with it to 1e-12 relative to each channel's scale,
 including tabulated operators, Richardson-difference derivatives, chunked
-grids and degenerate points.
+grids and degenerate points.  The algebra suite's covariance sweep, one
+stack per dimension, must agree with the same per-draw formulas.
 """
 
 from math import pi
@@ -22,9 +23,12 @@ from fluctdyn.fluctuation import (
     TIGHT_TOL,
     bound_series,
     centered_moments,
+    checked_moments,
 )
 from fluctdyn.hilbert import pauli, qubit_plus
+from fluctdyn.linops import random_hermitian, random_state
 from fluctdyn.scenarios import ScenarioConfig, default_config
+from fluctdyn.verify import covariance_sweep
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 REL = 1e-12
@@ -239,6 +243,64 @@ def test_sample_matches_value_per_point():
     for op in (pieces.observable, pieces.hamiltonian, overlapping):
         assert np.array_equal(op.sample(times), np.stack([op.value(t) for t in times]))
         assert np.array_equal(op.sample_deriv(times), np.stack([op.dvalue(t) for t in times]))
+
+
+# -- the covariance sweep of the algebra suite ---------------------------------
+def _draws(seed, n):
+    """``n`` draws in the algebra suite's order, grouped into stacks by dimension."""
+    rng = np.random.default_rng(seed)
+    draws = {}
+    for _ in range(n):
+        dim = int(rng.choice([2, 3, 4, 8]))
+        draw = (random_hermitian(dim, rng), random_hermitian(dim, rng), random_state(dim, rng))
+        for stack, x in zip(draws.setdefault(dim, ([], [], [])), draw):
+            stack.append(x)
+    return {dim: tuple(np.array(x) for x in stacks) for dim, stacks in draws.items()}
+
+
+def reference_covariance_draw(a, b, psi):
+    """``(var_a, var_b, cov, 4|<dA dB>|^2, |<[dA,dB]>|^2 + |<{dA,dB}>|^2)`` of one draw."""
+    mu_a, ca, _ = _centered(a, psi)
+    mu_b, cb, _ = _centered(b, psi)
+    da = a - mu_a * np.eye(len(psi))
+    db = b - mu_b * np.eye(len(psi))
+    cross = np.vdot(psi, (da @ db) @ psi)
+    comm = np.vdot(psi, (da @ db - db @ da) @ psi)
+    anti = np.vdot(psi, (da @ db + db @ da) @ psi)
+    return (
+        np.vdot(ca, ca).real,
+        np.vdot(cb, cb).real,
+        np.vdot(ca, cb).real,
+        4.0 * abs(cross) ** 2,
+        abs(comm) ** 2 + abs(anti) ** 2,
+    )
+
+
+def test_covariance_sweep_matches_per_draw_reference():
+    draws = _draws(seed=5, n=50)
+    assert sorted(draws) == [2, 3, 4, 8]
+    for a, b, psi in draws.values():
+        got = covariance_sweep(a, b, psi)
+        want = np.array([reference_covariance_draw(*draw) for draw in zip(a, b, psi)]).T
+        for name, g, w in zip(("var_a", "var_b", "cov", "lhs", "rhs"), got, want):
+            assert g.shape == (len(psi),)
+            assert_close(g, w, name)
+
+
+def test_a_bad_member_of_a_stack_raises():
+    a, b, psi = _draws(seed=5, n=50)[3]
+    skewed = a.copy()
+    skewed[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=r"observable is not Hermitian .* at member 3 of the stack$"):
+        covariance_sweep(a, skewed, psi)
+    stretched = psi.copy()
+    stretched[2] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match=r"state is not normalized .* at member 2 of the stack$"):
+        checked_moments(a, stretched)
+    # Within the tolerances the stacks pass.
+    skewed[3, 0, 1] = a[3, 0, 1] + 1e-12
+    stretched[2] = psi[2] * (1.0 + 1e-12)
+    checked_moments(skewed, stretched)
 
 
 # -- per-point assertions ------------------------------------------------------

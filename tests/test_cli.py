@@ -4,6 +4,7 @@ sweeps, and the verification suites."""
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -203,11 +204,18 @@ def test_run_invariant_failure_exits_3(tmp_path, capsys):
 def test_run_numeric_breakdown_exits_3(tmp_path, capsys, raw):
     cfg = write_config(tmp_path, dict(raw, method="midpoint"))
     out = tmp_path / "out"
-    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 3
-    assert "numeric breakdown: coefficient value inf is not a finite real number at t = " in capsys.readouterr().err
     args = ["sweep", "--config", cfg, "--param", "params.nu0", "--values", "1.0", "2.0", "--output-dir", str(out)]
-    assert main(args) == 3
-    assert "numeric breakdown for params.nu0=1.0: coefficient value inf" in capsys.readouterr().err
+    # Record every warning, as a user's stderr would show it.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric breakdown: coefficient value inf is not a finite real number at t = " in err
+        assert main(args) == 3
+        err += capsys.readouterr().err
+        assert "numeric breakdown for params.nu0=1.0: coefficient value inf" in err
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists() or not any(out.iterdir())
 
 
