@@ -28,7 +28,7 @@ from fluctdyn.fluctuation import (
 from fluctdyn.hilbert import pauli, qubit_plus
 from fluctdyn.linops import random_hermitian, random_state
 from fluctdyn.scenarios import ScenarioConfig, default_config
-from fluctdyn.verify import covariance_sweep
+from fluctdyn.verify import STACK_DRAWS, _stacked_draws, covariance_sweep
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 REL = 1e-12
@@ -274,6 +274,15 @@ def reference_covariance_draw(a, b, psi):
         4.0 * abs(cross) ** 2,
         abs(comm) ** 2 + abs(anti) ** 2,
     )
+
+
+def test_stacked_draws_are_the_draws_of_a_per_draw_loop():
+    stacks = list(_stacked_draws(np.random.default_rng(5), 300, [2, 3, 4, 8]))
+    assert max(len(psi) for _, _, psi in stacks) == STACK_DRAWS
+    for dim, expected in _draws(seed=5, n=300).items():
+        mine = [s for s in stacks if s[2].shape[1] == dim]
+        for got, want in zip(zip(*mine), expected):
+            assert np.array_equal(np.concatenate(got), want)
 
 
 def test_covariance_sweep_matches_per_draw_reference():
