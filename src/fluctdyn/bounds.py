@@ -57,7 +57,7 @@ def mt_ml_times(h: np.ndarray, psi: np.ndarray, hbar: float = 1.0) -> SpeedLimit
     """Evaluate both orthogonalization-time bounds for ``(h, psi)``."""
     h = require_hermitian(h, what="Hamiltonian")
     psi = require_normalized(psi)
-    means, centered, _ = centered_moments(h[None], psi[None])
+    means, centered = centered_moments((h @ psi)[None], psi[None])
     mean = float(means[0])
     delta = sqrt(float(inner_re(centered, centered)[0]))
     mt_defined = delta > 0.0
@@ -84,12 +84,12 @@ def _energy_spread(h: TimeDepOperator, traj: Trajectory, with_rate: bool = False
     times = traj.grid.times
     sig = np.empty(len(times))
     cov = np.empty(len(times)) if with_rate else None
-    for chunk in time_chunks(len(times), h.dim):
+    for chunk in time_chunks(len(times), h.dim, h.act_rows):
         t, psi = times[chunk], traj.states[chunk]
-        _, dh, _ = centered_moments(h.sample(t), psi, t)
+        _, dh = centered_moments(h.act(t, psi), psi, t)
         sig[chunk] = np.sqrt(inner_re(dh, dh))
         if with_rate:
-            _, dhd, _ = centered_moments(h.sample_deriv(t), psi, t)
+            _, dhd = centered_moments(h.act_deriv(t, psi), psi, t)
             cov[chunk] = inner_re(dh, dhd)
     return sig, cov
 

@@ -92,7 +92,8 @@ def series_csv(report: ScenarioReport) -> str:
     degenerate = s.degenerate.tolist()
 
     def numbers(values):
-        return [_fmt(x) for x in values.tolist()]
+        # tolist() gives Python floats, whose repr is _fmt's string.
+        return list(map(repr, values.tolist()))
 
     def rates(cells):
         return ["" if d else c for d, c in zip(degenerate, cells)]

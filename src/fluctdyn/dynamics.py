@@ -65,9 +65,13 @@ DEFAULT_NORM_BUDGET = 1e-8
 CHUNK_BYTES = 1 << 18
 
 
-def time_chunks(n: int, dim: int) -> Iterator[slice]:
-    """Slices covering ``range(n)`` whose ``(len, dim, dim)`` stacks fit ``CHUNK_BYTES``."""
-    step = max(1, CHUNK_BYTES // (16 * dim * dim))
+def time_chunks(n: int, dim: int, rows: Optional[int] = None) -> Iterator[slice]:
+    """Slices covering ``range(n)`` whose ``(len, rows, dim)`` stacks fit ``CHUNK_BYTES``.
+
+    ``rows`` defaults to ``dim``, a stack of matrices; a grid function that
+    only applies operators passes their :attr:`TimeDepOperator.act_rows`.
+    """
+    step = max(1, CHUNK_BYTES // (16 * (dim if rows is None else rows) * dim))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 
@@ -221,6 +225,49 @@ class TimeDepOperator:
         """The time derivative at every entry of ``times`` as an ``(n, d, d)`` stack."""
         return self._sample(1, np.asarray(times, dtype=float))
 
+    def act(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """The images ``A(t_j) psi_j`` of ``(n, d)`` states at the ``n`` entries of ``times``."""
+        return self._act(0, np.asarray(times, dtype=float), states)
+
+    def act_deriv(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """The images ``(dA/dt)(t_j) psi_j`` of ``(n, d)`` states at the ``n`` entries of ``times``."""
+        return self._act(1, np.asarray(times, dtype=float), states)
+
+    @property
+    def act_rows(self) -> int:
+        """Rows ``r`` of the ``(n, r, d)`` stack :meth:`act` works on: ``min(K, d)``."""
+        return min(len(self.terms), self.dim)
+
+    def _act(self, slot: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """``sum_k x_k(t_j) B_k psi_j`` over the coefficients (slot 0) or their derivatives (slot 1).
+
+        With ``K <= d`` terms, one product of the states with the ``(d, K d)``
+        stacked bases gives every ``B_k psi_j``, and ``K`` scaled adds sum
+        them: no ``(n, d, d)`` stack is formed.  With more terms than ``d``
+        (tables, ``v_A`` in the Hermitian basis) the gathered ``sample`` is
+        cheaper, and its stack is applied.  A product of one row rounds
+        differently from a longer batch (BLAS takes its vector route).
+        """
+        if states.shape != (len(times), self.dim):
+            raise ValueError(f"states {states.shape} do not match {len(times)} times of a dim-{self.dim} operator")
+        stacked = self._layout()[3]
+        if stacked is None:
+            return np.matmul(self._sample(slot, times), states[:, :, None])[:, :, 0]
+        coeffs = self._coefficients(slot, times)
+        products = states @ stacked
+        dim = self.dim
+        out = coeffs[:, :1] * products[:, :dim]
+        for k in range(1, len(self.terms)):
+            out += coeffs[:, k, None] * products[:, k * dim : (k + 1) * dim]
+        return out
+
+    def _coefficients(self, slot: int, times: np.ndarray) -> np.ndarray:
+        """The ``(n, K)`` checked values of the coefficients (slot 0) or their derivatives (slot 1)."""
+        tables = self._layout()[2]
+        if tables[slot] is None:
+            return np.stack([coefficient_values(term[slot], times) for term in self.terms], axis=1)
+        return _checked(tables[slot][0](times)[:, tables[slot][1]], times)
+
     def _sample(self, slot: int, times: np.ndarray) -> np.ndarray:
         """``sum_k x_k(t) B_k`` over the coefficients (slot 0) or their derivatives (slot 1).
 
@@ -232,11 +279,8 @@ class TimeDepOperator:
         entry, as in :func:`hermitian_basis`, it is a gather with the same
         values, ``O(n d^2)`` instead of ``O(n K d^2)``.
         """
-        rows, gather, tables = self._layout()
-        if tables[slot] is None:
-            coeffs = np.stack([coefficient_values(term[slot], times) for term in self.terms], axis=1)
-        else:
-            coeffs = _checked(tables[slot][0](times)[:, tables[slot][1]], times)
+        rows, gather = self._layout()[:2]
+        coeffs = self._coefficients(slot, times)
         if len(self.terms) == 1:  # BLAS is slow at rank-1 products
             return coeffs[:, 0, None, None] * self.terms[0][2]
         if gather is None:
@@ -248,18 +292,22 @@ class TimeDepOperator:
         return flat.view(complex).reshape(len(times), self.dim, self.dim)
 
     def _layout(self) -> tuple:
-        """``(rows, gather, tables)`` for :meth:`_sample`, worked out once per ``terms``.
+        """``(rows, gather, tables, stacked)`` for :meth:`_sample` and :meth:`_act`, worked out once per ``terms``.
 
         ``rows`` is the ``(K, 2 d^2)`` real view of the bases, or None when
         no two bases share an entry; ``gather`` then holds the owned entries,
         their bases and their values.  ``tables[slot]`` is the table whose
         :func:`table_columns` every coefficient (slot 0) or derivative
-        (slot 1) is, with their column indices, or None.
+        (slot 1) is, with their column indices, or None.  ``stacked`` is
+        ``[B_1^T ... B_K^T]``, ``(d, K d)``, when ``K <= d``, else None.
         """
         cached = self.__dict__.get("_cached_layout")
         if cached is None or cached[0] is not self.terms:
-            rows = np.stack([b for _, _, b in self.terms]).astype(complex, copy=False)
-            rows = rows.view(float).reshape(len(self.terms), -1)
+            bases = np.stack([b for _, _, b in self.terms]).astype(complex, copy=False)
+            stacked = None
+            if len(self.terms) <= self.dim:
+                stacked = np.ascontiguousarray(bases.transpose(2, 0, 1).reshape(self.dim, -1))
+            rows = bases.view(float).reshape(len(self.terms), -1)
             nonzero = rows != 0.0
             gather = None
             if np.count_nonzero(nonzero, axis=0).max() <= 1:
@@ -271,7 +319,7 @@ class TimeDepOperator:
                 fns = [term[slot] for term in self.terms]
                 if all(isinstance(f, partial) and f.func is _column and f.args[0] is fns[0].args[0] for f in fns):
                     tables[slot] = (fns[0].args[0], np.array([f.args[1] for f in fns]))
-            cached = self._cached_layout = (self.terms, rows, gather, tables)
+            cached = self._cached_layout = (self.terms, rows, gather, tables, stacked)
         return cached[1:]
 
     @classmethod
@@ -519,10 +567,11 @@ def propagate(
             np.outer(_cumulative_simpson_scalar(c, times, SIMPSON_TOL), lam) for (c, _, _), lam in zip(h.terms, lams)
         )
         phases = np.exp((-1j / hbar) * reduce(np.add, integrals))
-        c0 = vecs.conj().T @ psi0
-        states = np.einsum("ij,kj,j->ki", vecs, phases, c0)
         if store_propagators:
-            props = np.einsum("ij,kj,lj->kil", vecs, phases, vecs.conj())
+            props = (phases[:, None, :] * vecs) @ vecs.conj().T
+        # In place: a temporary here raised a 50k-point trace's peak memory.
+        phases *= vecs.conj().T @ psi0
+        states = phases @ vecs.T
     elif method == "midpoint":
         dt = grid.dt
         mids = times[:-1] + dt / 2.0

@@ -62,24 +62,23 @@ HERM_ASSERT_TOL = 1e-10
 
 
 def centered_moments(
-    ops: np.ndarray, states: np.ndarray, times: Optional[np.ndarray] = None, what: str = "expectation"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means ``<A_k>``, centered images ``(A_k - <A_k>) psi_k`` and images ``A_k psi_k``.
+    images: np.ndarray, states: np.ndarray, times: Optional[np.ndarray] = None, what: str = "expectation"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means ``<A_k>`` and centered images ``(A_k - <A_k>) psi_k`` from the images ``A_k psi_k``.
 
-    ``ops`` is an ``(n, d, d)`` stack of Hermitian operators and ``states``
-    the ``(n, d)`` matching states.  The imaginary part of each mean (pure
-    rounding noise for Hermitian input) is discarded after an assertion that
-    it is negligible relative to the mean; the first offending point raises,
-    reported at its time when ``times`` is given.
+    ``images`` and ``states`` are ``(n, d)``, the images of Hermitian
+    operators and the states they were applied to.  The imaginary part of
+    each mean (pure rounding noise for Hermitian input) is discarded after
+    an assertion that it is negligible relative to the mean; the first
+    offending point raises, reported at its time when ``times`` is given.
     """
-    images = np.matmul(ops, states[:, :, None])[:, :, 0]
     means = np.einsum("ki,ki->k", states.conj(), images)
     bad = np.abs(means.imag) > IMAG_TOL * np.maximum(1.0, np.abs(means.real))
     if np.count_nonzero(bad):
         k = int(np.argmax(bad))
         raise AssertionError(f"{what} has non-negligible imaginary part {means.imag[k]:.3e}{at_time(times, k)}")
     means = means.real
-    return means, images - means[:, None] * states, images
+    return means, images - means[:, None] * states
 
 
 def inner_re(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -159,26 +158,27 @@ def _velocity_in_basis(a: TimeDepOperator, h: TimeDepOperator, hbar: float) -> T
     return TimeDepOperator(terms=tuple(zip(coords, rates, hermitian_basis(a.dim))), dim=a.dim)
 
 
-def checked_moments(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`centered_moments` of outside input, validated first.
+def checked_moments(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`centered_moments` of an outside operator stack, validated first.
 
     ``ops`` is an ``(n, d, d)`` stack and ``states`` the ``(n, d)`` matching
     states, or one matrix and one state as a batch of one.  Every operator
     must be Hermitian within ``HERM_ASSERT_TOL`` and every state normalized
     within ``NORM_TOL``; the whole stack is checked in one pass and the
-    first offending member raises.
+    first offending member raises.  The stack is then applied to the states.
     """
     ops = require_hermitian(ops, tol=HERM_ASSERT_TOL, what="observable")
     states = require_normalized(states)
     if ops.shape[:-1] != states.shape:
         raise ValueError(f"dimension mismatch: operators {ops.shape} vs states {states.shape}")
     dim = states.shape[-1]
-    return centered_moments(ops.reshape(-1, dim, dim), states.reshape(-1, dim))
+    states = states.reshape(-1, dim)
+    return centered_moments(np.matmul(ops.reshape(-1, dim, dim), states[:, :, None])[:, :, 0], states)
 
 
 def _one(a: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
     # Validated single point through the batched kernel: mean and centered image.
-    means, centered, _ = checked_moments(a, psi)
+    means, centered = checked_moments(a, psi)
     return float(means[0]), centered
 
 
@@ -256,18 +256,21 @@ def rate_columns(
 ) -> tuple[np.ndarray, ...]:
     """``(mu, var, mu_dot, v_sq, sigma_v_sq, cov)`` of ``A`` and ``v_A`` at every grid point.
 
-    Evaluated chunk by chunk.  ``v_sq`` is the direct ``<v_A^2>``; ``var``,
-    ``sigma_v_sq`` and ``cov = cov(A, v_A)`` come from the centered images.
+    Evaluated chunk by chunk from the images ``A psi`` and ``v_A psi``
+    (:meth:`TimeDepOperator.act`).  ``v_sq`` is the direct ``<v_A^2>``;
+    ``var``, ``sigma_v_sq`` and ``cov = cov(A, v_A)`` come from the centered
+    images.
     """
     times = traj.grid.times
     states = traj.states
     n = len(times)
     mu, var, mu_dot, v_sq, sigma_v_sq, cov = (np.empty(n) for _ in range(6))
     v = velocity(a, h, hbar)
-    for chunk in time_chunks(n, a.dim):
+    for chunk in time_chunks(n, a.dim, max(a.act_rows, v.act_rows)):
         t, psi = times[chunk], states[chunk]
-        mu[chunk], da, _ = centered_moments(a.sample(t), psi, t)
-        mu_dot[chunk], dv, vpsi = centered_moments(v.sample(t), psi, t, what="<v_A>")
+        mu[chunk], da = centered_moments(a.act(t, psi), psi, t)
+        vpsi = v.act(t, psi)
+        mu_dot[chunk], dv = centered_moments(vpsi, psi, t, what="<v_A>")
         var[chunk] = inner_re(da, da)
         v_sq[chunk] = inner_re(vpsi, vpsi)
         sigma_v_sq[chunk] = inner_re(dv, dv)

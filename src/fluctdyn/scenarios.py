@@ -37,7 +37,7 @@ import numpy as np
 
 from . import bloch
 from .dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate, time_chunks
-from .fluctuation import BoundSeries, bound_series, velocity
+from .fluctuation import BoundSeries, bound_series, inner_re, velocity
 from .hilbert import (
     FockSpace,
     SqueezedCoherentParams,
@@ -545,9 +545,9 @@ def picture_equivalence_check(
     v_op = velocity(a, h, hbar)
     worst = 0.0
     for chunk in time_chunks(len(times), a.dim):
-        v, u, psi = v_op.sample(times[chunk]), traj.propagators[chunk], traj.states[chunk]
-        rotated = np.einsum("i,kij,j->k", psi0.conj(), u.conj().swapaxes(1, 2) @ v @ u, psi0).real
-        direct = np.einsum("ki,kij,kj->k", psi.conj(), v, psi).real
+        t, u, psi = times[chunk], traj.propagators[chunk], traj.states[chunk]
+        rotated = np.einsum("i,kij,j->k", psi0.conj(), u.conj().swapaxes(1, 2) @ v_op.sample(t) @ u, psi0).real
+        direct = inner_re(psi, v_op.act(t, psi))
         worst = max(worst, float(np.max(np.abs(rotated - direct))))
     return worst
 

@@ -87,8 +87,8 @@ def covariance_sweep(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> tuple[np.
     ``rhs = |<[dA, dB]>|^2 + |<{dA, dB}>|^2`` with ``dA = A - <A>``; the
     stacks are validated first (:func:`fluctuation.checked_moments`).
     """
-    mean_a, ca, _ = fluctuation.checked_moments(a, psi)
-    mean_b, cb, _ = fluctuation.checked_moments(b, psi)
+    mean_a, ca = fluctuation.checked_moments(a, psi)
+    mean_b, cb = fluctuation.checked_moments(b, psi)
     eye = np.eye(psi.shape[-1])
     da = a - mean_a[:, None, None] * eye
     db = b - mean_b[:, None, None] * eye
@@ -148,8 +148,8 @@ def algebra_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         )
     out.append(_result("algebra", "commutator_symmetry", worst <= 1e-12, f"max defect {worst:.3e}"))
 
-    cs_worst = 0.0
-    cov_worst = 0.0
+    cs_worst = math.inf
+    cov_worst = -math.inf
     dec_worst = 0.0
     for a, b, psi in _stacked_draws(rng, 1000, [2, 3, 4, 8]):
         var_a, var_b, cov, lhs, rhs = covariance_sweep(a, b, psi)
@@ -161,7 +161,7 @@ def algebra_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             "algebra",
             "covariance_cauchy_schwarz",
             cs_worst >= -1e-10 and cov_worst <= 1e-10,
-            f"worst scaled violation {cs_worst:.3e}; max |cov| - sqrt(var_a var_b) {cov_worst:.3e}",
+            f"min scaled var_a var_b - cov^2 {cs_worst:.3e}; max |cov| - sqrt(var_a var_b) {cov_worst:.3e}",
         )
     )
     out.append(
@@ -262,7 +262,7 @@ def bloch_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         a=lambda t: a, h=lambda t: vecs[:, 1], m=lambda t: vecs[:, 2], m_dot=lambda t: vecs[:, 3]
     )
     res, degenerate = bloch.geometric_residual(model, np.zeros(len(vecs)))
-    worst = float(np.min(res[~degenerate], initial=0.0))
+    worst = float(np.min(res[~degenerate], initial=math.inf))
     out.append(
         _result("bloch", "geometric_residual_nonnegative", worst >= -1e-10, f"min residual {worst:.3e}")
     )

@@ -15,7 +15,7 @@ from math import pi
 import numpy as np
 import pytest
 
-from fluctdyn import dynamics
+from fluctdyn import dynamics, verify
 from fluctdyn.bounds import fs_kinematics, mt_integral_check, snr_trace
 from fluctdyn.dynamics import TimeDepOperator, TimeGrid, propagate, time_chunks
 from fluctdyn.fluctuation import (
@@ -24,6 +24,7 @@ from fluctdyn.fluctuation import (
     bound_series,
     centered_moments,
     checked_moments,
+    velocity,
 )
 from fluctdyn.hilbert import pauli, qubit_plus
 from fluctdyn.linops import random_hermitian, random_state
@@ -221,6 +222,24 @@ def test_parity_chunked_and_two_point_grids(monkeypatch):
     check_parity(pieces.observable, pieces.hamiltonian, traj)
 
 
+def test_term_route_chunks_do_not_change_the_results(monkeypatch):
+    # example3 applies A (2 terms) and v_A (4 terms) term by term at d = 21.
+    pieces, traj = _scenario("example3", n_steps=60)
+    a, h = pieces.observable, pieces.hamiltonian
+    assert (a.act_rows, velocity(a, h).act_rows, h.act_rows) == (2, 4, 1)
+    whole = bound_series(a, h, traj)
+    whole_fs = fs_kinematics(h, traj)
+    # 5 points per (len, 4, 21) working set: the last of 13 chunks holds one.
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 5 * 16 * 4 * 21)
+    chunks = list(time_chunks(61, 21, 4))
+    assert len(chunks) == 13 and chunks[-1] == slice(60, 61)
+    chunked = check_parity(a, h, traj)
+    for name in ("mu", "sigma", "mu_dot", "sigma_v", "v2_mean", "residual_r2", "cs_residual"):
+        assert_close(getattr(chunked, name), getattr(whole, name), f"chunked {name}")
+    for got, want, name in zip(fs_kinematics(h, traj), whole_fs, ("length", "speed", "acceleration")):
+        assert_close(got, want, f"chunked fs {name}")
+
+
 def test_time_chunks_cover_the_grid():
     for n, dim in ((1, 2), (50_001, 2), (4001, 21), (4001, 33)):
         chunks = list(time_chunks(n, dim))
@@ -296,6 +315,27 @@ def test_covariance_sweep_matches_per_draw_reference():
             assert_close(g, w, name)
 
 
+def test_covariance_details_are_the_extrema_over_the_draws(monkeypatch, verify_all):
+    # The detail of verify's covariance_cauchy_schwarz check at the default
+    # seed, recomputed from the per-draw formulas on the draws the suite made.
+    stacks = []
+
+    def recording(*args):
+        for stack in _stacked_draws(*args):
+            stacks.append(stack)
+            yield stack
+
+    monkeypatch.setattr(verify, "_stacked_draws", recording)
+    detail = {r.name: r.detail for r in verify.algebra_suite()}["covariance_cauchy_schwarz"]
+    var_a, var_b, cov = np.array([reference_covariance_draw(*draw) for s in stacks for draw in zip(*s)]).T[:3]
+    assert len(cov) == 1000
+    margin = np.min((var_a * var_b - cov * cov) / np.maximum(1.0, var_a * var_b))
+    excess = np.max(np.abs(cov) - np.sqrt(var_a * var_b))
+    assert margin > 0.0 and excess < 0.0
+    assert detail == f"min scaled var_a var_b - cov^2 {margin:.3e}; max |cov| - sqrt(var_a var_b) {excess:.3e}"
+    assert detail in [c["detail"] for c in verify_all[1]["checks"]]
+
+
 def test_a_bad_member_of_a_stack_raises():
     a, b, psi = _draws(seed=5, n=50)[3]
     skewed = a.copy()
@@ -314,15 +354,17 @@ def test_a_bad_member_of_a_stack_raises():
 
 # -- per-point assertions ------------------------------------------------------
 def test_imaginary_mean_assertion_fires_at_first_offending_time():
-    # Operators are Hermitian by construction; the kernel still asserts on a
-    # crafted stack that is Hermitian at t = 0 only (<psi|A|psi> gains i t).
+    # Operators are Hermitian by construction; the kernel still asserts on the
+    # images of a crafted stack that is Hermitian at t = 0 only (<psi|A|psi>
+    # gains i t).
     times = TimeGrid(0.0, 1.0, 10).times
     stack = SX + 1j * times[:, None, None] * np.eye(2)
     states = np.tile(qubit_plus(), (len(times), 1))
+    images = np.matmul(stack, states[:, :, None])[:, :, 0]
     with pytest.raises(AssertionError, match=f"imaginary part .*at t = {times[1]}$"):
-        centered_moments(stack, states, times)
+        centered_moments(images, states, times)
     with pytest.raises(AssertionError, match="imaginary part"):
-        centered_moments(stack, states)
+        centered_moments(images, states)
 
 
 def test_time_grid_times_computed_once_and_read_only():

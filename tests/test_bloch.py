@@ -26,6 +26,7 @@ from fluctdyn.bloch import (
 from fluctdyn.dynamics import TimeGrid, propagate
 from fluctdyn.hilbert import pauli
 from fluctdyn.scenarios import default_config, run_scenario
+from fluctdyn.verify import DEFAULT_SEED
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 
@@ -248,6 +249,19 @@ def test_array_functions_match_per_point_reference_on_random_draws():
     assert np.abs(residual - ref[4]).max() <= PARITY
     assert_defects(defect, ref)
     assert np.array_equal(degenerate, ref[5].astype(bool)) and np.array_equal(member, ref[6].astype(bool))
+
+
+def test_random_residual_detail_is_the_minimum_over_the_draws(verify_all):
+    # The detail of verify's geometric_residual_nonnegative check at the
+    # default seed, recomputed per row on the suite's (1000, 4, 3) draw.
+    vecs = np.random.default_rng(DEFAULT_SEED).normal(size=(1000, 4, 3))
+    a = vecs[:, 0] / np.linalg.norm(vecs[:, 0], axis=1, keepdims=True)
+    per_row = BlochModel(*(lambda t, v=v: v[int(t[0])] for v in (a, vecs[:, 1], vecs[:, 2], vecs[:, 3])))
+    ref = np.array([reference_point(per_row, k) for k in range(len(vecs))]).T
+    worst = np.min(ref[4][~ref[5].astype(bool)])
+    assert worst > 0.0
+    detail = {c["name"]: c["detail"] for c in verify_all[1]["checks"]}["geometric_residual_nonnegative"]
+    assert detail == f"min residual {worst:.3e}"
 
 
 def test_array_functions_match_per_point_reference_on_special_cases():

@@ -90,6 +90,33 @@ def test_series_csv_cells_are_the_series_values(name):
             assert cell == "" or float(cell) == value, column
 
 
+def _reference_series_csv(report):
+    """The series CSV with each numeric cell formatted on its own as ``repr(float(x))``."""
+    s = report.series
+    fmt = lambda x: repr(float(x))
+    lines = [",".join(CSV_COLUMNS)]
+    for k in range(len(s.t)):
+        deg = bool(s.degenerate[k])
+        rate = lambda x: "" if deg else fmt(x)
+        lhs = "" if deg else fmt(float(s.mu_dot[k]) ** 2 + float(s.sigma_dot[k]) ** 2)
+        cells = [fmt(s.t[k]), fmt(s.mu[k]), fmt(s.sigma[k]), fmt(s.mu_dot[k]), rate(s.sigma_dot[k])]
+        cells += [fmt(s.sigma_v[k]), fmt(s.v2_mean[k]), lhs, fmt(s.v2_mean[k]), rate(s.residual_r2[k])]
+        cells += [fmt(s.cs_residual[k]), "1" if s.tight[k] else "0", "1" if deg else "0", fmt(s.norm_defect[k])]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_series_csv_matches_per_value_reference(name):
+    report = run_scenario(default_config(name))
+    got, want = series_csv(report).splitlines(), _reference_series_csv(report).splitlines()
+    assert len(got) == len(want)
+    # Name the first differing line: pytest's diff of the whole text is slow.
+    bad = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
+    assert series_csv(report).endswith("\n")
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg = write_config(tmp_path, EX1)
     out1 = tmp_path / "first"

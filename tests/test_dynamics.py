@@ -15,11 +15,12 @@ from fluctdyn.dynamics import (
     TimeGrid,
     adaptive_simpson,
     coefficient_values,
+    hermitian_basis,
     propagate,
     time_chunks,
 )
 from fluctdyn.hilbert import FockSpace, number_op, oscillator_hamiltonian, pauli, qubit_plus
-from fluctdyn.linops import NumericBreakdown, herm_expm, random_hermitian
+from fluctdyn.linops import NumericBreakdown, herm_expm, random_hermitian, random_state
 
 
 def example1_hamiltonian(omega0=1.0, nu0=1.0):
@@ -274,3 +275,107 @@ def test_tabulated_operator_round_trips_samples():
     assert np.abs(op.value(grid.times[3] + grid.dt / 2.0) - (mats[3] + mats[4]) / 2.0).max() <= 1e-14
     zero = TimeDepOperator.tabulated(grid.times, np.zeros_like(mats))
     assert len(zero.terms) == 1 and not zero.sample(grid.times).any()
+
+
+# -- applying an operator to states ---------------------------------------------
+def _random_linear(rng, dim, count, bases=None):
+    """``sum_k (cos(w_k t + p_k) + 0.3 k) B_k`` with analytic derivatives; random dense bases by default."""
+    if bases is None:
+        bases = [random_hermitian(dim, rng) for _ in range(count)]
+    terms = []
+    for k, b in enumerate(bases):
+        w, p = rng.uniform(0.5, 2.0), rng.uniform(0.0, np.pi)
+        terms.append(
+            (lambda t, w=w, p=p, k=k: np.cos(w * t + p) + 0.3 * k, lambda t, w=w, p=p: -w * np.sin(w * t + p), b)
+        )
+    return TimeDepOperator.linear(terms)
+
+
+def assert_act_matches_sample(op, times, rng):
+    states = np.stack([random_state(op.dim, rng) for _ in times])
+    for act, sample in ((op.act, op.sample), (op.act_deriv, op.sample_deriv)):
+        expected = np.matmul(sample(times), states[:, :, None])[:, :, 0]
+        got = act(times, states)
+        assert got.shape == states.shape
+        scale = max(1.0, float(np.abs(expected).max()))
+        assert np.abs(got - expected).max() <= 1e-13 * scale, (op.dim, len(op.terms))
+
+
+@pytest.mark.parametrize("dim", [2, 5, 21])
+def test_act_matches_sample_on_random_operators(dim):
+    rng = np.random.default_rng(dim)
+    times = np.linspace(-1.0, 3.0, 9)
+    for count in range(1, dim + 1):
+        op = _random_linear(rng, dim, count)
+        assert count == 1 or op._layout()[1] is None  # dense bases share entries
+        assert_act_matches_sample(op, times, rng)
+
+
+def test_act_matches_sample_on_single_term_gather_and_tabulated_operators():
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 2.0, 13)
+    assert_act_matches_sample(example1_hamiltonian(), times, rng)
+    # Bases that share no entry: the gather layout, with K <= d.
+    bases = hermitian_basis(4)[[0, 5, 9, 14]]
+    gathered = _random_linear(rng, 4, 4, bases)
+    assert gathered._layout()[1] is not None and gathered.act_rows == 4
+    assert_act_matches_sample(gathered, times, rng)
+    # A table has more terms than d, so act applies the sampled stack.
+    grid = TimeGrid(0.0, 2.0, 20)
+    table = TimeDepOperator.tabulated(grid.times, np.stack([random_hermitian(3, rng) for _ in grid.times]))
+    assert len(table.terms) == 9 and table.act_rows == 3
+    assert_act_matches_sample(table, times + 0.05, rng)
+
+
+def test_act_matches_sample_on_velocity_and_chain_levels():
+    from fluctdyn.fluctuation import higher_order_chain, velocity
+    from fluctdyn.scenarios import default_config
+
+    rng = np.random.default_rng(12)
+    times = np.linspace(0.1, 4.9, 9)
+    # The commutator route (K_a K_h <= d^2) and the Hermitian-basis route.
+    a, h = _random_linear(rng, 3, 2), _random_linear(rng, 3, 2)
+    assert_act_matches_sample(velocity(a, h, 0.7), times, rng)
+    a, h = _random_linear(rng, 3, 3), _random_linear(rng, 3, 4)
+    v = velocity(a, h, 0.7)
+    assert len(v.terms) == 9
+    assert_act_matches_sample(v, times, rng)
+    pieces = default_config("example2").build()
+    chain = higher_order_chain(pieces.observable, pieces.hamiltonian, 3, pieces.hbar)
+    assert [len(op.terms) for op in chain] == [2, 3, 5, 4]
+    for op in chain:
+        assert_act_matches_sample(op, times, rng)
+
+
+def test_act_names_the_first_non_finite_coefficient():
+    grid = TimeGrid(0.0, 1.0, 10)
+    states = np.tile(qubit_plus(), (len(grid.times), 1))
+    bad = lambda t: np.where(t > 0.25, np.nan, 1.0)
+    first = grid.times[3]
+    # One term (applied term by term) and three terms (more than d = 2: the
+    # sampled stack is applied); a bad coefficient and a bad derivative.
+    three = [(bad, bad, pauli("z")), (np.cos, None, pauli("x")), (np.sin, None, pauli("y"))]
+    for terms in (three[:1], three):
+        op = TimeDepOperator.linear(terms)
+        for act in (op.act, op.act_deriv):
+            with pytest.raises(NumericBreakdown, match=f"coefficient value nan .* at t = {first}$"):
+                act(grid.times, states)
+
+
+def test_exact_commuting_matches_the_closed_form_propagator():
+    # H(t) = B_0 + t B_1 + t^2 B_2 with B_k = V diag(l_k) V^dag: Simpson's rule
+    # is exact for these coefficients, so Lambda(t) = l_0 t + l_1 t^2/2 + l_2 t^3/3.
+    rng = np.random.default_rng(13)
+    vecs = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    lams = rng.normal(size=(3, 4))
+    bases = [vecs @ np.diag(lam) @ vecs.conj().T for lam in lams]
+    coeffs = [(np.ones_like, np.zeros_like), (lambda t: t, np.ones_like), (np.square, lambda t: 2.0 * t)]
+    h = TimeDepOperator.linear([(c, dc, b) for (c, dc), b in zip(coeffs, bases)])
+    psi0 = random_state(4, rng)
+    grid = TimeGrid(0.0, 2.0, 50)
+    traj = propagate(h, psi0, grid, method="exact_commuting", hbar=0.8, store_propagators=True)
+    t = grid.times[:, None]
+    phases = np.exp((-1j / 0.8) * (lams[0] * t + lams[1] * t**2 / 2.0 + lams[2] * t**3 / 3.0))
+    props = np.einsum("ij,kj,lj->kil", vecs, phases, vecs.conj())
+    assert np.abs(traj.propagators - props).max() <= 1e-14
+    assert np.abs(traj.states - props @ psi0).max() <= 1e-14
