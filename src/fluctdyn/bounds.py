@@ -10,9 +10,10 @@ Integrals along trajectories use the trapezoid rule on the trajectory's own
 grid; refinement is the caller's control (run on a finer grid for a sharper
 quadrature).
 
-The traces sample ``H``, ``dH/dt``, ``A`` and ``v_A`` over the grid with
-:meth:`TimeDepOperator.sample` and reduce them with the batched moments
-kernel of :mod:`fluctdyn.fluctuation`, chunk by chunk along the time axis.
+The traces apply ``H``, ``dH/dt``, ``A`` and ``v_A`` to the states over the
+grid with :meth:`TimeDepOperator.act` and reduce the images with the
+batched moments kernel of :mod:`fluctdyn.fluctuation`, chunk by chunk
+along the time axis.
 """
 
 from __future__ import annotations

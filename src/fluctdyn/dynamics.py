@@ -14,11 +14,17 @@ Operators
     return the operator and its derivative over a whole array of times as
     an ``(n, d, d)`` stack, one array expression over the coefficients;
     ``value``/``dvalue`` are those samples at one time, bit for bit.
+    :meth:`~TimeDepOperator.act` and :meth:`~TimeDepOperator.act_deriv`
+    return the images ``sum_k c_k(t_j) B_k psi_j`` of ``(n, d)`` states
+    without forming the stack when ``K <= d``: one product of the states
+    with the bases stacked as a ``(d, K d)`` matrix, then ``K`` scaled adds.
+    Operators with more terms than ``d`` apply their sampled stack.
     Coefficients that are the columns of one table (:func:`table_columns`)
     are evaluated with one call.  Coefficient values must be finite and
     real: the first time where one is not raises
     :class:`~fluctdyn.linops.NumericBreakdown`.  Grid functions walk the
-    time axis with :func:`time_chunks`, so no stack exceeds ``CHUNK_BYTES``.
+    time axis with :func:`time_chunks`, so no stack (``(len, d, d)``, or
+    ``(len, min(K, d), d)`` for ``act``) exceeds ``CHUNK_BYTES``.
 
 Two propagation routes, both reading ``H`` only through ``sample`` or its
 ``terms``:
@@ -29,7 +35,9 @@ Two propagation routes, both reading ``H`` only through ``sample`` or its
     form ``exp(-(i/hbar) * Integral_0^t H)``.  Each coefficient is
     integrated by adaptive Simpson quadrature (absolute tolerance 1e-12),
     and the bases are diagonalized once, in one shared eigenbasis, so the
-    propagator at every output time is a diagonal of phases in that basis.
+    propagator at every output time is a diagonal of phases in that basis;
+    the states are one product of the phased coordinates of ``psi0`` with
+    that basis.
 
 ``midpoint``
     General-purpose exponential midpoint stepping,

@@ -13,7 +13,7 @@ and returns them over a grid as :class:`BoundSeries`, one array per channel,
 including the residuals of the inequality and a tight/loose classification.
 
 :func:`velocity` is the one construction of ``v_A``, as a
-:class:`~fluctdyn.dynamics.TimeDepOperator`; the grid functions sample it,
+:class:`~fluctdyn.dynamics.TimeDepOperator`; the grid functions apply it,
 :func:`velocity_observable` evaluates it at one time, and
 :func:`higher_order_chain` iterates it.  Its bases ``A_k`` and
 ``(i/hbar) [H_j, A_k]`` are formed once (commutators that vanish exactly
@@ -25,16 +25,18 @@ instead, its coordinates read off ``dA/dt + (i/hbar) [H, A]`` sampled from
 ``A`` and ``H``.
 
 Every statistic goes through one batched kernel, :func:`centered_moments`:
-states ``(n, d)`` and operator stacks ``(n, d, d)`` in, means and centered
+states ``(n, d)`` and their images ``A_k psi_k`` in, means and centered
 images ``(A_k - <A_k>) psi_k`` out, with variances and covariances as
 row-wise inner products of the centered images (cancellation-free, so an
-eigenstate gives exactly zero).  Grid functions sample their operators
-with :meth:`TimeDepOperator.sample` and walk the time axis with
+eigenstate gives exactly zero).  No statistic needs the matrices
+themselves: grid functions apply their operators with
+:meth:`TimeDepOperator.act` and walk the time axis with
 :func:`~fluctdyn.dynamics.time_chunks`, so memory stays bounded on long
 grids and large cutoffs.  :func:`checked_moments` is the kernel for
-outside input: it validates a whole stack (Hermitian operators, normalized
-states) in one pass first.  The single-point functions (``expectation``,
-``variance``, ``covariance``) are batches of one through it.
+outside operator stacks: it validates a whole stack (Hermitian operators,
+normalized states) in one pass, then applies it.  The single-point
+functions (``expectation``, ``variance``, ``covariance``) are batches of
+one through it.
 
 The ``sigma -> 0`` instants are genuinely degenerate for the rate form
 (the covariance formula divides by ``sigma``); the series switches to the
