@@ -10,31 +10,40 @@ standard deviation of an observable may change:
 with ``v_A = dA/dt + (i/hbar)[H, A]``.  Built-in scenarios cover a driven
 qubit with tight and loose variants and a truncated-oscillator homodyne
 observable, each with analytic overlays and independent geometric oracles.
+
+Submodules and the names in ``__all__`` are imported on first access, so
+``import fluctdyn`` itself loads none of them.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import bloch, bounds, dynamics, fluctuation, hilbert, linops, scenarios
-from .dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate
-from .fluctuation import BoundSeries, bound_series
-from .scenarios import ScenarioConfig, ScenarioReport, run_scenario
+_MODULES = ("linops", "hilbert", "dynamics", "fluctuation", "bloch", "bounds", "scenarios")
+# Names re-exported from the modules, by module.
+_EXPORTS = {
+    "TimeDepOperator": "dynamics",
+    "TimeGrid": "dynamics",
+    "Trajectory": "dynamics",
+    "propagate": "dynamics",
+    "BoundSeries": "fluctuation",
+    "bound_series": "fluctuation",
+    "ScenarioConfig": "scenarios",
+    "ScenarioReport": "scenarios",
+    "run_scenario": "scenarios",
+}
 
-__all__ = [
-    "__version__",
-    "linops",
-    "hilbert",
-    "dynamics",
-    "fluctuation",
-    "bloch",
-    "bounds",
-    "scenarios",
-    "TimeDepOperator",
-    "TimeGrid",
-    "Trajectory",
-    "propagate",
-    "BoundSeries",
-    "bound_series",
-    "ScenarioConfig",
-    "ScenarioReport",
-    "run_scenario",
-]
+__all__ = ["__version__", *_MODULES, *_EXPORTS]
+
+
+def __getattr__(name: str):
+    # Modules load on first use (PEP 562), so a command imports only what it runs.
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

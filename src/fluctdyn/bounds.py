@@ -153,8 +153,8 @@ class SnrTrace:
     flagged invalid where the mean vanishes), and ``snr_min`` divides the
     same ``mu^2`` by the squared integrated fluctuation budget
     ``(sigma(0) + Integral sqrt(<v^2> - mu_dot^2))^2``.  ``integrand`` is
-    that square root (clamped at 0 before the root; analytically it equals
-    ``sigma_{v}``, numerics may dip below by rounding).
+    that square root, ``sigma_v``, taken from the centered image of ``v_A``
+    (nonnegative, and free of the cancellation in ``<v^2> - mu_dot^2``).
     """
 
     times: np.ndarray
@@ -169,9 +169,8 @@ def snr_trace(
 ) -> SnrTrace:
     """Per-grid-point SNR and its floor from the fluctuation rate bound."""
     times = traj.grid.times
-    mu, var, mu_dot, _, sigma_v_sq, _ = rate_columns(a, h, traj, hbar=hbar)
-    v2 = sigma_v_sq + mu_dot**2
-    integrand = np.sqrt(np.clip(v2 - mu_dot**2, 0.0, None))
+    mu, var, _, _, sigma_v_sq, _ = rate_columns(a, h, traj, hbar=hbar)
+    integrand = np.sqrt(sigma_v_sq)
     budget = np.sqrt(var[0]) + _cumtrapz(integrand, times)
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = np.where(var > 0.0, mu**2 / np.where(var > 0.0, var, 1.0), np.inf)

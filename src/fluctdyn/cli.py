@@ -8,6 +8,9 @@ fixed column order, writes go to a temp file and are renamed into place).
 Exit codes: 0 success; 1 verification failure; 2 malformed config or
 arguments; 3 scenario invariant failure or numeric breakdown (a non-finite
 or non-real value met during a run, reported on stderr; no files written).
+
+The scenario layer is imported by ``run`` and ``sweep`` only, so a
+``verify`` command loads no more of the package than its suite needs.
 """
 
 from __future__ import annotations
@@ -18,10 +21,13 @@ import math
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 from . import __version__, verify
 from .linops import NumericBreakdown
-from .scenarios import ConfigError, ScenarioConfig, ScenarioReport, run_scenario
+
+if TYPE_CHECKING:
+    from .scenarios import ScenarioConfig, ScenarioReport
 
 CSV_COLUMNS = (
     "t",
@@ -158,6 +164,8 @@ def report_json(report: ScenarioReport) -> str:
 
 
 def _load_config(path: str) -> ScenarioConfig:
+    from .scenarios import ConfigError, ScenarioConfig
+
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -197,6 +205,8 @@ def _emit_run(report: ScenarioReport, outdir: str, stem: str, config_path: str) 
 
 
 def cmd_run(args) -> int:
+    from .scenarios import ConfigError, run_scenario
+
     try:
         cfg = _load_config(args.config)
     except ConfigError as exc:
@@ -257,6 +267,8 @@ def _parse_value(token: str):
 
 
 def cmd_sweep(args) -> int:
+    from .scenarios import ConfigError, ScenarioConfig, run_scenario
+
     if not args.values:
         print("sweep needs a non-empty --values list", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,8 +33,9 @@ Two propagation routes, both reading ``H`` only through ``sample`` or its
     For operators whose bases commute pairwise
     (:attr:`TimeDepOperator.commuting_family`) the propagator is the closed
     form ``exp(-(i/hbar) * Integral_0^t H)``.  Each coefficient is
-    integrated by adaptive Simpson quadrature (absolute tolerance 1e-12),
-    and the bases are diagonalized once, in one shared eigenbasis, so the
+    integrated by adaptive Simpson quadrature (absolute tolerance 1e-12,
+    raised to the rounding of the coefficient's largest samples), and the
+    bases are diagonalized once, in one shared eigenbasis, so the
     propagator at every output time is a diagonal of phases in that basis;
     the states are one product of the phased coordinates of ``psi0`` with
     that basis.
@@ -47,6 +48,13 @@ Two propagation routes, both reading ``H`` only through ``sample`` or its
     order in ``dt``; exactly norm-preserving per step up to eigensolver
     accuracy.
 
+:func:`propagate` also takes a sequence of operators of one dimension with
+an ``(m, d)`` stack of initial states and returns their ``m``
+trajectories: ``midpoint`` exponentiates the members' samples together and
+steps them with one batched product per step, ``exact_commuting`` takes
+the closed form member by member.  Each trajectory is bit for bit that of
+its own call, and a single operator is a stack of one.
+
 Trajectories store the full state history plus per-step normalization
 defects, and optionally the cumulative propagators (needed by the
 representation-equivalence diagnostics).  A non-finite norm defect counts
@@ -55,15 +63,19 @@ as over budget.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .linops import HERM_TOL, NumericBreakdown, at_time, herm_expm, require_hermitian, require_normalized
 
 SIMPSON_TOL = 1e-12
+# Quadrature asks for no less than this many ulps of max|f| times the width:
+# rounding alone once drove every interval of a large coefficient to depth 30.
+ROUNDING_FLOOR = 64
 # Step of the Richardson difference that stands in for a derivative not given.
 RICHARDSON_STEP = 1e-3
 DEFAULT_NORM_BUDGET = 1e-8
@@ -469,14 +481,26 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
+def _rounding_floor(scale, width) -> float:
+    """The least tolerance over an interval of ``width`` where ``|f| <= scale``: its samples' rounding."""
+    return ROUNDING_FLOOR * np.finfo(float).eps * scale * width
+
+
 def adaptive_simpson(f, a: float, b: float, tol: float = SIMPSON_TOL, max_depth: int = 30):
-    """Adaptive Simpson quadrature of a scalar- or matrix-valued function."""
+    """Adaptive Simpson quadrature of a scalar- or matrix-valued function.
+
+    The tolerance is raised to the rounding of ``f``'s samples over
+    ``[a, b]`` (:func:`_rounding_floor`), so that rounding alone cannot
+    force refinement to ``max_depth``.
+    """
     if a == b:
         fa = f(a)
         return 0.0 * fa
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    scale = max(np.max(np.abs(fa)), np.max(np.abs(fm)), np.max(np.abs(fb)))
+    tol = max(tol, _rounding_floor(scale, abs(b - a)))
     return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
 
 
@@ -485,6 +509,8 @@ def _cumulative_simpson_scalar(f, times: np.ndarray, tol: float) -> np.ndarray:
 
     Vectorized two-level Simpson per interval with adaptive refinement of
     any interval whose two-panel error estimate exceeds the tolerance.
+    Each interval's tolerance is at least the rounding of samples as large
+    as the largest ``|f|`` on the grid (:func:`_rounding_floor`).
     """
     dt = np.diff(times)
     fv, fm, fq1, fq3 = (
@@ -495,9 +521,9 @@ def _cumulative_simpson_scalar(f, times: np.ndarray, tol: float) -> np.ndarray:
     fine = dt / 12.0 * (fv[:-1] + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fv[1:])
     err = np.abs(fine - coarse) / 15.0
     pieces = fine + (fine - coarse) / 15.0
-    bad = np.nonzero(err > tol)[0]
-    for k in bad:
-        pieces[k] = adaptive_simpson(f, times[k], times[k + 1], tol=tol)
+    tols = np.maximum(tol, _rounding_floor(max(np.max(np.abs(x)) for x in (fv, fm, fq1, fq3)), dt))
+    for k in np.nonzero(err > tols)[0]:
+        pieces[k] = adaptive_simpson(f, times[k], times[k + 1], tol=tols[k])
     out = np.empty_like(fv)
     out[0] = 0.0
     np.cumsum(pieces, out=out[1:])
@@ -531,81 +557,153 @@ def _common_eigenbasis(bases: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagate(
-    h: TimeDepOperator,
+    h: TimeDepOperator | Sequence[TimeDepOperator],
     psi0: np.ndarray,
     grid: TimeGrid,
     method: str = "midpoint",
     hbar: float = 1.0,
     store_propagators: bool = False,
     norm_budget: float = DEFAULT_NORM_BUDGET,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Evolve ``psi0`` under ``h`` over ``grid``.
+
+    ``h`` may also be a sequence of ``m`` operators of one dimension, with
+    ``psi0`` the ``(m, d)`` stack of their initial states: the result is
+    then the list of their ``m`` trajectories, each bit for bit the one its
+    own call returns.  A single operator is a stack of one.
 
     Parameters
     ----------
     method : {"exact_commuting", "midpoint"}
         ``exact_commuting`` requires ``h.commuting_family`` and evaluates
-        the closed-form propagator independently at every output time;
-        ``midpoint`` composes per-step exponentials.
+        the closed-form propagator independently at every output time,
+        member by member; ``midpoint`` composes per-step exponentials, and
+        steps all members of a stack together.
 
     Raises
     ------
     ValueError
         If ``psi0`` is not normalized, dimensions mismatch, ``H`` is not
         finite (:class:`~fluctdyn.linops.NumericBreakdown`) or not
-        Hermitian at a time it is sampled (named in the message), or
-        ``exact_commuting`` is requested for an operator whose bases do not
-        commute.
+        Hermitian at a time it is sampled (named in the message, with the
+        member of a stack), or ``exact_commuting`` is requested for an
+        operator whose bases do not commute.
     """
+    stacked = not isinstance(h, TimeDepOperator)
+    ops = list(h) if stacked else [h]
+    if not ops:
+        raise ValueError("propagate needs at least one operator")
+    dim = ops[0].dim
+    if any(op.dim != dim for op in ops):
+        raise ValueError(f"operators of a stack differ in dimension: {sorted({op.dim for op in ops})}")
     psi0 = require_normalized(psi0, what="initial state")
-    if psi0.shape[0] != h.dim:
-        raise ValueError(f"dimension mismatch: operator dim {h.dim}, state dim {psi0.shape[0]}")
-    times = grid.times
-    n = grid.n_steps
-    dim = h.dim
-    props = None
+    if psi0.shape[-1] != dim:
+        raise ValueError(f"dimension mismatch: operator dim {dim}, state dim {psi0.shape[-1]}")
+    if psi0.shape != ((len(ops), dim) if stacked else (dim,)):
+        raise ValueError(f"initial states of shape {psi0.shape} do not match {len(ops)} operators")
+    psi0 = psi0.reshape(len(ops), dim)
+    members = range(len(ops)) if stacked else [None]
 
     if method == "exact_commuting":
-        if not h.commuting_family:
-            raise ValueError("exact_commuting requires a commuting_family operator: commuting bases")
-        lams, vecs = _common_eigenbasis([b for _, _, b in h.terms])
-        # Integral of H at every grid time, in the shared eigenbasis; a
-        # temporary, so it is freed before the states are formed.
-        integrals = (
-            np.outer(_cumulative_simpson_scalar(c, times, SIMPSON_TOL), lam) for (c, _, _), lam in zip(h.terms, lams)
-        )
-        phases = np.exp((-1j / hbar) * reduce(np.add, integrals))
-        if store_propagators:
-            props = (phases[:, None, :] * vecs) @ vecs.conj().T
-        # In place: a temporary here raised a 50k-point trace's peak memory.
-        phases *= vecs.conj().T @ psi0
-        states = phases @ vecs.T
+        runs = []
+        for op, psi, member in zip(ops, psi0, members):
+            with _naming(member):
+                runs.append(_exact_commuting(op, psi, grid.times, hbar, store_propagators))
     elif method == "midpoint":
-        dt = grid.dt
-        mids = times[:-1] + dt / 2.0
-        states = np.empty((n + 1, dim), dtype=complex)
-        states[0] = psi0
-        if store_propagators:
-            props = np.empty((n + 1, dim, dim), dtype=complex)
-            props[0] = np.eye(dim)
-        psi = psi0
-        for chunk in time_chunks(n, dim):
-            steps = herm_expm(h.sample(mids[chunk]), scale=-1j * dt / hbar, times=mids[chunk])
-            for k, u in enumerate(steps, start=chunk.start):
-                psi = u @ psi
-                states[k + 1] = psi
-                if store_propagators:
-                    props[k + 1] = u @ props[k]
+        runs = _midpoint(ops, psi0, grid, hbar, store_propagators, stacked)
     else:
         raise ValueError(f"unknown propagation method {method!r}")
 
-    defects = np.abs(np.linalg.norm(states, axis=1) - 1.0)
-    flagged = not bool(np.max(defects) <= norm_budget)
-    return Trajectory(
-        grid=grid,
-        states=states,
-        norm_defects=defects,
-        propagators=props,
-        flagged=flagged,
-        norm_budget=norm_budget,
+    trajs = []
+    for states, props in runs:
+        defects = np.abs(np.linalg.norm(states, axis=1) - 1.0)
+        trajs.append(
+            Trajectory(
+                grid=grid,
+                states=states,
+                norm_defects=defects,
+                propagators=props,
+                flagged=not bool(np.max(defects) <= norm_budget),
+                norm_budget=norm_budget,
+            )
+        )
+    return trajs if stacked else trajs[0]
+
+
+@contextmanager
+def _naming(member: Optional[int]) -> Iterator[None]:
+    """Re-raise a ``ValueError`` with `` (member i)`` appended, for a member of a stack."""
+    try:
+        yield
+    except ValueError as err:
+        if member is None:
+            raise
+        raise type(err)(f"{err} (member {member})") from None
+
+
+class _MemberTimes:
+    """Times of a member-major stack of samples, ``L`` per member, as error messages name them."""
+
+    def __init__(self, times: np.ndarray, first: int):
+        self.times, self.first = times, first
+
+    def __getitem__(self, k: int) -> str:
+        member, j = divmod(k, len(self.times))
+        return f"{self.times[j]} (member {self.first + member})"
+
+
+def _exact_commuting(h: TimeDepOperator, psi0: np.ndarray, times: np.ndarray, hbar: float, store: bool):
+    """``(states, propagators or None)`` of the closed-form route for one operator."""
+    if not h.commuting_family:
+        raise ValueError("exact_commuting requires a commuting_family operator: commuting bases")
+    lams, vecs = _common_eigenbasis([b for _, _, b in h.terms])
+    # Integral of H at every grid time, in the shared eigenbasis; a
+    # temporary, so it is freed before the states are formed.
+    integrals = (
+        np.outer(_cumulative_simpson_scalar(c, times, SIMPSON_TOL), lam) for (c, _, _), lam in zip(h.terms, lams)
     )
+    phases = np.exp((-1j / hbar) * reduce(np.add, integrals))
+    props = (phases[:, None, :] * vecs) @ vecs.conj().T if store else None
+    # In place: a temporary here raised a 50k-point trace's peak memory.
+    phases *= vecs.conj().T @ psi0
+    return phases @ vecs.T, props
+
+
+def _midpoint(ops: list, psi0: np.ndarray, grid: TimeGrid, hbar: float, store: bool, stacked: bool) -> list:
+    """``(states, propagators or None)`` of every operator, stepped together.
+
+    Members go in groups whose ``(members x steps, d, d)`` stack of step
+    exponentials fits ``CHUNK_BYTES``; a member too long for that is alone
+    in its group and walks the time axis in :func:`time_chunks`.  Each
+    operator is sampled once per chunk, the group's samples are
+    exponentiated with one :func:`herm_expm`, and ``psi <- U_k psi`` is one
+    ``(g, d, d) @ (g, d, 1)`` product per step, bit for bit the product of
+    each member alone.
+    """
+    n, dim, dt = grid.n_steps, ops[0].dim, grid.dt
+    mids = grid.times[:-1] + dt / 2.0
+    per_group = max(1, CHUNK_BYTES // (16 * dim * dim) // n)
+    runs = []
+    for first in range(0, len(ops), per_group):
+        group = ops[first : first + per_group]
+        g = len(group)
+        states = np.empty((g, n + 1, dim, 1), dtype=complex)
+        states[:, 0, :, 0] = psi0[first : first + g]
+        props = np.empty((g, n + 1, dim, dim), dtype=complex) if store else None
+        if store:
+            props[:, 0] = np.eye(dim)
+        for chunk in time_chunks(n, dim):
+            t = mids[chunk]
+            samples = []
+            for i, op in enumerate(group, start=first):
+                with _naming(i if stacked else None):
+                    samples.append(op.sample(t))
+            labels = _MemberTimes(t, first) if stacked else t
+            steps = herm_expm(np.concatenate(samples), scale=-1j * dt / hbar, times=labels)
+            steps = steps.reshape(g, len(t), dim, dim)
+            for j, k in enumerate(range(chunk.start, chunk.stop)):
+                np.matmul(steps[:, j], states[:, k], out=states[:, k + 1])
+                if store:
+                    np.matmul(steps[:, j], props[:, k], out=props[:, k + 1])
+        runs += [(states[i, :, :, 0], None if props is None else props[i]) for i in range(g)]
+    return runs

@@ -14,10 +14,14 @@ The sweeps are array programs wherever the draws allow it.  The covariance
 sweep draws one observable pair and state at a time, in a fixed order, and
 checks them in stacks of one dimension (:func:`covariance_sweep`); the Bloch
 oracle is evaluated once per scenario grid and once for all random
-residual draws.  The bounds suite's random sweep stays one draw at a time,
-because ``propagate`` and ``bound_series`` on each draw are what it tests.
-The per-point references that pin these kernels live in
-``tests/test_batched.py`` and ``tests/test_bloch.py``.
+residual draws.  The bounds suite's driven qubits are drawn the same way
+and propagated in stacks of ``STACK_DRAWS`` with one ``propagate`` call,
+which steps all members together; ``bound_series`` then runs on each
+draw's trajectory.  The per-point and per-draw references that pin these
+kernels live in ``tests/test_batched.py`` and ``tests/test_bloch.py``.
+
+Each suite imports the modules it uses when it runs, so ``verify
+truncation`` loads neither the propagator nor the scenarios.
 """
 
 from __future__ import annotations
@@ -28,12 +32,10 @@ from typing import Iterator
 
 import numpy as np
 
-from . import bloch, bounds, fluctuation, hilbert, linops, scenarios
-from .dynamics import TimeDepOperator, TimeGrid, propagate
-from .hilbert import pauli
+from . import linops
 
 DEFAULT_SEED = 20240617
-# Draws per stack of the covariance sweep.
+# Draws per stack of the covariance and driven-qubit sweeps.
 STACK_DRAWS = 64
 
 
@@ -79,6 +81,42 @@ def _stacked_draws(rng: np.random.Generator, n: int, dims: list) -> Iterator[tup
         yield tuple(np.array(x) for x in zip(*group))
 
 
+def _driven_qubits(rng: np.random.Generator, n: int) -> Iterator[tuple[list, np.ndarray]]:
+    """``n`` random driven qubits ``H = f(t) n.sigma + g(t) k.sigma`` and
+    initial states, as ``(operators, (m, 2) states)`` stacks of at most
+    ``STACK_DRAWS``.
+
+    The draws are made one at a time, in the order of a per-draw loop, and
+    a stack is handed on once it is full, so only one stack's trajectories
+    need be held at a time.
+    """
+    from . import scenarios
+    from .dynamics import TimeDepOperator
+    from .hilbert import pauli
+
+    names = list(scenarios._COEFFS)
+    paulis = np.stack([pauli("x"), pauli("y"), pauli("z")])
+    ops, states = [], []
+    for k in range(n):
+        nvec = rng.normal(size=3)
+        nvec /= np.linalg.norm(nvec)
+        kvec = rng.normal(size=3)
+        kvec /= np.linalg.norm(kvec)
+        f, fd, _ = scenarios.coefficient(
+            {"fn": str(rng.choice(names)), "scale": float(rng.uniform(0.3, 2.0))}
+        )
+        g, gd, _ = scenarios.coefficient(
+            {"fn": str(rng.choice(names)), "scale": float(rng.uniform(0.3, 2.0))}
+        )
+        mat_n = np.tensordot(nvec, paulis, axes=1)
+        mat_k = np.tensordot(kvec, paulis, axes=1)
+        ops.append(TimeDepOperator.linear([(f, fd, mat_n), (g, gd, mat_k)]))
+        states.append(linops.random_state(2, rng))
+        if len(ops) == STACK_DRAWS or k == n - 1:
+            yield ops, np.array(states)
+            ops, states = [], []
+
+
 def covariance_sweep(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per draw of two ``(n, d, d)`` observable stacks and ``(n, d)`` states:
     ``(var_a, var_b, cov, lhs, rhs)``.
@@ -87,6 +125,8 @@ def covariance_sweep(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> tuple[np.
     ``rhs = |<[dA, dB]>|^2 + |<{dA, dB}>|^2`` with ``dA = A - <A>``; the
     stacks are validated first (:func:`fluctuation.checked_moments`).
     """
+    from . import fluctuation
+
     mean_a, ca = fluctuation.checked_moments(a, psi)
     mean_b, cb = fluctuation.checked_moments(b, psi)
     eye = np.eye(psi.shape[-1])
@@ -174,32 +214,21 @@ def bounds_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Acceleration-limit sweep over random driven qubits, the integral
     uncertainty-time check with its closed-form saturation case, and the
     SNR floor on the tight scenario."""
+    from . import bounds, fluctuation, hilbert, scenarios
+    from .dynamics import TimeDepOperator, TimeGrid, propagate
+    from .hilbert import pauli
+
     rng = np.random.default_rng(seed)
     out = []
 
     # The acceleration limit sigma_dot_H <= sigma_{dH/dt} is the bound at
     # A = H, where v_H = dH/dt: its residual is -(cov^2 / var_H - var_Hdot).
-    names = list(scenarios._COEFFS)
-    paulis = np.stack([pauli("x"), pauli("y"), pauli("z")])
+    grid = TimeGrid(0.0, 2.0, 200)
     worst = 0.0
-    for _ in range(200):
-        nvec = rng.normal(size=3)
-        nvec /= np.linalg.norm(nvec)
-        kvec = rng.normal(size=3)
-        kvec /= np.linalg.norm(kvec)
-        f, fd, _ = scenarios.coefficient(
-            {"fn": str(rng.choice(names)), "scale": float(rng.uniform(0.3, 2.0))}
-        )
-        g, gd, _ = scenarios.coefficient(
-            {"fn": str(rng.choice(names)), "scale": float(rng.uniform(0.3, 2.0))}
-        )
-        mat_n = np.tensordot(nvec, paulis, axes=1)
-        mat_k = np.tensordot(kvec, paulis, axes=1)
-        h_op = TimeDepOperator.linear([(f, fd, mat_n), (g, gd, mat_k)])
-        psi0 = linops.random_state(2, rng)
-        traj = propagate(h_op, psi0, TimeGrid(0.0, 2.0, 200), method="midpoint")
-        s = fluctuation.bound_series(h_op, h_op, traj)
-        worst = float(np.max(-s.residual_r2[~s.degenerate], initial=worst))
+    for ops, psi0 in _driven_qubits(rng, 200):
+        for h_op, traj in zip(ops, propagate(ops, psi0, grid, method="midpoint")):
+            s = fluctuation.bound_series(h_op, h_op, traj)
+            worst = float(np.max(-s.residual_r2[~s.degenerate], initial=worst))
     out.append(
         _result("bounds", "acceleration_limit_random", worst <= 1e-8, f"max (d sigma_H)^2 - sigma_Hdot^2 = {worst:.3e}")
     )
@@ -238,6 +267,8 @@ def bounds_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 def bloch_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Geometric-oracle equivalence on the qubit scenarios, the geometric
     residual property sweep, and the span-test / tightness coupling."""
+    from . import bloch, scenarios
+
     rng = np.random.default_rng(seed)
     out = []
 
@@ -304,6 +335,8 @@ def bloch_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 def truncation_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Mean-excitation truncation numbers, monotone convergence, and the
     quadrature/ladder consistency relations."""
+    from . import hilbert
+
     out = []
 
     err = hilbert.truncation_error(5.0, 20)

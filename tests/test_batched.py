@@ -7,7 +7,9 @@ plus an explicit commutator.  The batched kernels in ``fluctuation`` and
 ``bounds`` must agree with it to 1e-12 relative to each channel's scale,
 including tabulated operators, Richardson-difference derivatives, chunked
 grids and degenerate points.  The algebra suite's covariance sweep, one
-stack per dimension, must agree with the same per-draw formulas.
+stack per dimension, must agree with the same per-draw formulas, and the
+bounds suite's stacked driven-qubit sweep with one ``propagate`` call per
+draw.
 """
 
 from math import pi
@@ -29,7 +31,7 @@ from fluctdyn.fluctuation import (
 from fluctdyn.hilbert import pauli, qubit_plus
 from fluctdyn.linops import random_hermitian, random_state
 from fluctdyn.scenarios import ScenarioConfig, default_config
-from fluctdyn.verify import STACK_DRAWS, _stacked_draws, covariance_sweep
+from fluctdyn.verify import STACK_DRAWS, _driven_qubits, _stacked_draws, covariance_sweep
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 REL = 1e-12
@@ -112,8 +114,7 @@ def check_parity(a, h, traj, hbar=1.0):
     assert np.array_equal(series.norm_defect, traj.norm_defects)
 
     trace = snr_trace(a, h, traj, hbar=hbar)
-    v2 = ref["sigma_v_sq"] + ref["mu_dot"] ** 2
-    integrand = np.sqrt(np.clip(v2 - ref["mu_dot"] ** 2, 0.0, None))
+    integrand = np.sqrt(ref["sigma_v_sq"])
     budget = np.sqrt(ref["var"][0]) + _cumtrapz(integrand, times)
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = np.where(ref["var"] > 0.0, ref["mu"] ** 2 / np.where(ref["var"] > 0.0, ref["var"], 1.0), np.inf)
@@ -333,6 +334,30 @@ def test_covariance_details_are_the_extrema_over_the_draws(monkeypatch, verify_a
     excess = np.max(np.abs(cov) - np.sqrt(var_a * var_b))
     assert margin > 0.0 and excess < 0.0
     assert detail == f"min scaled var_a var_b - cov^2 {margin:.3e}; max |cov| - sqrt(var_a var_b) {excess:.3e}"
+    assert detail in [c["detail"] for c in verify_all[1]["checks"]]
+
+
+def test_acceleration_detail_is_the_extremum_over_the_draws(monkeypatch, verify_all):
+    # The detail of verify's acceleration_limit_random check at the default
+    # seed, recomputed with one propagate call per recorded draw.
+    stacks = []
+
+    def recording(*args):
+        for stack in _driven_qubits(*args):
+            stacks.append(stack)
+            yield stack
+
+    monkeypatch.setattr(verify, "_driven_qubits", recording)
+    detail = {r.name: r.detail for r in verify.bounds_suite()}["acceleration_limit_random"]
+    assert [len(ops) for ops, _ in stacks] == [STACK_DRAWS] * 3 + [8]
+    grid = TimeGrid(0.0, 2.0, 200)
+    worst = -np.inf
+    for ops, psi0 in stacks:
+        for h, psi in zip(ops, psi0):
+            s = bound_series(h, h, propagate(h, psi, grid, method="midpoint"))
+            worst = max(worst, float(np.max(-s.residual_r2[~s.degenerate])))
+    assert 0.0 < worst <= 1e-8
+    assert detail == f"max (d sigma_H)^2 - sigma_Hdot^2 = {worst:.3e}"
     assert detail in [c["detail"] for c in verify_all[1]["checks"]]
 
 

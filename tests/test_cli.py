@@ -2,6 +2,7 @@
 sweeps, and the verification suites."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fluctdyn
 from fluctdyn import verify
 from fluctdyn.cli import CSV_COLUMNS, main, series_csv
 from fluctdyn.scenarios import ConfigError, ScenarioConfig, default_config, run_scenario
@@ -334,3 +336,66 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "fluctdyn" in proc.stdout
+
+
+def _fluctdyn_process(args, timeout=60):
+    """``python -c <code> args`` with this fluctdyn on the path."""
+    src = os.path.dirname(os.path.dirname(fluctdyn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env, timeout=timeout)
+
+
+# Runs one command, then prints the fluctdyn modules it loaded as its last line.
+FOOTPRINT = (
+    "import sys; from fluctdyn.cli import main; code = main(sys.argv[1:]); "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'fluctdyn')); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["verify", "truncation"], ["cli", "hilbert", "linops", "verify"]),
+        (["verify", "algebra"], ["cli", "dynamics", "fluctuation", "linops", "verify"]),
+    ],
+    ids=["truncation", "algebra"],
+)
+def test_verify_imports_only_its_suite(tmp_path, argv, modules):
+    proc = _fluctdyn_process([FOOTPRINT, *argv, "--output", str(tmp_path / "verify.json")])
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip().splitlines()[-1]
+    assert loaded == str(["fluctdyn"] + [f"fluctdyn.{m}" for m in modules])
+
+
+def test_run_does_not_import_the_speed_limits(tmp_path):
+    cfg = write_config(tmp_path, EX1)
+    proc = _fluctdyn_process([FOOTPRINT, "run", "--config", cfg, "--output-dir", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip().splitlines()[-1]
+    assert "'fluctdyn.scenarios'" in loaded and "fluctdyn.bounds" not in loaded
+
+
+def test_package_names_load_on_first_use():
+    proc = _fluctdyn_process(
+        [
+            "import sys, fluctdyn; before = sorted(m for m in sys.modules if m.startswith('fluctdyn')); "
+            "names = [getattr(fluctdyn, n) for n in fluctdyn.__all__]; "
+            "print(before, fluctdyn.propagate is fluctdyn.dynamics.propagate, 'fluctdyn.bounds' in sys.modules)"
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['fluctdyn']", "True", "True"]
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        fluctdyn.nonexistent
+
+
+def test_run_with_a_huge_frequency_ends_with_flags(tmp_path):
+    # Stock example1 at omega0 = 1e10: rounding of the 2e10-rad phase once
+    # kept the coefficient quadrature refining to depth 30 on every interval.
+    raw = dict(EX1, grid={"t0": 0.0, "t1": 5.0, "n_steps": 5000}, method="exact_commuting")
+    cfg = write_config(tmp_path, _with(raw, "params", omega0=1e10))
+    console = "import sys; from fluctdyn.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = _fluctdyn_process([console, "run", "--config", cfg, "--output-dir", str(tmp_path)], timeout=10)
+    assert proc.returncode == 3
+    assert "invariant flags: ['overlay_deviation:mu:" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr

@@ -3,13 +3,14 @@
 Oracles: closed-form phase evolution for scalar commuting families and
 for a two-term commuting family, refinement invariance of the closed-form
 route, the midpoint stepper's measured convergence order against the
-closed form, and a per-step exponential loop for the chunked midpoint
-stepper.
+closed form, a per-step exponential loop for the chunked midpoint
+stepper, and one call per operator for a stack of operators.
 """
 
 import numpy as np
 import pytest
 
+from fluctdyn import dynamics, verify
 from fluctdyn.dynamics import (
     TimeDepOperator,
     TimeGrid,
@@ -379,3 +380,101 @@ def test_exact_commuting_matches_the_closed_form_propagator():
     props = np.einsum("ij,kj,lj->kil", vecs, phases, vecs.conj())
     assert np.abs(traj.propagators - props).max() <= 1e-14
     assert np.abs(traj.states - props @ psi0).max() <= 1e-14
+
+
+# -- propagating a stack of operators -------------------------------------------
+def assert_stack_is_per_operator(ops, psi0, grid, **kwargs):
+    """``propagate`` of the stack equals one call per operator, bit for bit."""
+    trajs = propagate(ops, psi0, grid, **kwargs)
+    assert len(trajs) == len(ops)
+    for op, psi, traj in zip(ops, psi0, trajs):
+        alone = propagate(op, psi, grid, **kwargs)
+        assert np.array_equal(traj.states, alone.states)
+        assert np.array_equal(traj.norm_defects, alone.norm_defects)
+        assert traj.flagged == alone.flagged and traj.grid == grid
+        if kwargs.get("store_propagators"):
+            assert np.array_equal(traj.propagators, alone.propagators)
+        else:
+            assert traj.propagators is None
+
+
+def test_stacked_midpoint_is_per_operator_on_the_sweep_draws():
+    # verify's driven qubits: d = 2, 200 steps, stacks of 64 in groups of 20.
+    ops, psi0 = next(verify._driven_qubits(np.random.default_rng(verify.DEFAULT_SEED), 200))
+    assert len(ops) == verify.STACK_DRAWS
+    assert_stack_is_per_operator(ops, psi0, TimeGrid(0.0, 2.0, 200), method="midpoint")
+
+
+def test_stacked_midpoint_is_per_operator_on_random_operators():
+    # d = 5 with K = 1..5 dense terms, propagators stored.
+    rng = np.random.default_rng(17)
+    ops = [_random_linear(rng, 5, 1 + k % 5) for k in range(10)]
+    psi0 = np.stack([random_state(5, rng) for _ in ops])
+    assert_stack_is_per_operator(ops, psi0, TimeGrid(0.0, 1.5, 60), method="midpoint", hbar=0.7, store_propagators=True)
+
+
+def test_stacked_exact_commuting_is_per_operator():
+    rng = np.random.default_rng(19)
+    vecs = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    bases = [vecs @ np.diag(lam) @ vecs.conj().T for lam in rng.normal(size=(3, 3))]
+    ops = [_random_linear(rng, 3, k, bases[:k]) for k in (1, 2, 3)]
+    ops.append(TimeDepOperator.stationary(bases[0]))
+    psi0 = np.stack([random_state(3, rng) for _ in ops])
+    grid = TimeGrid(0.0, 2.0, 40)
+    assert_stack_is_per_operator(ops, psi0, grid, method="exact_commuting", store_propagators=True)
+
+
+@pytest.mark.parametrize("matrices", [25, 7], ids=["member_groups", "time_chunks"])
+def test_stack_chunks_do_not_change_the_results(monkeypatch, matrices):
+    # 25 matrices per stack hold 2 members of 10 steps (groups of 2, 2, 1); 7
+    # hold less than one member, which then walks its steps in chunks of 7.
+    rng = np.random.default_rng(23)
+    ops = [_random_linear(rng, 2, 2) for _ in range(5)]
+    psi0 = np.stack([random_state(2, rng) for _ in ops])
+    grid = TimeGrid(0.0, 1.0, 10)
+    expected = [propagate(op, psi, grid, store_propagators=True) for op, psi in zip(ops, psi0)]
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", matrices * 16 * 4)
+    for traj, alone in zip(propagate(ops, psi0, grid, store_propagators=True), expected):
+        assert np.array_equal(traj.states, alone.states)
+        assert np.array_equal(traj.propagators, alone.propagators)
+
+
+@pytest.mark.parametrize("method", ["exact_commuting", "midpoint"])
+def test_a_breakdown_in_a_stack_names_its_member_and_first_time(monkeypatch, method):
+    # Groups of 2 members: member 3 is the second of the second group.
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 25 * 16 * 4)
+    grid = TimeGrid(0.0, 1.0, 10)
+    first = grid.times[1] if method == "exact_commuting" else grid.times[0] + grid.dt / 2.0
+    ops = [example1_hamiltonian(omega0=1.0 + k) for k in range(5)]
+    ops[3] = TimeDepOperator.scaled(lambda t: np.where(t > 0.0, np.nan, 1.0), None, pauli("z"))
+    psi0 = np.tile(qubit_plus(), (5, 1))
+    with pytest.raises(NumericBreakdown, match=rf"not a finite real number at t = {first} \(member 3\)$"):
+        propagate(ops, psi0, grid, method=method)
+
+
+def test_a_non_hermitian_member_is_named_at_its_first_time(monkeypatch):
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 25 * 16 * 4)
+    grid = TimeGrid(0.0, 1.0, 10)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    step = lambda t: np.where(t > 0.5, 1.0, 0.0)
+    ops = [example1_hamiltonian(omega0=1.0 + k) for k in range(5)]
+    ops[3] = TimeDepOperator(terms=((lambda t: 1.0, lambda t: 0.0, pauli("x")), (step, lambda t: 0.0, skew)), dim=2)
+    first_bad = grid.times[5] + grid.dt / 2.0
+    with pytest.raises(ValueError, match=rf"not Hermitian .* at t = {first_bad} \(member 3\)$"):
+        propagate(ops, np.tile(qubit_plus(), (5, 1)), grid)
+
+
+def test_stack_shapes_are_checked():
+    grid = TimeGrid(0.0, 1.0, 10)
+    h = example1_hamiltonian()
+    d3 = TimeDepOperator.stationary(np.eye(3))
+    with pytest.raises(ValueError, match="differ in dimension"):
+        propagate([h, d3], np.tile(qubit_plus(), (2, 1)), grid)
+    with pytest.raises(ValueError, match=r"initial states of shape \(3, 2\) do not match 2 operators"):
+        propagate([h, h], np.tile(qubit_plus(), (3, 1)), grid)
+    with pytest.raises(ValueError, match=r"initial states of shape \(2,\) do not match 2 operators"):
+        propagate([h, h], qubit_plus(), grid)
+    with pytest.raises(ValueError, match="dimension mismatch: operator dim 3, state dim 2"):
+        propagate([d3, d3], np.tile(qubit_plus(), (2, 1)), grid)
+    with pytest.raises(ValueError, match="at least one operator"):
+        propagate([], np.zeros((0, 2)), grid)
