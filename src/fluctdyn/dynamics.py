@@ -698,9 +698,10 @@ def _midpoint(ops: list, psi0: np.ndarray, grid: TimeGrid, hbar: float, store: b
             for i, op in enumerate(group, start=first):
                 with _naming(i if stacked else None):
                     samples.append(op.sample(t))
+            # Rebound, so the members' samples are freed before the exponentials are formed.
+            samples = np.concatenate(samples)
             labels = _MemberTimes(t, first) if stacked else t
-            steps = herm_expm(np.concatenate(samples), scale=-1j * dt / hbar, times=labels)
-            steps = steps.reshape(g, len(t), dim, dim)
+            steps = herm_expm(samples, scale=-1j * dt / hbar, times=labels).reshape(g, len(t), dim, dim)
             for j, k in enumerate(range(chunk.start, chunk.stop)):
                 np.matmul(steps[:, j], states[:, k], out=states[:, k + 1])
                 if store:
