@@ -385,6 +385,7 @@ def test_package_names_load_on_first_use():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["['fluctdyn']", "True", "True"]
+    assert set(fluctdyn.__all__) <= set(dir(fluctdyn))
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         fluctdyn.nonexistent
 
