@@ -117,31 +117,23 @@ def fs_kinematics(
     h: TimeDepOperator,
     traj: Trajectory,
     hbar: float = 1.0,
-    convention: str = "factor2",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projective-space path length, transport speed, and acceleration.
 
-    ``convention`` picks the line-element normalization: ``factor2`` gives
-    ``v = 2 sigma_H / hbar``, ``factor1`` gives ``v = sigma_H / hbar``.
+    The Fubini-Study line element gives the speed ``v = 2 sigma_H / hbar``.
     The path length is the trapezoid integral of ``v``; the acceleration is
-    ``factor * cov(H, dH/dt) / (hbar sigma_H)``.  Instants with
-    ``sigma_H = 0`` get NaN acceleration (undefined there).
+    ``2 cov(H, dH/dt) / (hbar sigma_H)``.  Instants with ``sigma_H = 0`` get
+    NaN acceleration (undefined there).
     """
-    if convention == "factor2":
-        factor = 2.0
-    elif convention == "factor1":
-        factor = 1.0
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
     times = traj.grid.times
     sig, cov = _energy_spread(h, traj, with_rate=True)
-    v = factor * sig / hbar
+    v = 2.0 * sig / hbar
     s = _cumtrapz(v, times)
 
     accel = np.full(len(times), np.nan)
     floor = 1e-12
     ok = sig > floor
-    accel[ok] = factor * cov[ok] / (hbar * sig[ok])
+    accel[ok] = 2.0 * cov[ok] / (hbar * sig[ok])
     return s, v, accel
 
 

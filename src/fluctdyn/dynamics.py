@@ -1,12 +1,16 @@
 """Time evolution under time-dependent Hermitian generators.
 
 Operators
-    :class:`TimeDepOperator` is ``sum_k c_k(t) B_k``: a tuple ``terms`` of
-    ``(c_k, dc_k, B_k)`` triples with real coefficients ``c_k``, their
-    derivatives ``dc_k`` and Hermitian bases ``B_k``.  :meth:`~TimeDepOperator.linear`
-    validates the bases (keeping their Hermitian parts) and fills a missing
-    derivative with a Richardson difference of the coefficient, so every
-    operator has exactly one derivative rule; :meth:`~TimeDepOperator.scaled`,
+    :class:`TimeDepOperator` is ``sum_k c_k(t) B_k``, held as three fields:
+    ``coeffs``, one function of an ``(n,)`` array of times returning the
+    ``(n, K)`` real coefficients; ``rates``, the same for their derivatives;
+    and ``bases``, the ``(K, d, d)`` Hermitian stack.
+    :meth:`~TimeDepOperator.linear` takes ``(c_k, dc_k, B_k)`` triples, whose
+    coefficients map an array of times to one value per time, validates
+    the bases (keeping their Hermitian parts), fills a missing derivative
+    with a Richardson difference of the coefficient and stacks the
+    coefficients into one function, so every operator has exactly one
+    derivative rule; :meth:`~TimeDepOperator.scaled`,
     :meth:`~TimeDepOperator.stationary` and :meth:`~TimeDepOperator.tabulated`
     (piecewise-linear interpolation of sampled matrices, expanded in the
     real Hermitian basis :func:`hermitian_basis`) build on it.
@@ -19,26 +23,26 @@ Operators
     without forming the stack when ``K <= d``: one product of the states
     with the bases stacked as a ``(d, K d)`` matrix, then ``K`` scaled adds.
     Operators with more terms than ``d`` apply their sampled stack.
-    Coefficients that are the columns of one table (:func:`table_columns`)
-    are evaluated with one call.  Coefficient values must be finite and
-    real: the first time where one is not raises
+    Coefficients must take an array of times; values of the wrong shape
+    raise ``ValueError``.  Coefficient values must be finite and real: the
+    first time where one is not raises
     :class:`~fluctdyn.linops.NumericBreakdown`.  Grid functions walk the
     time axis with :func:`time_chunks`, so no stack (``(len, d, d)``, or
     ``(len, min(K, d), d)`` for ``act``) exceeds ``CHUNK_BYTES``.
 
 Two propagation routes, both reading ``H`` only through ``sample`` or its
-``terms``:
+coefficients and bases:
 
 ``exact_commuting``
     For operators whose bases commute pairwise
     (:attr:`TimeDepOperator.commuting_family`) the propagator is the closed
-    form ``exp(-(i/hbar) * Integral_0^t H)``.  Each coefficient is
-    integrated by adaptive Simpson quadrature (absolute tolerance 1e-12,
-    raised to the rounding of the coefficient's largest samples), and the
-    bases are diagonalized once, in one shared eigenbasis, so the
-    propagator at every output time is a diagonal of phases in that basis;
-    the states are one product of the phased coordinates of ``psi0`` with
-    that basis.
+    form ``exp(-(i/hbar) * Integral_0^t H)``.  All coefficients are
+    integrated in one pass of Simpson quadrature, each refined adaptively
+    where needed (absolute tolerance 1e-12, raised to the rounding of that
+    coefficient's largest samples), and the bases are diagonalized once,
+    in one shared eigenbasis, so the propagator at every output time is a
+    diagonal of phases in that basis; the states are one product of the
+    phased coordinates of ``psi0`` with that basis.
 
 ``midpoint``
     General-purpose exponential midpoint stepping,
@@ -97,48 +101,40 @@ def time_chunks(n: int, dim: int, rows: Optional[int] = None) -> Iterator[slice]
 
 
 def coefficient_array(f: Callable, times: np.ndarray) -> np.ndarray:
-    """``f`` at every entry of ``times``, unchecked.
+    """``f`` at every entry of ``times``, unchecked: one call with the whole array.
 
-    One array call when ``f`` accepts arrays (a constant result is
-    broadcast); one call per time otherwise.
+    A constant result is broadcast.
+
+    Raises
+    ------
+    ValueError
+        If ``f`` returns neither a scalar nor one value per time, naming
+        the shape it returned.
     """
-    try:
-        out = np.asarray(f(times))
-        if out.ndim == 0:
-            out = np.full(times.shape, out)
-    except NumericBreakdown:
-        raise
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out.shape != times.shape:
-        out = np.array([f(t) for t in times])
+    out = np.asarray(f(times))
+    if out.ndim == 0:
+        return np.full(times.shape, out)
+    if out.shape != times.shape:
+        raise ValueError(f"a coefficient returned shape {out.shape} for {times.shape} times")
     return out
 
 
-def coefficient_values(f: Callable, times: np.ndarray) -> np.ndarray:
-    """:func:`coefficient_array` of ``f``, checked to be finite and real.
+def _checked(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``values``, one row per time, after a check that they are finite and real.
 
     Raises
     ------
     NumericBreakdown
-        If a value is not finite or has an imaginary part, naming the
-        first such time.  Overflow and invalid operations inside ``f`` are
-        not warned about: the check reports them.
+        Naming the first time where a value is not finite or has an
+        imaginary part.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = coefficient_array(f, times)
-    return _checked(values, times)
-
-
-def _checked(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    rows = values.reshape(np.size(times), -1)
-    bad = ~np.isfinite(rows)
-    if np.iscomplexobj(rows):
-        bad |= rows.imag != 0.0
+    bad = ~np.isfinite(values)
+    if np.iscomplexobj(values):
+        bad |= values.imag != 0.0
     if bad.any():
         k = int(np.argmax(bad.any(axis=1)))
-        value = rows[k][bad[k]][0]
-        raise NumericBreakdown(f"coefficient value {value} is not a finite real number{at_time(np.ravel(times), k)}")
+        value = values[k][bad[k]][0]
+        raise NumericBreakdown(f"coefficient value {value} is not a finite real number{at_time(times, k)}")
     return values.real
 
 
@@ -182,39 +178,34 @@ def hermitian_coordinates(mats: np.ndarray) -> np.ndarray:
     return np.concatenate([mats[..., diag, diag].real, upper.real, -upper.imag], axis=-1)
 
 
-def table_columns(table: Callable, count: int) -> list:
-    """Coefficients ``t -> table(t)[:, m]``, ``m < count``, of one ``(n, count)`` array function of times.
-
-    An operator whose coefficients (or derivatives) are all columns of one
-    table samples them with a single call of ``table``.
-    """
-    return [partial(_column, table, m) for m in range(count)]
-
-
-def _column(table: Callable, index: int, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    return table(np.atleast_1d(t))[:, index].reshape(t.shape)
-
-
 @dataclass
 class TimeDepOperator:
     """A time-dependent Hermitian operator ``sum_k c_k(t) B_k``.
 
     Parameters
     ----------
-    terms : tuple
-        ``((c_1, dc_1, B_1), ...)``: real coefficients ``c_k``, their
-        derivatives ``dc_k`` and Hermitian bases ``B_k``, all ``(d, d)``.
-        Build operators with :meth:`linear` (or :meth:`scaled`,
-        :meth:`stationary`, :meth:`tabulated`), which checks the bases and
-        supplies missing derivatives; the constructor takes the terms as
-        they are.
-    dim : int
-        Matrix dimension ``d``.
+    coeffs : callable
+        Maps an ``(n,)`` array of times to the ``(n, K)`` real coefficients
+        ``c_k(t_j)``.
+    rates : callable
+        The same for their derivatives ``dc_k/dt``.
+    bases : np.ndarray
+        The ``(K, d, d)`` Hermitian bases ``B_k``.
+
+    Build operators with :meth:`linear` (or :meth:`scaled`,
+    :meth:`stationary`, :meth:`tabulated`), which checks the bases and
+    supplies missing derivatives; the constructor takes the fields as they
+    are.
     """
 
-    terms: tuple
-    dim: int
+    coeffs: Callable[[np.ndarray], np.ndarray]
+    rates: Callable[[np.ndarray], np.ndarray]
+    bases: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        """Matrix dimension ``d``."""
+        return self.bases.shape[-1]
 
     def value(self, t: float) -> np.ndarray:
         """The operator at time ``t``: :meth:`sample` at one time."""
@@ -230,7 +221,7 @@ class TimeDepOperator:
 
         This enables the ``exact_commuting`` propagation route.
         """
-        bases = [b for _, _, b in self.terms]
+        bases = self.bases
         return all(
             np.abs(bj @ bk - bk @ bj).max() <= HERM_TOL * max(1.0, np.abs(bj).max() * np.abs(bk).max())
             for j, bj in enumerate(bases)
@@ -256,7 +247,7 @@ class TimeDepOperator:
     @property
     def act_rows(self) -> int:
         """Rows ``r`` of the ``(n, r, d)`` stack :meth:`act` works on: ``min(K, d)``."""
-        return min(len(self.terms), self.dim)
+        return min(len(self.bases), self.dim)
 
     def _act(self, slot: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
         """``sum_k x_k(t_j) B_k psi_j`` over the coefficients (slot 0) or their derivatives (slot 1).
@@ -270,23 +261,33 @@ class TimeDepOperator:
         """
         if states.shape != (len(times), self.dim):
             raise ValueError(f"states {states.shape} do not match {len(times)} times of a dim-{self.dim} operator")
-        stacked = self._layout()[3]
+        stacked = self._layout()[2]
         if stacked is None:
             return np.matmul(self._sample(slot, times), states[:, :, None])[:, :, 0]
         coeffs = self._coefficients(slot, times)
         products = states @ stacked
         dim = self.dim
         out = coeffs[:, :1] * products[:, :dim]
-        for k in range(1, len(self.terms)):
+        for k in range(1, len(self.bases)):
             out += coeffs[:, k, None] * products[:, k * dim : (k + 1) * dim]
         return out
 
     def _coefficients(self, slot: int, times: np.ndarray) -> np.ndarray:
-        """The ``(n, K)`` checked values of the coefficients (slot 0) or their derivatives (slot 1)."""
-        tables = self._layout()[2]
-        if tables[slot] is None:
-            return np.stack([coefficient_values(term[slot], times) for term in self.terms], axis=1)
-        return _checked(tables[slot][0](times)[:, tables[slot][1]], times)
+        """The ``(n, K)`` checked values of the coefficients (slot 0) or their derivatives (slot 1).
+
+        Overflow and invalid operations inside the coefficients are not
+        warned about: the check reports them.
+
+        Raises
+        ------
+        ValueError
+            If the values do not have the shape ``(n, K)``, naming theirs.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray((self.rates if slot else self.coeffs)(times))
+        if values.shape != (len(times), len(self.bases)):
+            raise ValueError(f"coefficients of shape {values.shape}, expected {(len(times), len(self.bases))}")
+        return _checked(values, times)
 
     def _sample(self, slot: int, times: np.ndarray) -> np.ndarray:
         """``sum_k x_k(t) B_k`` over the coefficients (slot 0) or their derivatives (slot 1).
@@ -301,8 +302,8 @@ class TimeDepOperator:
         """
         rows, gather = self._layout()[:2]
         coeffs = self._coefficients(slot, times)
-        if len(self.terms) == 1:  # BLAS is slow at rank-1 products
-            return coeffs[:, 0, None, None] * self.terms[0][2]
+        if len(self.bases) == 1:  # BLAS is slow at rank-1 products
+            return coeffs[:, 0, None, None] * self.bases[0]
         if gather is None:
             flat = np.einsum("nk,kx->nx", coeffs, rows)
         else:
@@ -312,60 +313,53 @@ class TimeDepOperator:
         return flat.view(complex).reshape(len(times), self.dim, self.dim)
 
     def _layout(self) -> tuple:
-        """``(rows, gather, tables, stacked)`` for :meth:`_sample` and :meth:`_act`, worked out once per ``terms``.
+        """``(rows, gather, stacked)`` for :meth:`_sample` and :meth:`_act`, worked out once per ``bases``.
 
         ``rows`` is the ``(K, 2 d^2)`` real view of the bases, or None when
         no two bases share an entry; ``gather`` then holds the owned entries,
-        their bases and their values.  ``tables[slot]`` is the table whose
-        :func:`table_columns` every coefficient (slot 0) or derivative
-        (slot 1) is, with their column indices, or None.  ``stacked`` is
-        ``[B_1^T ... B_K^T]``, ``(d, K d)``, when ``K <= d``, else None.
+        their bases and their values.  ``stacked`` is ``[B_1^T ... B_K^T]``,
+        ``(d, K d)``, when ``K <= d``, else None.
         """
         cached = self.__dict__.get("_cached_layout")
-        if cached is None or cached[0] is not self.terms:
-            bases = np.stack([b for _, _, b in self.terms]).astype(complex, copy=False)
+        if cached is None or cached[0] is not self.bases:
+            bases = self.bases.astype(complex, copy=False)
             stacked = None
-            if len(self.terms) <= self.dim:
+            if len(bases) <= self.dim:
                 stacked = np.ascontiguousarray(bases.transpose(2, 0, 1).reshape(self.dim, -1))
-            rows = bases.view(float).reshape(len(self.terms), -1)
+            rows = bases.view(float).reshape(len(bases), -1)
             nonzero = rows != 0.0
             gather = None
             if np.count_nonzero(nonzero, axis=0).max() <= 1:
                 owned = np.flatnonzero(nonzero.any(axis=0))
                 owner = np.argmax(nonzero[:, owned], axis=0)
                 gather, rows = (owned, owner, rows[owner, owned]), None
-            tables = [None, None]
-            for slot in (0, 1):
-                fns = [term[slot] for term in self.terms]
-                if all(isinstance(f, partial) and f.func is _column and f.args[0] is fns[0].args[0] for f in fns):
-                    tables[slot] = (fns[0].args[0], np.array([f.args[1] for f in fns]))
-            cached = self._cached_layout = (self.terms, rows, gather, tables, stacked)
+            cached = self._cached_layout = (self.bases, rows, gather, stacked)
         return cached[1:]
 
     @classmethod
     def linear(cls, terms) -> "TimeDepOperator":
         """Operator ``sum_k c_k(t) B_k`` from ``(c_k, dc_k, B_k)`` triples.
 
-        The bases must be Hermitian (within ``HERM_TOL``) and of one
-        dimension; each is kept as its Hermitian part ``(B + B^dagger)/2``,
-        so the operator is Hermitian to the last bit.  A ``dc_k`` given as
-        None becomes a Richardson difference of ``c_k`` (step
-        ``RICHARDSON_STEP``).
+        ``c_k`` and ``dc_k`` map an ``(n,)`` array of times to ``(n,)``
+        values (a scalar is broadcast); they are stacked into the operator's
+        ``coeffs`` and ``rates``.  The bases must be Hermitian (within
+        ``HERM_TOL``) and of one dimension; each is kept as its Hermitian
+        part ``(B + B^dagger)/2``, so the operator is Hermitian to the last
+        bit.  A ``dc_k`` given as None becomes a Richardson difference of
+        ``c_k`` (step ``RICHARDSON_STEP``).
         """
-        terms = tuple(
-            (
-                c,
-                richardson(partial(coefficient_array, c)) if dc is None else dc,
-                hermitian_part(require_hermitian(b, what="operator basis")),
-            )
-            for c, dc, b in terms
-        )
+        terms = list(terms)
         if not terms:
             raise ValueError("a linear operator needs at least one term")
-        dim = terms[0][2].shape[0]
-        if any(b.shape != (dim, dim) for _, _, b in terms):
+        bases = [hermitian_part(require_hermitian(b, what="operator basis")) for _, _, b in terms]
+        dim = bases[0].shape[-1]
+        if any(b.shape != (dim, dim) for b in bases):
             raise ValueError("operator basis matrices differ in dimension")
-        return cls(terms=terms, dim=dim)
+        coeffs, rates = [], []
+        for c, dc, _ in terms:
+            coeffs.append(partial(coefficient_array, c))
+            rates.append(richardson(coeffs[-1]) if dc is None else partial(coefficient_array, dc))
+        return cls(partial(_columns, coeffs), partial(_columns, rates), np.stack(bases))
 
     @classmethod
     def stationary(cls, mat: np.ndarray) -> "TimeDepOperator":
@@ -375,8 +369,8 @@ class TimeDepOperator:
     @classmethod
     def scaled(
         cls,
-        f: Callable[[float], float],
-        fdot: Optional[Callable[[float], float]],
+        f: Callable[[np.ndarray], np.ndarray],
+        fdot: Optional[Callable[[np.ndarray], np.ndarray]],
         base: np.ndarray,
     ) -> "TimeDepOperator":
         """Operator of the form ``f(t) * base`` (a commuting family)."""
@@ -398,10 +392,16 @@ class TimeDepOperator:
         samples = np.asarray(samples, dtype=complex)
         columns = hermitian_coordinates(samples)
         keep = np.flatnonzero(np.any(columns != 0.0, axis=0)) if np.any(columns) else [0]
-        values = table_columns(partial(_interpolate, times, columns[:, keep]), len(keep))
-        rates = table_columns(partial(_interpolate, times, np.gradient(columns[:, keep], times, axis=0)), len(keep))
-        bases = hermitian_basis(samples.shape[1])[keep]
-        return cls(terms=tuple(zip(values, rates, bases)), dim=samples.shape[1])
+        return cls(
+            coeffs=partial(_interpolate, times, columns[:, keep]),
+            rates=partial(_interpolate, times, np.gradient(columns[:, keep], times, axis=0)),
+            bases=hermitian_basis(samples.shape[1])[keep],
+        )
+
+
+def _columns(fns: list, times: np.ndarray) -> np.ndarray:
+    """The ``(n, K)`` values of ``K`` functions of an ``(n,)`` array of times, one per column."""
+    return np.stack([f(times) for f in fns], axis=1)
 
 
 def hermitian_part(b: np.ndarray) -> np.ndarray:
@@ -474,59 +474,60 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     refined = left + right
     err = refined - whole
-    if depth <= 0 or np.max(np.abs(err)) <= 15.0 * tol:
+    if depth <= 0 or abs(err) <= 15.0 * tol:
         return refined + err / 15.0
     return _adaptive_simpson(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + _adaptive_simpson(
         f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1
     )
 
 
-def _rounding_floor(scale, width) -> float:
+def _rounding_floor(scale, width):
     """The least tolerance over an interval of ``width`` where ``|f| <= scale``: its samples' rounding."""
     return ROUNDING_FLOOR * np.finfo(float).eps * scale * width
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = SIMPSON_TOL, max_depth: int = 30):
-    """Adaptive Simpson quadrature of a scalar- or matrix-valued function.
+def adaptive_simpson(f, a: float, b: float, tol: float = SIMPSON_TOL, max_depth: int = 30) -> float:
+    """Adaptive Simpson quadrature of a scalar function over ``[a, b]``.
 
     The tolerance is raised to the rounding of ``f``'s samples over
     ``[a, b]`` (:func:`_rounding_floor`), so that rounding alone cannot
     force refinement to ``max_depth``.
     """
-    if a == b:
-        fa = f(a)
-        return 0.0 * fa
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    scale = max(np.max(np.abs(fa)), np.max(np.abs(fm)), np.max(np.abs(fb)))
-    tol = max(tol, _rounding_floor(scale, abs(b - a)))
+    tol = max(tol, _rounding_floor(max(abs(fa), abs(fm), abs(fb)), abs(b - a)))
     return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
 
 
-def _cumulative_simpson_scalar(f, times: np.ndarray, tol: float) -> np.ndarray:
-    """Cumulative integral of scalar ``f`` at the grid times.
+def _cumulative_simpson(h: TimeDepOperator, times: np.ndarray, tol: float) -> np.ndarray:
+    """``(n, K)`` cumulative integrals of every coefficient of ``h`` at the grid times.
 
-    Vectorized two-level Simpson per interval with adaptive refinement of
-    any interval whose two-panel error estimate exceeds the tolerance.
-    Each interval's tolerance is at least the rounding of samples as large
-    as the largest ``|f|`` on the grid (:func:`_rounding_floor`).
+    Vectorized two-level Simpson per interval and column, with adaptive
+    refinement of any (interval, column) pair whose two-panel error
+    estimate exceeds the tolerance.  Each column's tolerance is at least the
+    rounding of samples as large as its largest ``|c_k|`` on the grid
+    (:func:`_rounding_floor`).
     """
     dt = np.diff(times)
     fv, fm, fq1, fq3 = (
-        coefficient_values(f, x).astype(float)
+        h._coefficients(0, x).astype(float)
         for x in (times, (times[:-1] + times[1:]) / 2.0, times[:-1] + 0.25 * dt, times[:-1] + 0.75 * dt)
     )
+    dt = dt[:, None]
     coarse = dt / 6.0 * (fv[:-1] + 4.0 * fm + fv[1:])
     fine = dt / 12.0 * (fv[:-1] + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fv[1:])
     err = np.abs(fine - coarse) / 15.0
     pieces = fine + (fine - coarse) / 15.0
-    tols = np.maximum(tol, _rounding_floor(max(np.max(np.abs(x)) for x in (fv, fm, fq1, fq3)), dt))
-    for k in np.nonzero(err > tols)[0]:
-        pieces[k] = adaptive_simpson(f, times[k], times[k + 1], tol=tols[k])
+    scale = np.max([np.max(np.abs(x), axis=0) for x in (fv, fm, fq1, fq3)], axis=0)
+    tols = np.maximum(tol, _rounding_floor(scale, dt))
+    for k, m in zip(*np.nonzero(err > tols)):
+        pieces[k, m] = adaptive_simpson(
+            lambda t: h._coefficients(0, np.array([t]))[0, m], times[k], times[k + 1], tol=tols[k, m]
+        )
     out = np.empty_like(fv)
     out[0] = 0.0
-    np.cumsum(pieces, out=out[1:])
+    np.cumsum(pieces, axis=0, out=out[1:])
     return out
 
 
@@ -656,12 +657,10 @@ def _exact_commuting(h: TimeDepOperator, psi0: np.ndarray, times: np.ndarray, hb
     """``(states, propagators or None)`` of the closed-form route for one operator."""
     if not h.commuting_family:
         raise ValueError("exact_commuting requires a commuting_family operator: commuting bases")
-    lams, vecs = _common_eigenbasis([b for _, _, b in h.terms])
-    # Integral of H at every grid time, in the shared eigenbasis; a
-    # temporary, so it is freed before the states are formed.
-    integrals = (
-        np.outer(_cumulative_simpson_scalar(c, times, SIMPSON_TOL), lam) for (c, _, _), lam in zip(h.terms, lams)
-    )
+    lams, vecs = _common_eigenbasis(list(h.bases))
+    # Integral of H at every grid time, in the shared eigenbasis, summed
+    # column by column; temporaries, so they are freed before the states are formed.
+    integrals = (np.outer(c, lam) for c, lam in zip(_cumulative_simpson(h, times, SIMPSON_TOL).T, lams))
     phases = np.exp((-1j / hbar) * reduce(np.add, integrals))
     props = (phases[:, None, :] * vecs) @ vecs.conj().T if store else None
     # In place: a temporary here raised a 50k-point trace's peak memory.

@@ -18,8 +18,11 @@ including the residuals of the inequality and a tight/loose classification.
 :func:`higher_order_chain` iterates it.  Its bases ``A_k`` and
 ``(i/hbar) [H_j, A_k]`` are formed once (commutators that vanish exactly
 are skipped), and every coefficient carries its own derivative, so each
-level of the chain is again a batched operator.  When the commutators
-could outnumber the ``d^2`` directions of the Hermitian matrices (tabulated
+level of the chain is again a batched operator.  Its coefficients are one
+array function of times, like every operator's: a sample evaluates the
+coefficient functions of ``A`` and ``H`` once each and picks the products
+of the nonzero commutators by index.  When the commutators could
+outnumber the ``d^2`` directions of the Hermitian matrices (tabulated
 operators, deep chain levels), ``v_A`` is held in the real Hermitian basis
 instead, its coordinates read off ``dA/dt + (i/hbar) [H, A]`` sampled from
 ``A`` and ``H``.
@@ -34,9 +37,9 @@ themselves: grid functions apply their operators with
 :func:`~fluctdyn.dynamics.time_chunks`, so memory stays bounded on long
 grids and large cutoffs.  :func:`checked_moments` is the kernel for
 outside operator stacks: it validates a whole stack (Hermitian operators,
-normalized states) in one pass, then applies it.  The single-point
-functions (``expectation``, ``variance``, ``covariance``) are batches of
-one through it.
+normalized states) in one pass, then applies it; one matrix and one state
+are a batch of one.  A statistic that overflows raises
+:class:`~fluctdyn.linops.NumericBreakdown` at its first time.
 
 The ``sigma -> 0`` instants are genuinely degenerate for the rate form
 (the covariance formula divides by ``sigma``); the series switches to the
@@ -47,15 +50,14 @@ there and flags the rate fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from math import sqrt
-from typing import Callable, Optional
+from functools import reduce
+from typing import Optional
 
 import numpy as np
 
-from .dynamics import TimeDepOperator, Trajectory, coefficient_array, richardson, time_chunks
-from .dynamics import hermitian_basis, hermitian_coordinates, hermitian_part, table_columns
-from .linops import at_time, require_hermitian, require_normalized
+from .dynamics import TimeDepOperator, Trajectory, hermitian_basis, hermitian_coordinates, hermitian_part
+from .dynamics import richardson, time_chunks
+from .linops import NumericBreakdown, at_time, require_hermitian, require_normalized
 
 SIGMA_FLOOR = 1e-9
 TIGHT_TOL = 1e-6
@@ -88,25 +90,17 @@ def inner_re(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", x.conj(), y).real
 
 
-def _product(f: Callable, g: Callable) -> Callable:
-    return lambda t: coefficient_array(f, t) * coefficient_array(g, t)
-
-
-def _product_rate(f: Callable, df: Callable, g: Callable, dg: Callable) -> Callable:
-    """``(f g)' = f' g + f g'``."""
-    df_g, f_dg = _product(df, g), _product(f, dg)
-    return lambda t: df_g(t) + f_dg(t)
-
-
 def velocity(a: TimeDepOperator, h: TimeDepOperator, hbar: float = 1.0) -> TimeDepOperator:
     """The velocity observable ``v_A = dA/dt + (i/hbar) [H, A]`` as an operator.
 
     Its terms are ``(dc_k, A_k)`` and ``(h_j a_k, (i/hbar) [H_j, A_k])``,
     with the commutator bases formed here, once, and Hermitian by
     construction; a commutator that is exactly zero adds no term.  Every
-    coefficient carries its derivative: the product rule for ``h_j a_k``
-    and a Richardson difference of ``dc_k``.  So ``v_A`` samples a grid as
-    one array expression, and ``velocity`` applies to its own result.
+    coefficient carries its derivative: the product rule
+    ``h_j' a_k + h_j a_k'`` and a Richardson difference of ``dc_k``.  A
+    sample evaluates each coefficient function of ``a`` and ``h`` once and
+    picks the products by index, so ``v_A`` samples a grid as one array
+    expression, and ``velocity`` applies to its own result.
 
     When the commutators could outnumber the ``d^2`` directions of the
     Hermitian matrices, ``v_A`` is held in :func:`hermitian_basis` instead
@@ -117,20 +111,33 @@ def velocity(a: TimeDepOperator, h: TimeDepOperator, hbar: float = 1.0) -> TimeD
     """
     if a.dim != h.dim:
         raise ValueError(f"dimension mismatch: observable dim {a.dim}, generator dim {h.dim}")
-    if len(a.terms) * len(h.terms) > a.dim * a.dim:
+    if len(a.bases) * len(h.bases) > a.dim * a.dim:
         return _velocity_in_basis(a, h, hbar)
     scale = 1j / hbar
-    # No derivative of dc_k is given.
-    terms = [(dc, richardson(partial(coefficient_array, dc)), b) for _, dc, b in a.terms]
-    for hc, hdc, hb in h.terms:
-        for ac, adc, ab in a.terms:
+    js, ks, brackets = [], [], []
+    for j, hb in enumerate(h.bases):
+        for k, ab in enumerate(a.bases):
             bracket = scale * (hb @ ab - ab @ hb)
-            if not bracket.any():
-                continue
-            # The symmetrized basis is Hermitian to the last bit; the
-            # coefficients are real, so v_A needs no validation.
-            terms.append((_product(hc, ac), _product_rate(hc, hdc, ac, adc), hermitian_part(bracket)))
-    return TimeDepOperator(terms=tuple(terms), dim=a.dim)
+            if bracket.any():
+                # The symmetrized basis is Hermitian to the last bit; the
+                # coefficients are real, so v_A needs no validation.
+                js.append(j)
+                ks.append(k)
+                brackets.append(hermitian_part(bracket))
+    # No derivative of dc_k is given.
+    second = richardson(a.rates)
+    if not brackets:
+        return TimeDepOperator(coeffs=a.rates, rates=second, bases=a.bases)
+
+    def coeffs(t):
+        return np.concatenate([a.rates(t), h.coeffs(t)[:, js] * a.coeffs(t)[:, ks]], axis=1)
+
+    def rates(t):
+        hc, ac = h.coeffs(t)[:, js], a.coeffs(t)[:, ks]
+        products = h.rates(t)[:, js] * ac + hc * a.rates(t)[:, ks]
+        return np.concatenate([second(t), products], axis=1)
+
+    return TimeDepOperator(coeffs=coeffs, rates=rates, bases=np.concatenate([a.bases, brackets]))
 
 
 def _velocity_in_basis(a: TimeDepOperator, h: TimeDepOperator, hbar: float) -> TimeDepOperator:
@@ -146,18 +153,15 @@ def _velocity_in_basis(a: TimeDepOperator, h: TimeDepOperator, hbar: float) -> T
     scale = 1j / hbar
     second = richardson(a.sample_deriv)
 
-    def value(t):
+    def coeffs(t):
         hm, am = h.sample(t), a.sample(t)
-        return a.sample_deriv(t) + scale * (hm @ am - am @ hm)
+        return hermitian_coordinates(a.sample_deriv(t) + scale * (hm @ am - am @ hm))
 
-    def rate(t):
+    def rates(t):
         hm, am, dh, da = h.sample(t), a.sample(t), h.sample_deriv(t), a.sample_deriv(t)
-        return second(t) + scale * (dh @ am - am @ dh + hm @ da - da @ hm)
+        return hermitian_coordinates(second(t) + scale * (dh @ am - am @ dh + hm @ da - da @ hm))
 
-    count = a.dim * a.dim
-    coords = table_columns(lambda t: hermitian_coordinates(value(t)), count)
-    rates = table_columns(lambda t: hermitian_coordinates(rate(t)), count)
-    return TimeDepOperator(terms=tuple(zip(coords, rates, hermitian_basis(a.dim))), dim=a.dim)
+    return TimeDepOperator(coeffs=coeffs, rates=rates, bases=hermitian_basis(a.dim))
 
 
 def checked_moments(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,48 +180,6 @@ def checked_moments(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np
     dim = states.shape[-1]
     states = states.reshape(-1, dim)
     return centered_moments(np.matmul(ops.reshape(-1, dim, dim), states[:, :, None])[:, :, 0], states)
-
-
-def _one(a: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
-    # Validated single point through the batched kernel: mean and centered image.
-    means, centered = checked_moments(a, psi)
-    return float(means[0]), centered
-
-
-def expectation(a: np.ndarray, psi: np.ndarray) -> float:
-    """``<psi| a |psi>`` for Hermitian ``a`` and normalized ``psi``.
-
-    The imaginary part (pure rounding noise for Hermitian input) is
-    discarded after an assertion that it is negligible relative to the
-    magnitude of the result.
-    """
-    return _one(a, psi)[0]
-
-
-def variance(a: np.ndarray, psi: np.ndarray) -> float:
-    """``<A^2> - <A>^2``, evaluated as ``|| (A - <A>) psi ||^2``.
-
-    The centered form is nonnegative by construction.
-    """
-    _, centered = _one(a, psi)
-    return float(inner_re(centered, centered)[0])
-
-
-def std_dev(a: np.ndarray, psi: np.ndarray) -> float:
-    """``sigma_A = sqrt(<A^2> - <A>^2)``."""
-    return sqrt(variance(a, psi))
-
-
-def covariance(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> float:
-    """Symmetrized covariance ``<{A, B}>/2 - <A><B>``.
-
-    Evaluated in centered form ``Re <(A - <A>) psi | (B - <B>) psi>``, which
-    is the same quantity for Hermitian inputs with the cancellations done
-    analytically.
-    """
-    _, da = _one(a, psi)
-    _, db = _one(b, psi)
-    return float(inner_re(da, db)[0])
 
 
 def velocity_observable(
@@ -262,22 +224,33 @@ def rate_columns(
     (:meth:`TimeDepOperator.act`).  ``v_sq`` is the direct ``<v_A^2>``;
     ``var``, ``sigma_v_sq`` and ``cov = cov(A, v_A)`` come from the centered
     images.
+
+    Raises
+    ------
+    NumericBreakdown
+        If a statistic overflows or is otherwise not finite, naming the
+        first such time.
     """
     times = traj.grid.times
     states = traj.states
     n = len(times)
-    mu, var, mu_dot, v_sq, sigma_v_sq, cov = (np.empty(n) for _ in range(6))
+    columns = mu, var, mu_dot, v_sq, sigma_v_sq, cov = tuple(np.empty(n) for _ in range(6))
     v = velocity(a, h, hbar)
     for chunk in time_chunks(n, a.dim, max(a.act_rows, v.act_rows)):
         t, psi = times[chunk], states[chunk]
-        mu[chunk], da = centered_moments(a.act(t, psi), psi, t)
-        vpsi = v.act(t, psi)
-        mu_dot[chunk], dv = centered_moments(vpsi, psi, t, what="<v_A>")
-        var[chunk] = inner_re(da, da)
-        v_sq[chunk] = inner_re(vpsi, vpsi)
-        sigma_v_sq[chunk] = inner_re(dv, dv)
-        cov[chunk] = inner_re(da, dv)
-    return mu, var, mu_dot, v_sq, sigma_v_sq, cov
+        # Overflow here is reported by the check below, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu[chunk], da = centered_moments(a.act(t, psi), psi, t)
+            vpsi = v.act(t, psi)
+            mu_dot[chunk], dv = centered_moments(vpsi, psi, t, what="<v_A>")
+            var[chunk] = inner_re(da, da)
+            v_sq[chunk] = inner_re(vpsi, vpsi)
+            sigma_v_sq[chunk] = inner_re(dv, dv)
+            cov[chunk] = inner_re(da, dv)
+        bad = reduce(np.logical_or, (~np.isfinite(column[chunk]) for column in columns))
+        if bad.any():
+            raise NumericBreakdown(f"rate statistics are not finite{at_time(t, int(np.argmax(bad)))}")
+    return columns
 
 
 def bound_series(

@@ -49,6 +49,7 @@ from .hilbert import (
     qubit_plus,
     recommended_dim,
 )
+from .linops import NumericBreakdown, at_time
 
 RESIDUAL_VIOLATION_TOL = 1e-8
 DEFAULT_OVERLAY_TOL = 1e-6
@@ -168,6 +169,7 @@ class ScenarioConfig:
     seed: int = 20240617
 
     KNOWN = ("example1", "example2", "example3", "custom")
+    TOLERANCES = ("tight_tol", "sigma_floor", "norm_budget", "overlay_tol", "residual_tol")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -200,6 +202,8 @@ class ScenarioConfig:
         if not isinstance(tolerances, dict):
             raise ConfigError("tolerances", "must be an object")
         for key, value in tolerances.items():
+            if key not in cls.TOLERANCES:
+                raise ConfigError(f"tolerances.{key}", f"unknown tolerance; expected one of {cls.TOLERANCES}")
             _positive(value, f"tolerances.{key}")
         seed = raw.get("seed", 20240617)
         if not _is_int(seed):
@@ -268,20 +272,24 @@ def _qubit_pieces(cfg: ScenarioConfig, with_b: bool) -> ScenarioPieces:
         return 2.0 * (omega0 / nu0) * np.sin(nu0 * t)
 
     def overlays(times: np.ndarray) -> dict:
-        phi = phase(times)
-        a_vals = np.asarray(af(times), dtype=float)
-        ad_vals = np.asarray(afd(times), dtype=float)
-        mu = a_vals * np.cos(phi)
-        v2 = ad_vals**2 + 4.0 * omega0**2 * a_vals**2 * np.cos(nu0 * times) ** 2
-        if with_b:
-            b_vals = np.asarray(bf(times), dtype=float)
-            bd_vals = np.asarray(bfd(times), dtype=float)
-            sigma = np.sqrt(a_vals**2 * np.sin(phi) ** 2 + b_vals**2)
-            v2 = v2 + bd_vals**2
-        else:
-            # The closed form a(t) sin(phi) can go negative; the deviation is
-            # its magnitude.
-            sigma = np.abs(a_vals * np.sin(phi))
+        # A numpy omega0 overflows to inf where a Python float raises;
+        # run_scenario rejects a channel that is not finite.
+        w0 = np.float64(omega0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = phase(times)
+            a_vals = np.asarray(af(times), dtype=float)
+            ad_vals = np.asarray(afd(times), dtype=float)
+            mu = a_vals * np.cos(phi)
+            v2 = ad_vals**2 + 4.0 * w0**2 * a_vals**2 * np.cos(nu0 * times) ** 2
+            if with_b:
+                b_vals = np.asarray(bf(times), dtype=float)
+                bd_vals = np.asarray(bfd(times), dtype=float)
+                sigma = np.sqrt(a_vals**2 * np.sin(phi) ** 2 + b_vals**2)
+                v2 = v2 + bd_vals**2
+            else:
+                # The closed form a(t) sin(phi) can go negative; the
+                # deviation is its magnitude.
+                sigma = np.abs(a_vals * np.sin(phi))
         return {"mu": mu, "sigma": sigma, "v2_mean": v2}
 
     # Bloch vectors over an array of times, one (n, 3) row per time.
@@ -481,6 +489,9 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
         overlays = pieces.overlays(series.t)
         overlay_tol = cfg.tol("overlay_tol", DEFAULT_OVERLAY_TOL)
         for channel, analytic in overlays.items():
+            bad = ~np.isfinite(analytic)
+            if bad.any():
+                raise NumericBreakdown(f"overlay {channel} is not finite{at_time(series.t, int(np.argmax(bad)))}")
             dev = float(np.max(np.abs(getattr(series, channel) - analytic)))
             overlay_dev[channel] = dev
             # Verdicts are relative to each channel's own scale (the

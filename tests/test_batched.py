@@ -152,7 +152,7 @@ def _scenario(name, **grid):
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_parity_builtin_scenarios(name):
     pieces, traj = _scenario(name)
-    assert pieces.observable.terms is not None and pieces.hamiltonian.terms is not None
+    assert pieces.observable.bases is not None and pieces.hamiltonian.bases is not None
     check_parity(pieces.observable, pieces.hamiltonian, traj, hbar=pieces.hbar)
 
 
@@ -186,7 +186,7 @@ def test_parity_tabulated_custom_operator():
     cfg = ScenarioConfig.from_dict(raw)
     pieces = cfg.build()
     # The basis E_00, E_11, E_01 + E_10 = sx and i (E_10 - E_01) = sy.
-    assert len(pieces.observable.terms) == 4
+    assert len(pieces.observable.bases) == 4
     traj = propagate(pieces.hamiltonian, pieces.psi0, cfg.grid, method=cfg.method)
     check_parity(pieces.observable, pieces.hamiltonian, traj)
 

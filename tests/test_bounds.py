@@ -103,11 +103,6 @@ def test_fs_kinematics_example1_speed():
     k = int(np.argmin(np.abs(times - 1.0)))
     assert s[k] == pytest.approx(2.0 * np.sin(times[k]), abs=1e-6)
 
-    s1, v1, a1 = fs_kinematics(rep.pieces.hamiltonian, rep.trajectory, convention="factor1")
-    assert np.allclose(2.0 * v1, v, atol=1e-14)
-    with pytest.raises(ValueError, match="convention"):
-        fs_kinematics(rep.pieces.hamiltonian, rep.trajectory, convention="factor3")
-
 
 def test_fs_acceleration_limit_along_example1():
     # |d sigma_H / dt| <= sigma_{dH/dt}; for this drive the bound is

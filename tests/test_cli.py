@@ -169,6 +169,8 @@ def _with(raw, section, **fields):
     [
         # NaN passes "value <= 0" and would mark every point not tight.
         pytest.param(_with(EX1, "tolerances", tight_tol=NAN), "tolerances.tight_tol", id="nan_tolerance"),
+        # A misspelt tolerance would otherwise leave its default in force.
+        pytest.param(_with(EX1, "tolerances", tight_tl=1e-3), "tolerances.tight_tl", id="misspelt_tolerance"),
         # JSON true is a Python int; it must not pass as s = 1 or t0 = 1.0.
         pytest.param(_with(EX3, "params", s=True), "params.s", id="bool_cutoff"),
         pytest.param(_with(EX1, "grid", t0=True), "grid.t0", id="bool_t0"),
@@ -400,3 +402,27 @@ def test_run_with_a_huge_frequency_ends_with_flags(tmp_path):
     assert proc.returncode == 3
     assert "invariant flags: ['overlay_deviation:mu:" in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "params,breakdown",
+    [
+        pytest.param({"omega0": 1e155}, "rate statistics are not finite at t = ", id="omega0_1e155"),
+        pytest.param({"omega0": 1e300}, "rate statistics are not finite at t = 0.001", id="omega0_1e300"),
+        # Every statistic is finite, but the v2 overlay's omega0^2 is not.
+        pytest.param(
+            {"omega0": 1e200, "a": {"fn": "const", "scale": 1e-200}},
+            "overlay v2_mean is not finite at t = 0.0",
+            id="omega0_1e200_tiny_a",
+        ),
+    ],
+)
+def test_run_with_an_overflowing_frequency_ends_without_a_traceback(tmp_path, params, breakdown):
+    # Once numpy warnings and then an OverflowError traceback (exit 1); now a
+    # numeric breakdown (exit 3) named on stderr, and nothing else there.
+    raw = dict(EX1, grid={"t0": 0.0, "t1": 5.0, "n_steps": 5000})
+    cfg = write_config(tmp_path, _with(raw, "params", **params))
+    console = "import sys; from fluctdyn.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = _fluctdyn_process([console, "run", "--config", cfg, "--output-dir", str(tmp_path)], timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"numeric breakdown: {breakdown}") and proc.stderr.count("\n") == 1

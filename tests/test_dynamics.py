@@ -15,7 +15,6 @@ from fluctdyn.dynamics import (
     TimeDepOperator,
     TimeGrid,
     adaptive_simpson,
-    coefficient_values,
     hermitian_basis,
     propagate,
     time_chunks,
@@ -37,12 +36,9 @@ def example1_state(t, omega0=1.0, nu0=1.0):
     return np.array([np.exp(-1j * theta), np.exp(1j * theta)]) / np.sqrt(2.0)
 
 
-def test_adaptive_simpson_scalar_and_matrix():
+def test_adaptive_simpson_of_a_scalar_function():
     val = adaptive_simpson(np.cos, 0.0, 3.0)
     assert val == pytest.approx(np.sin(3.0), abs=1e-12)
-    mat = adaptive_simpson(lambda t: np.array([[np.cos(t), 0.0], [0.0, t**3]]), 0.0, 2.0)
-    assert mat[0, 0] == pytest.approx(np.sin(2.0), abs=1e-12)
-    assert mat[1, 1] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_zero_hamiltonian_freezes_state():
@@ -169,13 +165,21 @@ def test_midpoint_chunked_matches_per_step_loop():
         assert np.array_equal(traj.propagators[k + 1], prop)
 
 
-def test_midpoint_rejects_non_hermitian_h_at_its_time():
-    # The constructor takes terms as they are: a non-Hermitian basis switched
-    # on after t = 0.5 fails at the first midpoint past it.
-    grid = TimeGrid(0.0, 1.0, 10)
+def _switched_skew():
+    """``sx`` plus a non-Hermitian basis switched on after ``t = 0.5``, built without validation."""
     skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    step = lambda t: np.where(t > 0.5, 1.0, 0.0)
-    h = TimeDepOperator(terms=((lambda t: 1.0, lambda t: 0.0, pauli("x")), (step, lambda t: 0.0, skew)), dim=2)
+    return TimeDepOperator(
+        coeffs=lambda t: np.stack([np.ones_like(t), np.where(t > 0.5, 1.0, 0.0)], axis=1),
+        rates=lambda t: np.zeros((len(t), 2)),
+        bases=np.stack([pauli("x"), skew]),
+    )
+
+
+def test_midpoint_rejects_non_hermitian_h_at_its_time():
+    # The constructor takes its fields as they are: a non-Hermitian basis
+    # switched on after t = 0.5 fails at the first midpoint past it.
+    grid = TimeGrid(0.0, 1.0, 10)
+    h = _switched_skew()
     first_bad = grid.times[5] + grid.dt / 2.0
     with pytest.raises(ValueError, match=f"not Hermitian .* at t = {first_bad}$"):
         propagate(h, qubit_plus(), grid, method="midpoint")
@@ -187,11 +191,11 @@ def test_linear_keeps_the_hermitian_part_of_its_bases():
     base = pauli("x").copy()
     base[0, 1] += 5e-13
     h = TimeDepOperator.scaled(lambda t: 100.0, None, base)
-    b = h.terms[0][2]
+    b = h.bases[0]
     assert np.array_equal(b, b.conj().T) and np.abs(b - base).max() < 3e-13
     traj = propagate(h, qubit_plus(), TimeGrid(0.0, 1.0, 10), method="midpoint")
     assert not traj.flagged
-    assert np.array_equal(TimeDepOperator.stationary(pauli("y")).terms[0][2], pauli("y"))
+    assert np.array_equal(TimeDepOperator.stationary(pauli("y")).bases[0], pauli("y"))
 
 
 def test_richardson_derivative_breaks_down_at_the_time_sampled():
@@ -203,8 +207,7 @@ def test_richardson_derivative_breaks_down_at_the_time_sampled():
 
 def test_breakdown_inside_a_coefficient_is_not_retried_per_point():
     # A coefficient that samples another operator (v_A held in the Hermitian
-    # basis does) passes its breakdown on; only a TypeError or another
-    # ValueError means "call me one time at a time".
+    # basis does) passes its breakdown on, after one call with every time.
     calls = []
 
     def f(t):
@@ -212,8 +215,20 @@ def test_breakdown_inside_a_coefficient_is_not_retried_per_point():
         raise NumericBreakdown("inner breakdown at t = 0.25")
 
     with pytest.raises(NumericBreakdown, match="inner"):
-        coefficient_values(f, np.linspace(0.0, 1.0, 5))
+        TimeDepOperator.scaled(f, None, pauli("z")).sample(np.linspace(0.0, 1.0, 5))
     assert calls == [(5,)]
+
+
+def test_a_coefficient_of_the_wrong_shape_raises():
+    # Coefficients take an array of times: one value per time, or a constant.
+    times = np.linspace(0.0, 1.0, 5)
+    per_term = TimeDepOperator.scaled(lambda t: np.ones((len(t), 2)), None, pauli("z"))
+    with pytest.raises(ValueError, match=r"returned shape \(5, 2\) for \(5,\) times"):
+        per_term.sample(times)
+    stacked = TimeDepOperator(coeffs=np.cos, rates=np.sin, bases=pauli("z")[None])
+    with pytest.raises(ValueError, match=r"coefficients of shape \(5,\), expected \(5, 1\)"):
+        stacked.sample(times)
+    assert np.array_equal(TimeDepOperator.scaled(lambda t: 2.0, None, pauli("z")).sample(times)[:, 0, 0], [2.0] * 5)
 
 
 def test_midpoint_rejects_non_finite_h_at_its_time():
@@ -265,7 +280,7 @@ def test_tabulated_operator_round_trips_samples():
     grid = TimeGrid(0.0, 2.0, 20)
     mats = np.stack([random_hermitian(3, rng) for _ in grid.times])
     op = TimeDepOperator.tabulated(grid.times, mats)
-    assert len(op.terms) == 9
+    assert len(op.bases) == 9
     assert np.array_equal(op.sample(grid.times), mats)
     assert all(np.array_equal(op.value(t), m) for t, m in zip(grid.times, mats))
     central = (mats[2:] - mats[:-2]) / (2.0 * grid.dt)
@@ -275,7 +290,7 @@ def test_tabulated_operator_round_trips_samples():
     # Halfway between samples: their mean; an all-zero table keeps one term.
     assert np.abs(op.value(grid.times[3] + grid.dt / 2.0) - (mats[3] + mats[4]) / 2.0).max() <= 1e-14
     zero = TimeDepOperator.tabulated(grid.times, np.zeros_like(mats))
-    assert len(zero.terms) == 1 and not zero.sample(grid.times).any()
+    assert len(zero.bases) == 1 and not zero.sample(grid.times).any()
 
 
 # -- applying an operator to states ---------------------------------------------
@@ -299,7 +314,7 @@ def assert_act_matches_sample(op, times, rng):
         got = act(times, states)
         assert got.shape == states.shape
         scale = max(1.0, float(np.abs(expected).max()))
-        assert np.abs(got - expected).max() <= 1e-13 * scale, (op.dim, len(op.terms))
+        assert np.abs(got - expected).max() <= 1e-13 * scale, (op.dim, len(op.bases))
 
 
 @pytest.mark.parametrize("dim", [2, 5, 21])
@@ -324,7 +339,7 @@ def test_act_matches_sample_on_single_term_gather_and_tabulated_operators():
     # A table has more terms than d, so act applies the sampled stack.
     grid = TimeGrid(0.0, 2.0, 20)
     table = TimeDepOperator.tabulated(grid.times, np.stack([random_hermitian(3, rng) for _ in grid.times]))
-    assert len(table.terms) == 9 and table.act_rows == 3
+    assert len(table.bases) == 9 and table.act_rows == 3
     assert_act_matches_sample(table, times + 0.05, rng)
 
 
@@ -339,11 +354,11 @@ def test_act_matches_sample_on_velocity_and_chain_levels():
     assert_act_matches_sample(velocity(a, h, 0.7), times, rng)
     a, h = _random_linear(rng, 3, 3), _random_linear(rng, 3, 4)
     v = velocity(a, h, 0.7)
-    assert len(v.terms) == 9
+    assert len(v.bases) == 9
     assert_act_matches_sample(v, times, rng)
     pieces = default_config("example2").build()
     chain = higher_order_chain(pieces.observable, pieces.hamiltonian, 3, pieces.hbar)
-    assert [len(op.terms) for op in chain] == [2, 3, 5, 4]
+    assert [len(op.bases) for op in chain] == [2, 3, 5, 4]
     for op in chain:
         assert_act_matches_sample(op, times, rng)
 
@@ -455,10 +470,8 @@ def test_a_breakdown_in_a_stack_names_its_member_and_first_time(monkeypatch, met
 def test_a_non_hermitian_member_is_named_at_its_first_time(monkeypatch):
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", 25 * 16 * 4)
     grid = TimeGrid(0.0, 1.0, 10)
-    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    step = lambda t: np.where(t > 0.5, 1.0, 0.0)
     ops = [example1_hamiltonian(omega0=1.0 + k) for k in range(5)]
-    ops[3] = TimeDepOperator(terms=((lambda t: 1.0, lambda t: 0.0, pauli("x")), (step, lambda t: 0.0, skew)), dim=2)
+    ops[3] = _switched_skew()
     first_bad = grid.times[5] + grid.dt / 2.0
     with pytest.raises(ValueError, match=rf"not Hermitian .* at t = {first_bad} \(member 3\)$"):
         propagate(ops, np.tile(qubit_plus(), (5, 1)), grid)

@@ -5,6 +5,8 @@ derivatives of the known mean/deviation curves, finite differences of the
 statistics along exactly-known states, and the geometric decompositions.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,10 @@ from fluctdyn import linops
 from fluctdyn.dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate
 from fluctdyn.fluctuation import (
     bound_series,
-    covariance,
-    expectation,
+    checked_moments,
     higher_order_chain,
+    inner_re,
     rate_columns,
-    std_dev,
-    variance,
     velocity,
     velocity_observable,
 )
@@ -52,46 +52,60 @@ def exact_trajectory(t0, t1, n_steps):
     return Trajectory(grid=grid, states=states, norm_defects=np.abs(np.linalg.norm(states, axis=1) - 1.0))
 
 
+def moments(a, psi):
+    """Mean, variance and centered image of one matrix and one state: a batch of one."""
+    means, centered = checked_moments(a, psi)
+    return means[0], inner_re(centered, centered)[0], centered
+
+
 def test_expectation_eigenstate():
     plus = qubit_plus()
-    assert expectation(SX, plus) == pytest.approx(1.0)
-    assert variance(SX, plus) == pytest.approx(0.0, abs=1e-15)
-    assert expectation(SZ, plus) == pytest.approx(0.0)
-    assert std_dev(SZ, plus) == pytest.approx(1.0)
+    mean_x, var_x, _ = moments(SX, plus)
+    mean_z, var_z, _ = moments(SZ, plus)
+    assert mean_x == pytest.approx(1.0)
+    assert var_x == pytest.approx(0.0, abs=1e-15)
+    assert mean_z == pytest.approx(0.0)
+    assert np.sqrt(var_z) == pytest.approx(1.0)
 
 
 def test_expectation_validates_inputs():
     with pytest.raises(ValueError, match="Hermitian"):
-        expectation(np.array([[0, 1], [0, 0]], dtype=complex), qubit_plus())
+        checked_moments(np.array([[0, 1], [0, 0]], dtype=complex), qubit_plus())
     with pytest.raises(ValueError, match="normalized"):
-        expectation(SX, np.array([1.0, 1.0]))
+        checked_moments(SX, np.array([1.0, 1.0]))
 
 
 def test_sigma_closed_form_unit_coefficient():
-    # With A = sx (constant) the deviation is |sin(2 sin t)| on this驱动;
+    # With A = sx (constant) the deviation is |sin(2 sin t)| on this drive;
     # checked at times where the closed form is positive.
     for t in (0.4, 1.0, 1.3):
         psi = evolved_plus(t)
         expected = np.sin(2.0 * np.sin(t))
-        assert std_dev(SX, psi) == pytest.approx(abs(expected), abs=1e-12)
+        assert np.sqrt(moments(SX, psi)[1]) == pytest.approx(abs(expected), abs=1e-12)
 
 
 def test_covariance_definition_and_bounds():
+    # cov(A, B) = Re <(A - <A>) psi | (B - <B>) psi>: symmetric, cov(A, A)
+    # is the variance <A^2> - <A>^2, and |cov| <= sigma_A sigma_B.
     rng = np.random.default_rng(11)
     for _ in range(200):
         dim = int(rng.choice([2, 3, 4, 8]))
         a = linops.random_hermitian(dim, rng)
         b = linops.random_hermitian(dim, rng)
         psi = linops.random_state(dim, rng)
-        cov_ab = covariance(a, b, psi)
-        assert cov_ab == pytest.approx(covariance(b, a, psi), abs=1e-12)
-        assert covariance(a, a, psi) == pytest.approx(variance(a, psi), rel=1e-10, abs=1e-12)
-        bound = std_dev(a, psi) * std_dev(b, psi)
+        mean_a, var_a, da = moments(a, psi)
+        _, var_b, db = moments(b, psi)
+        cov_ab = inner_re(da, db)[0]
+        assert cov_ab == pytest.approx(inner_re(db, da)[0], abs=1e-12)
+        assert var_a == pytest.approx(np.vdot(psi, a @ a @ psi).real - mean_a**2, rel=1e-10, abs=1e-12)
+        bound = np.sqrt(var_a) * np.sqrt(var_b)
         assert abs(cov_ab) <= bound + 1e-10 * max(1.0, bound)
 
 
 def test_covariance_pauli_zero():
-    assert covariance(SX, SY, qubit_plus()) == pytest.approx(0.0, abs=1e-15)
+    _, _, dx = moments(SX, qubit_plus())
+    _, _, dy = moments(SY, qubit_plus())
+    assert inner_re(dx, dy)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_velocity_observable_closed_forms():
@@ -122,7 +136,7 @@ def test_velocity_differentiates_coefficient_rates_by_richardson():
     h = TimeDepOperator.stationary(np.zeros((2, 2)))
     a = TimeDepOperator.scaled(np.cos, lambda t: -np.sin(t), SX)
     v = velocity(a, h)
-    assert len(v.terms) == 1
+    assert len(v.bases) == 1
     assert np.abs(v.value(1.2) + np.sin(1.2) * SX).max() == 0.0
     assert np.abs(v.dvalue(1.2) + np.cos(1.2) * SX).max() < 1e-11
 
@@ -353,7 +367,7 @@ def test_velocity_of_large_operators_is_held_in_the_hermitian_basis():
     h = TimeDepOperator.tabulated(grid.times, h0 + np.cos(grid.times)[:, None, None] * h1)
     a = TimeDepOperator.tabulated(grid.times, a0 + np.sin(grid.times)[:, None, None] * a1)
     v = velocity(a, h, hbar=0.7)
-    assert [len(op.terms) for op in higher_order_chain(a, h, 3)] == [16, 16, 16, 16]
+    assert [len(op.bases) for op in higher_order_chain(a, h, 3)] == [16, 16, 16, 16]
     t = grid.times[5:9] + 0.3 * grid.dt
     hm, am = h.sample(t), a.sample(t)
     direct = a.sample_deriv(t) + (1j / 0.7) * (hm @ am - am @ hm)
@@ -371,7 +385,7 @@ def test_velocity_of_large_operators_is_held_in_the_hermitian_basis():
     h = TimeDepOperator.linear([(np.cos, lambda t: -np.sin(t), SX), (lambda t: t * t, lambda t: 2.0 * t, SZ)])
     a = TimeDepOperator.linear([(np.sin, np.cos, SY), (np.exp, np.exp, SZ), (np.cos, lambda t: -np.sin(t), SX)])
     v = velocity(a, h)
-    assert len(v.terms) == 4
+    assert len(v.bases) == 4
     t = np.array([0.3, 1.1, 2.0])
     central = (v.sample(t + 1e-5) - v.sample(t - 1e-5)) / 2e-5
     assert np.abs(v.sample_deriv(t) - central).max() <= 1e-8 * np.abs(central).max()
@@ -383,5 +397,40 @@ def test_chain_skips_zero_commutators():
     # directions of the 2x2 Hermitian matrices: it is held in their basis.
     pieces = default_config("example2").build()
     chain = higher_order_chain(pieces.observable, pieces.hamiltonian, 3)
-    assert [len(op.terms) for op in chain] == [2, 3, 5, 4]
-    assert all(b.any() for op in chain for _, _, b in op.terms)
+    assert [len(op.bases) for op in chain] == [2, 3, 5, 4]
+    assert all(b.any() for op in chain for b in op.bases)
+
+
+def test_velocity_samples_each_coefficient_once():
+    # H on sz and sx, A on sy and sx + sz: all four commutators are nonzero,
+    # yet one sample of v_A calls each coefficient function of A and H once.
+    calls = Counter()
+
+    def counted(name, f):
+        def g(t):
+            calls[name] += 1
+            return f(t)
+
+        return g
+
+    h = TimeDepOperator.linear(
+        [
+            (counted("h0", np.cos), counted("dh0", lambda t: -np.sin(t)), SZ),
+            (counted("h1", np.sin), counted("dh1", np.cos), SX),
+        ]
+    )
+    a = TimeDepOperator.linear(
+        [
+            (counted("a0", lambda t: t * t), counted("da0", lambda t: 2.0 * t), SY),
+            (counted("a1", np.exp), counted("da1", np.exp), SX + SZ),
+        ]
+    )
+    v = velocity(a, h, hbar=0.7)
+    assert len(v.bases) == 6
+    t = np.linspace(0.0, 2.0, 7)
+    calls.clear()
+    sampled = v.sample(t)
+    assert calls == {"h0": 1, "h1": 1, "a0": 1, "a1": 1, "da0": 1, "da1": 1}
+    hm, am = h.sample(t), a.sample(t)
+    direct = a.sample_deriv(t) + (1j / 0.7) * (hm @ am - am @ hm)
+    assert np.abs(sampled - direct).max() <= 1e-14 * np.abs(direct).max()
