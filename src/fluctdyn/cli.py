@@ -4,10 +4,18 @@ Outputs are built for scripts and CI: a fixed-schema CSV per run, a JSON
 report, and a manifest listing every emitted file.  Identical config plus
 seed yields byte-identical files (shortest round-trip float formatting,
 fixed column order, writes go to a temp file and are renamed into place).
+The series CSV is formatted and written ``ROWS_PER_BLOCK`` rows at a time.
+A sweep writes each value's files to temp files as soon as the value has
+run and drops its report, then renames every file into place after the last
+value and writes the summary, so its memory does not grow with the number
+of values.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed config or
-arguments; 3 scenario invariant failure or numeric breakdown (a non-finite
-or non-real value met during a run, reported on stderr; no files written).
+arguments, or an output directory or file that cannot be created or
+written (one ``output error`` line on stderr, no temp file left); 3
+scenario invariant failure or numeric breakdown (a non-finite or non-real
+value met during a run, reported on stderr; no files written, also when a
+sweep breaks down after earlier values completed).
 
 The scenario layer is imported by ``run`` and ``sweep`` only, so a
 ``verify`` command loads no more of the package than its suite needs.
@@ -16,6 +24,7 @@ The scenario layer is imported by ``run`` and ``sweep`` only, so a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -53,23 +62,70 @@ EXIT_INVARIANT = 3
 
 OUTDIR_ENV = "FLUCTDYN_OUTDIR"
 
+# Series rows formatted and written at a time, so that emission holds the
+# strings of one block, not of the whole grid.
+ROWS_PER_BLOCK = 512
+
 
 def _fmt(x: float) -> str:
     # repr of a Python float is the shortest string that round-trips.
     return repr(float(x))
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+class OutputError(Exception):
+    """An output directory or file could not be created or written."""
+
+
+def _makedirs(path: str) -> None:
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(exc) from None
+
+
+@contextlib.contextmanager
+def _staging():
+    """A list for ``(temp file, final path)`` pairs; if the block raises, every temp file is removed."""
+    staged = []
+    try:
+        yield staged
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            # A temp file already renamed into place is gone.
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
+
+
+def _stage(staged: list, path: str, chunks) -> None:
+    """Write the strings ``chunks`` to a new temp file beside ``path`` and add the pair to ``staged``.
+
+    ``chunks`` is an iterable of strings: a plain ``str`` would be written one
+    character at a time.
+    """
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp_", suffix=".part")
+        staged.append((tmp, path))
+        with os.fdopen(fd, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise OutputError(exc) from None
+
+
+def _commit(staged: list) -> list[str]:
+    """Rename every staged temp file into place, in order; returns the final paths."""
+    try:
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputError(exc) from None
+    return [path for _, path in staged]
+
+
+def _atomic_write(path: str, text: str) -> None:
+    with _staging() as staged:
+        _stage(staged, path, (text,))
+        _commit(staged)
 
 
 def _jsonable(obj):
@@ -86,29 +142,32 @@ def _jsonable(obj):
     return obj
 
 
-def series_csv(report: ScenarioReport) -> str:
-    """The series as CSV text, built column by column in ``CSV_COLUMNS`` order.
+def series_csv(report: ScenarioReport, start: int = 0, stop: int | None = None) -> str:
+    """Rows ``start`` to ``stop`` of the series as CSV text, in ``CSV_COLUMNS`` order.
 
-    Degenerate rows leave ``sigma_dot``, ``lhs_sq_sum`` and ``residual_r2``
-    blank.  ``lhs_sq_sum`` is the Python-float ``mu_dot**2 + sigma_dot**2``
-    of each value: numpy's array square differs from it by one ulp at some
-    points, which would change the emitted bytes.
+    The text starts with the header row when ``start`` is 0, so the texts of
+    consecutive row ranges join into the file, and ``series_csv(report)`` is
+    the whole file.  Degenerate rows leave ``sigma_dot``, ``lhs_sq_sum`` and
+    ``residual_r2`` blank.  ``lhs_sq_sum`` is the Python-float
+    ``mu_dot**2 + sigma_dot**2`` of each value: numpy's array square differs
+    from it by one ulp at some points, which would change the emitted bytes.
     """
     s = report.series
-    degenerate = s.degenerate.tolist()
+    rows = slice(start, stop)
+    degenerate = s.degenerate[rows].tolist()
 
     def numbers(values):
         # tolist() gives Python floats, whose repr is _fmt's string.
-        return list(map(repr, values.tolist()))
+        return list(map(repr, values[rows].tolist()))
 
     def rates(cells):
         return ["" if d else c for d, c in zip(degenerate, cells)]
 
     def flags(values):
-        return ["1" if x else "0" for x in values.tolist()]
+        return ["1" if x else "0" for x in values[rows].tolist()]
 
     v2 = numbers(s.v2_mean)
-    lhs = [_fmt(m**2 + d**2) for m, d in zip(s.mu_dot.tolist(), s.sigma_dot.tolist())]
+    lhs = [_fmt(m**2 + d**2) for m, d in zip(s.mu_dot[rows].tolist(), s.sigma_dot[rows].tolist())]
     columns = (
         numbers(s.t),
         numbers(s.mu),
@@ -125,7 +184,7 @@ def series_csv(report: ScenarioReport) -> str:
         flags(s.degenerate),
         numbers(s.norm_defect),
     )
-    lines = [",".join(CSV_COLUMNS)]
+    lines = [",".join(CSV_COLUMNS)] if start == 0 else []
     lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
@@ -178,30 +237,29 @@ def _load_config(path: str) -> ScenarioConfig:
 
 def _outdir(args) -> str:
     out = args.output_dir or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
+    _makedirs(out)
     return out
 
 
-def _emit_run(report: ScenarioReport, outdir: str, stem: str, config_path: str) -> list[str]:
+def _stage_run(staged: list, report: ScenarioReport, outdir: str, stem: str, config_path: str) -> None:
+    """Write a run's series, report and manifest to temp files, added to ``staged`` in that order."""
     series_path = os.path.join(outdir, f"{stem}_series.csv")
     report_path = os.path.join(outdir, f"{stem}_report.json")
-    _atomic_write(series_path, series_csv(report))
-    _atomic_write(report_path, report_json(report))
-    emitted = [series_path, report_path]
+    n = len(report.series.t)
+    _stage(staged, series_path, (series_csv(report, k, k + ROWS_PER_BLOCK) for k in range(0, n, ROWS_PER_BLOCK)))
+    _stage(staged, report_path, (report_json(report),))
     manifest = {
         "version": __version__,
         "config_path": os.path.abspath(config_path),
         "output_dir": os.path.abspath(outdir),
-        "files": [os.path.abspath(p) for p in emitted],
+        "files": [os.path.abspath(series_path), os.path.abspath(report_path)],
         "flags": report.flags,
         "warnings": report.warnings,
         "failed": report.failed,
         "tolerances": report.config.tolerances,
     }
     manifest_path = os.path.join(outdir, f"{stem}_manifest.json")
-    _atomic_write(manifest_path, json.dumps(_jsonable(manifest), indent=2, sort_keys=True) + "\n")
-    emitted.append(manifest_path)
-    return emitted
+    _stage(staged, manifest_path, (json.dumps(_jsonable(manifest), indent=2, sort_keys=True) + "\n",))
 
 
 def cmd_run(args) -> int:
@@ -218,8 +276,9 @@ def cmd_run(args) -> int:
     except NumericBreakdown as exc:
         print(f"numeric breakdown: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    stem = args.name or cfg.name
-    emitted = _emit_run(report, outdir, stem, args.config)
+    with _staging() as staged:
+        _stage_run(staged, report, outdir, args.name or cfg.name, args.config)
+        emitted = _commit(staged)
     for path in emitted:
         print(path)
     if report.failed:
@@ -242,6 +301,7 @@ def cmd_verify(args) -> int:
     }
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     if args.output:
+        _makedirs(os.path.dirname(args.output) or ".")
         _atomic_write(args.output, text)
         print(args.output)
     else:
@@ -264,6 +324,18 @@ def _parse_value(token: str):
         return json.loads(token)
     except json.JSONDecodeError:
         return token
+
+
+def _summary_row(value, report: ScenarioReport) -> str:
+    min_res = report.min_residual
+    return ",".join(
+        (
+            json.dumps(value),
+            "" if (isinstance(min_res, float) and math.isnan(min_res)) else _fmt(min_res),
+            _fmt(report.tight_fraction),
+            _fmt(report.max_norm_defect),
+        )
+    )
 
 
 def cmd_sweep(args) -> int:
@@ -295,33 +367,24 @@ def cmd_sweep(args) -> int:
             return EXIT_CONFIG
 
     outdir = _outdir(args)
-    reports = []
-    for value, cfg in zip(values, configs):
-        try:
-            reports.append(run_scenario(cfg))
-        except NumericBreakdown as exc:
-            print(f"numeric breakdown for {args.param}={value}: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-
-    emitted = []
     param_token = args.param.replace(".", "_")
     summary_lines = [",".join(("value", "min_residual", "tight_fraction", "max_norm_defect"))]
     any_failed = False
-    for value, report in zip(values, reports):
-        stem = f"{base_cfg.name}_{param_token}_{value}"
-        emitted.extend(_emit_run(report, outdir, stem, args.config))
-        any_failed = any_failed or report.failed
-        min_res = report.min_residual
-        summary_lines.append(
-            ",".join(
-                (
-                    json.dumps(value),
-                    "" if (isinstance(min_res, float) and math.isnan(min_res)) else _fmt(min_res),
-                    _fmt(report.tight_fraction),
-                    _fmt(report.max_norm_defect),
-                )
-            )
-        )
+    # Each value's files are written as it completes and renamed into place
+    # once every value has run, so a breakdown at any value leaves no files.
+    try:
+        with _staging() as staged:
+            for value, cfg in zip(values, configs):
+                report = run_scenario(cfg)
+                _stage_run(staged, report, outdir, f"{base_cfg.name}_{param_token}_{value}", args.config)
+                any_failed = any_failed or report.failed
+                summary_lines.append(_summary_row(value, report))
+                # Free this value's trajectory before the next value runs.
+                del report
+            emitted = _commit(staged)
+    except NumericBreakdown as exc:
+        print(f"numeric breakdown for {args.param}={value}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     summary_path = os.path.join(outdir, f"{base_cfg.name}_{param_token}_sweep.csv")
     _atomic_write(summary_path, "\n".join(summary_lines) + "\n")
     emitted.append(summary_path)
@@ -363,7 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -280,7 +280,8 @@ def _qubit_pieces(cfg: ScenarioConfig, with_b: bool) -> ScenarioPieces:
             a_vals = np.asarray(af(times), dtype=float)
             ad_vals = np.asarray(afd(times), dtype=float)
             mu = a_vals * np.cos(phi)
-            v2 = ad_vals**2 + 4.0 * w0**2 * a_vals**2 * np.cos(nu0 * times) ** 2
+            # (omega0 a)^2, not omega0^2 a^2: omega0^2 alone can overflow.
+            v2 = ad_vals**2 + 4.0 * (w0 * a_vals) ** 2 * np.cos(nu0 * times) ** 2
             if with_b:
                 b_vals = np.asarray(bf(times), dtype=float)
                 bd_vals = np.asarray(bfd(times), dtype=float)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import fluctdyn
 from fluctdyn import verify
-from fluctdyn.cli import CSV_COLUMNS, main, series_csv
+from fluctdyn.cli import CSV_COLUMNS, ROWS_PER_BLOCK, main, series_csv
 from fluctdyn.scenarios import ConfigError, ScenarioConfig, default_config, run_scenario
 
 EX1 = {
@@ -117,6 +118,19 @@ def test_series_csv_matches_per_value_reference(name):
     bad = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), None)
     assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
     assert series_csv(report).endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "rows", [2, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 2 * ROWS_PER_BLOCK + 1]
+)
+def test_series_file_written_in_blocks_matches_per_value_reference(tmp_path, rows):
+    raw = _with(EX1, "grid", n_steps=rows - 1)
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+    report = run_scenario(ScenarioConfig.from_dict(raw))
+    want = _reference_series_csv(report)
+    assert series_csv(report) == want
+    assert (tmp_path / "example1_series.csv").read_text() == want
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -250,6 +264,34 @@ def test_run_numeric_breakdown_exits_3(tmp_path, capsys, raw):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_sweep_breaking_down_after_a_completed_value_leaves_no_files(tmp_path, capsys):
+    # omega0 = 1.0 completes; hbar * omega0 = 1e309 overflows at every midpoint of H.
+    cfg = write_config(tmp_path, dict(_with(EX1, "params", hbar=10.0), method="midpoint"))
+    out = tmp_path / "out"
+    args = ["sweep", "--config", cfg, "--param", "params.omega0", "--values", "1.0", "1e308", "--output-dir", str(out)]
+    assert main(args) == 3
+    assert "numeric breakdown for params.omega0=1e+308: " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_memory_does_not_grow_with_the_number_of_values(tmp_path):
+    cfg = write_config(tmp_path, EX3)
+
+    def peak(values):
+        args = ["sweep", "--config", cfg, "--param", "params.omega", "--values", *values]
+        tracemalloc.start()
+        try:
+            assert main(args + ["--output-dir", str(tmp_path / "out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(["1.0"])  # imports and first-call caches
+    two = peak(["1.0", "1.1"])
+    six = peak(["1.0", "1.1", "1.2", "1.3", "1.4", "1.5"])
+    assert six <= 1.25 * two, (two, six)
+
+
 def test_sweep_example3_cutoffs(tmp_path):
     raw = json.loads(json.dumps(EX3))
     raw["grid"]["n_steps"] = 150
@@ -320,6 +362,41 @@ def test_verify_single_suite_stdout(capsys):
     payload = json.loads(capsys.readouterr().out)
     names = [c["name"] for c in payload["checks"]]
     assert "mean_excitation_error_s20" in names
+
+
+def test_verify_creates_the_output_directory(tmp_path):
+    out = tmp_path / "missing" / "deeper" / "verify.json"
+    assert main(["verify", "truncation", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["failed"] == 0
+
+
+@pytest.mark.parametrize(
+    "command,output,taken",
+    [
+        # A file where an output directory has to be.
+        pytest.param("verify", "blocker/verify.json", None, id="verify_dir"),
+        pytest.param("run", "blocker", None, id="run_dir"),
+        pytest.param("sweep", "blocker", None, id="sweep_dir"),
+        # A directory where an output file has to be: its temp file is written first.
+        pytest.param("verify", "out/verify.json", "out/verify.json", id="verify_file"),
+        pytest.param("run", "out", "out/example1_report.json", id="run_file"),
+        pytest.param("sweep", "out", "out/example1_params_nu0_2_manifest.json", id="sweep_file"),
+    ],
+)
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, output, taken):
+    cfg = write_config(tmp_path, _with(EX1, "grid", n_steps=50))
+    (tmp_path / "blocker").write_text("")
+    if taken:
+        (tmp_path / taken).mkdir(parents=True)
+    options = {
+        "verify": ["truncation", "--output"],
+        "run": ["--config", cfg, "--output-dir"],
+        "sweep": ["--config", cfg, "--param", "params.nu0", "--values", "1", "2", "--output-dir"],
+    }
+    assert main([command, *options[command], str(tmp_path / output)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert list(tmp_path.rglob(".tmp_*")) == []
 
 
 @pytest.mark.parametrize("seed", [995202943, 2043792527])
@@ -409,12 +486,6 @@ def test_run_with_a_huge_frequency_ends_with_flags(tmp_path):
     [
         pytest.param({"omega0": 1e155}, "rate statistics are not finite at t = ", id="omega0_1e155"),
         pytest.param({"omega0": 1e300}, "rate statistics are not finite at t = 0.001", id="omega0_1e300"),
-        # Every statistic is finite, but the v2 overlay's omega0^2 is not.
-        pytest.param(
-            {"omega0": 1e200, "a": {"fn": "const", "scale": 1e-200}},
-            "overlay v2_mean is not finite at t = 0.0",
-            id="omega0_1e200_tiny_a",
-        ),
     ],
 )
 def test_run_with_an_overflowing_frequency_ends_without_a_traceback(tmp_path, params, breakdown):
@@ -426,3 +497,13 @@ def test_run_with_an_overflowing_frequency_ends_without_a_traceback(tmp_path, pa
     proc = _fluctdyn_process([console, "run", "--config", cfg, "--output-dir", str(tmp_path)], timeout=30)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(f"numeric breakdown: {breakdown}") and proc.stderr.count("\n") == 1
+
+
+def test_run_with_a_huge_frequency_and_a_tiny_amplitude_exits_0(tmp_path):
+    # Every statistic is finite, and omega0 a = 1 although omega0^2 overflows.
+    raw = dict(EX1, grid={"t0": 0.0, "t1": 5.0, "n_steps": 5000})
+    cfg = write_config(tmp_path, _with(raw, "params", omega0=1e200, a={"fn": "const", "scale": 1e-200}))
+    console = "import sys; from fluctdyn.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = _fluctdyn_process([console, "run", "--config", cfg, "--output-dir", str(tmp_path)], timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads((tmp_path / "example1_report.json").read_text())["flags"] == []
