@@ -6,16 +6,16 @@ seed yields byte-identical files (shortest round-trip float formatting,
 fixed column order, writes go to a temp file and are renamed into place).
 The series CSV is formatted and written ``ROWS_PER_BLOCK`` rows at a time.
 A sweep writes each value's files to temp files as soon as the value has
-run and drops its report, then renames every file into place after the last
-value and writes the summary, so its memory does not grow with the number
-of values.
+run and drops its report, so its memory does not grow with the number of
+values, then stages the summary and renames every file into place, none
+while any final path is a directory.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed config or
 arguments, or an output directory or file that cannot be created or
-written (one ``output error`` line on stderr, no temp file left); 3
-scenario invariant failure or numeric breakdown (a non-finite or non-real
-value met during a run, reported on stderr; no files written, also when a
-sweep breaks down after earlier values completed).
+written (one ``output error`` line on stderr naming it, no temp file
+left); 3 scenario invariant failure or numeric breakdown (a non-finite or
+non-real value met during a run, reported on stderr; no files written, also
+when a sweep breaks down after earlier values completed).
 
 The scenario layer is imported by ``run`` and ``sweep`` only, so a
 ``verify`` command loads no more of the package than its suite needs.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -109,23 +110,24 @@ def _stage(staged: list, path: str, chunks) -> None:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise OutputError(exc) from None
+        # Name the file asked for, not the temp file beside it.
+        raise OutputError(OSError(exc.errno, exc.strerror, path)) from None
 
 
 def _commit(staged: list) -> list[str]:
-    """Rename every staged temp file into place, in order; returns the final paths."""
-    try:
-        for tmp, path in staged:
+    """Rename every staged temp file into place, in order; returns the final paths.
+
+    Raises before the first rename if any final path is a directory.
+    """
+    for _, path in staged:
+        if os.path.isdir(path):
+            raise OutputError(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path))
+    for tmp, path in staged:
+        try:
             os.replace(tmp, path)
-    except OSError as exc:
-        raise OutputError(exc) from None
+        except OSError as exc:
+            raise OutputError(OSError(exc.errno, exc.strerror, path)) from None
     return [path for _, path in staged]
-
-
-def _atomic_write(path: str, text: str) -> None:
-    with _staging() as staged:
-        _stage(staged, path, (text,))
-        _commit(staged)
 
 
 def _jsonable(obj):
@@ -222,7 +224,8 @@ def report_json(report: ScenarioReport) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _load_config(path: str) -> ScenarioConfig:
+def _load_config(path: str) -> tuple[ScenarioConfig, dict]:
+    """The validated config at ``path`` and the JSON it was parsed from."""
     from .scenarios import ConfigError, ScenarioConfig
 
     try:
@@ -232,7 +235,7 @@ def _load_config(path: str) -> ScenarioConfig:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from None
-    return ScenarioConfig.from_dict(raw)
+    return ScenarioConfig.from_dict(raw), raw
 
 
 def _outdir(args) -> str:
@@ -266,9 +269,10 @@ def cmd_run(args) -> int:
     from .scenarios import ConfigError, run_scenario
 
     try:
-        cfg = _load_config(args.config)
+        cfg, _ = _load_config(args.config)
     except ConfigError as exc:
-        print(f"config error at {exc.path}: {exc}", file=sys.stderr)
+        # The error's text starts with its field path.
+        print(f"config error at {exc}", file=sys.stderr)
         return EXIT_CONFIG
     outdir = _outdir(args)
     try:
@@ -302,7 +306,9 @@ def cmd_verify(args) -> int:
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     if args.output:
         _makedirs(os.path.dirname(args.output) or ".")
-        _atomic_write(args.output, text)
+        with _staging() as staged:
+            _stage(staged, args.output, (text,))
+            _commit(staged)
         print(args.output)
     else:
         print(text, end="")
@@ -345,14 +351,9 @@ def cmd_sweep(args) -> int:
         print("sweep needs a non-empty --values list", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        with open(args.config) as fh:
-            raw_base = json.load(fh)
-        base_cfg = ScenarioConfig.from_dict(raw_base)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        base_cfg, raw_base = _load_config(args.config)
     except ConfigError as exc:
-        print(f"config error at {exc.path}: {exc}", file=sys.stderr)
+        print(f"config error at {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     values = [_parse_value(v) for v in args.values]
@@ -363,7 +364,7 @@ def cmd_sweep(args) -> int:
         try:
             configs.append(ScenarioConfig.from_dict(raw))
         except ConfigError as exc:
-            print(f"config error at {exc.path} for {args.param}={value}: {exc}", file=sys.stderr)
+            print(f"config error at {exc} (for {args.param}={value})", file=sys.stderr)
             return EXIT_CONFIG
 
     outdir = _outdir(args)
@@ -371,7 +372,7 @@ def cmd_sweep(args) -> int:
     summary_lines = [",".join(("value", "min_residual", "tight_fraction", "max_norm_defect"))]
     any_failed = False
     # Each value's files are written as it completes and renamed into place
-    # once every value has run, so a breakdown at any value leaves no files.
+    # with the summary once every value has run: a breakdown leaves no files.
     try:
         with _staging() as staged:
             for value, cfg in zip(values, configs):
@@ -381,13 +382,12 @@ def cmd_sweep(args) -> int:
                 summary_lines.append(_summary_row(value, report))
                 # Free this value's trajectory before the next value runs.
                 del report
+            summary_path = os.path.join(outdir, f"{base_cfg.name}_{param_token}_sweep.csv")
+            _stage(staged, summary_path, ("\n".join(summary_lines) + "\n",))
             emitted = _commit(staged)
     except NumericBreakdown as exc:
         print(f"numeric breakdown for {args.param}={value}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    summary_path = os.path.join(outdir, f"{base_cfg.name}_{param_token}_sweep.csv")
-    _atomic_write(summary_path, "\n".join(summary_lines) + "\n")
-    emitted.append(summary_path)
     for path in emitted:
         print(path)
     return EXIT_INVARIANT if any_failed else EXIT_OK

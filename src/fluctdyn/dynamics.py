@@ -61,8 +61,7 @@ its own call, and a single operator is a stack of one.
 
 Trajectories store the full state history plus per-step normalization
 defects, and optionally the cumulative propagators (needed by the
-representation-equivalence diagnostics).  A non-finite norm defect counts
-as over budget.
+representation-equivalence diagnostics).
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .linops import HERM_TOL, NumericBreakdown, at_time, herm_expm, require_hermitian, require_normalized
+from .linops import HERM_TOL, NumericBreakdown, at_time, herm_expm, norm_defect, require_hermitian, require_normalized
 
 SIMPSON_TOL = 1e-12
 # Quadrature asks for no less than this many ulps of max|f| times the width:
@@ -82,7 +81,6 @@ SIMPSON_TOL = 1e-12
 ROUNDING_FLOOR = 64
 # Step of the Richardson difference that stands in for a derivative not given.
 RICHARDSON_STEP = 1e-3
-DEFAULT_NORM_BUDGET = 1e-8
 # Largest (n, d, d) complex stack a grid function holds at once.  Larger
 # chunks ran no faster but raised the peak memory of a 50k-point trace and
 # of a d=33 sweep above that of a point-by-point loop.
@@ -454,16 +452,12 @@ class Trajectory:
     ``states[k]`` is the state at ``grid.times[k]``; ``norm_defects[k]`` is
     ``| ||states[k]|| - 1 |``.  ``propagators``, when stored, holds the
     cumulative unitaries ``U(t_k)`` with ``states[k] = U(t_k) @ states[0]``.
-    ``flagged`` marks a norm defect beyond the budget the run was given,
-    or one that is not finite.
     """
 
     grid: TimeGrid
     states: np.ndarray
     norm_defects: np.ndarray
     propagators: Optional[np.ndarray] = None
-    flagged: bool = False
-    norm_budget: float = DEFAULT_NORM_BUDGET
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -564,7 +558,6 @@ def propagate(
     method: str = "midpoint",
     hbar: float = 1.0,
     store_propagators: bool = False,
-    norm_budget: float = DEFAULT_NORM_BUDGET,
 ) -> Trajectory | list[Trajectory]:
     """Evolve ``psi0`` under ``h`` over ``grid``.
 
@@ -615,19 +608,10 @@ def propagate(
     else:
         raise ValueError(f"unknown propagation method {method!r}")
 
-    trajs = []
-    for states, props in runs:
-        defects = np.abs(np.linalg.norm(states, axis=1) - 1.0)
-        trajs.append(
-            Trajectory(
-                grid=grid,
-                states=states,
-                norm_defects=defects,
-                propagators=props,
-                flagged=not bool(np.max(defects) <= norm_budget),
-                norm_budget=norm_budget,
-            )
-        )
+    trajs = [
+        Trajectory(grid=grid, states=states, norm_defects=norm_defect(states), propagators=props)
+        for states, props in runs
+    ]
     return trajs if stacked else trajs[0]
 
 

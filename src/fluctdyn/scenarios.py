@@ -19,6 +19,8 @@ Three built-in scenarios exercise the rate bounds end to end:
 Every scenario carries closed-form overlays for the mean, the deviation,
 and the squared-velocity channel; runs compare the numeric pipeline to the
 overlays and summarize tight/loose classification per grid point.
+A run also flags a trajectory whose largest norm defect exceeds its
+``norm_budget`` tolerance; a non-finite defect counts as over budget.
 Coefficient functions come from a whitelisted expression set with analytic
 derivatives (a general expression parser is deliberately out of scope); a
 ``custom`` scenario accepts constant or tabulated operators instead, the
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import bloch
 from .dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate, time_chunks
-from .fluctuation import BoundSeries, bound_series, inner_re, velocity
+from .fluctuation import SIGMA_FLOOR, TIGHT_TOL, BoundSeries, bound_series, inner_re, velocity
 from .hilbert import (
     FockSpace,
     SqueezedCoherentParams,
@@ -49,10 +51,11 @@ from .hilbert import (
     qubit_plus,
     recommended_dim,
 )
-from .linops import NumericBreakdown, at_time
+from .linops import HERM_TOL, NumericBreakdown, at_time, hermitian_defect
 
 RESIDUAL_VIOLATION_TOL = 1e-8
 DEFAULT_OVERLAY_TOL = 1e-6
+NORM_BUDGET = 1e-8
 TAIL_MASS_TOL = 1e-8
 
 
@@ -169,7 +172,14 @@ class ScenarioConfig:
     seed: int = 20240617
 
     KNOWN = ("example1", "example2", "example3", "custom")
-    TOLERANCES = ("tight_tol", "sigma_floor", "norm_budget", "overlay_tol", "residual_tol")
+    # Each tolerance a config may set, with the value it takes when unset.
+    TOLERANCES = {
+        "tight_tol": TIGHT_TOL,
+        "sigma_floor": SIGMA_FLOOR,
+        "norm_budget": NORM_BUDGET,
+        "overlay_tol": DEFAULT_OVERLAY_TOL,
+        "residual_tol": RESIDUAL_VIOLATION_TOL,
+    }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -203,7 +213,7 @@ class ScenarioConfig:
             raise ConfigError("tolerances", "must be an object")
         for key, value in tolerances.items():
             if key not in cls.TOLERANCES:
-                raise ConfigError(f"tolerances.{key}", f"unknown tolerance; expected one of {cls.TOLERANCES}")
+                raise ConfigError(f"tolerances.{key}", f"unknown tolerance; expected one of {tuple(cls.TOLERANCES)}")
             _positive(value, f"tolerances.{key}")
         seed = raw.get("seed", 20240617)
         if not _is_int(seed):
@@ -212,8 +222,8 @@ class ScenarioConfig:
         cfg.build()  # validate scenario-specific parameters eagerly
         return cfg
 
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
+    def tol(self, key: str) -> float:
+        return float(self.tolerances.get(key, self.TOLERANCES[key]))
 
     def build(self) -> "ScenarioPieces":
         if self.name == "example1":
@@ -384,7 +394,7 @@ def _build_example3(cfg: ScenarioConfig) -> ScenarioPieces:
 def _hermitian_from_json(raw, dim: int, path: str) -> np.ndarray:
     arr = _real_array(raw, (dim, dim, 2), path)
     mat = arr[..., 0] + 1j * arr[..., 1]
-    if np.abs(mat - mat.conj().T).max() > 1e-12:
+    if hermitian_defect(mat) > HERM_TOL:
         raise ConfigError(path, "matrix is not Hermitian")
     return mat
 
@@ -463,7 +473,6 @@ class ScenarioReport:
 def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> ScenarioReport:
     """Propagate, evaluate the bound series, and compare with overlays."""
     pieces = cfg.build()
-    norm_budget = cfg.tol("norm_budget", 1e-8)
     traj = propagate(
         pieces.hamiltonian,
         pieces.psi0,
@@ -471,15 +480,14 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
         method=cfg.method,
         hbar=pieces.hbar,
         store_propagators=store_propagators,
-        norm_budget=norm_budget,
     )
     series = bound_series(
         pieces.observable,
         pieces.hamiltonian,
         traj,
         hbar=pieces.hbar,
-        sigma_floor=cfg.tol("sigma_floor", 1e-9),
-        tight_tol=cfg.tol("tight_tol", 1e-6),
+        sigma_floor=cfg.tol("sigma_floor"),
+        tight_tol=cfg.tol("tight_tol"),
     )
 
     flags: list[str] = []
@@ -488,7 +496,7 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
     overlays: dict = {}
     if pieces.overlays is not None:
         overlays = pieces.overlays(series.t)
-        overlay_tol = cfg.tol("overlay_tol", DEFAULT_OVERLAY_TOL)
+        overlay_tol = cfg.tol("overlay_tol")
         for channel, analytic in overlays.items():
             bad = ~np.isfinite(analytic)
             if bad.any():
@@ -502,7 +510,7 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
 
     nondeg = ~series.degenerate
     n_nondeg = int(np.count_nonzero(nondeg))
-    residual_tol = cfg.tol("residual_tol", RESIDUAL_VIOLATION_TOL)
+    residual_tol = cfg.tol("residual_tol")
     min_residual = float(np.min(series.residual_r2[nondeg])) if n_nondeg else float("nan")
     min_cs = float(np.min(series.cs_residual))
     if np.any(series.residual_r2[nondeg] < -residual_tol * np.maximum(1.0, series.v2_mean[nondeg])):
@@ -510,8 +518,9 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
     cs_scale = float(np.max(series.sigma**2 * series.sigma_v**2, initial=1.0))
     if min_cs < -residual_tol * cs_scale:
         flags.append(f"bound_violation:cs_residual:{min_cs:.3e}")
-    if traj.flagged:
-        flags.append(f"norm_budget_exceeded:{float(np.max(traj.norm_defects)):.3e}")
+    max_norm_defect = float(np.max(traj.norm_defects))
+    if not max_norm_defect <= cfg.tol("norm_budget"):
+        flags.append(f"norm_budget_exceeded:{max_norm_defect:.3e}")
 
     tail_mass = None
     if pieces.tail_levels:
@@ -531,7 +540,7 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
         tight_fraction=tight_fraction,
         min_residual=min_residual,
         min_cs_residual=min_cs,
-        max_norm_defect=float(np.max(traj.norm_defects)),
+        max_norm_defect=max_norm_defect,
         tail_mass=tail_mass,
         flags=flags,
         warnings=warnings,

@@ -200,6 +200,11 @@ def _with(raw, section, **fields):
             id="nan_matrix_entry",
         ),
         pytest.param(_with(CUSTOM, "params", psi0=[[1.0, 0.0], [NAN, 0.0]]), "params.psi0[1][0]", id="nan_psi0"),
+        pytest.param(
+            _with(CUSTOM, "params", hamiltonian={"constant": [[[1.0, 0.0], [1e-11, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}),
+            "params.hamiltonian.constant",
+            id="non_hermitian_matrix",
+        ),
         # JSON true and numeric strings must not pass as 1.0 and 0.0.
         pytest.param(_with(CUSTOM, "params", psi0=[[True, 0.0], [0.0, 0.0]]), "params.psi0[0][0]", id="bool_psi0"),
         pytest.param(
@@ -215,7 +220,8 @@ def test_run_invalid_number_exits_2(tmp_path, capsys, raw, path):
     assert info.value.path == path
     cfg = write_config(tmp_path, raw)
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
-    assert f"config error at {path}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error at {path}: " in err and err.count(path) == 1
     assert not (tmp_path / "out" / f"{raw['name']}_series.csv").exists()
 
 
@@ -223,6 +229,36 @@ def test_run_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["run", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing_file", "invalid_json"])
+def test_an_unreadable_config_is_reported_alike_by_run_and_sweep(tmp_path, capsys, command, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    sweep = ["--param", "params.nu0", "--values", "1"] if command == "sweep" else []
+    assert main([command, "--config", str(path), *sweep, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at <file>: ") and err.count("<file>") == 1 and str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_misspelt_tolerance_lists_every_known_name(tmp_path, capsys):
+    cfg = write_config(tmp_path, _with(EX1, "tolerances", norm_budgt=1e-8))
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+    names = "('tight_tol', 'sigma_floor', 'norm_budget', 'overlay_tol', 'residual_tol')"
+    assert capsys.readouterr().err == f"config error at tolerances.norm_budgt: unknown tolerance; expected one of {names}\n"
+
+
+def test_a_run_over_its_norm_budget_exits_3(tmp_path, capsys):
+    # The exact propagator is unitary to rounding; a budget below it flags the run.
+    cfg = write_config(tmp_path, _with(EX1, "tolerances", norm_budget=1e-300))
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 3
+    report = json.loads((tmp_path / "out" / "example1_report.json").read_text())
+    assert report["failed"] and report["flags"] == ["norm_budget_exceeded:2.220e-16"]
+    assert (tmp_path / "out" / "example1_series.csv").exists()
+    assert "invariant flags: ['norm_budget_exceeded:2.220e-16']" in capsys.readouterr().err
 
 
 def test_run_invariant_failure_exits_3(tmp_path, capsys):
@@ -381,6 +417,7 @@ def test_verify_creates_the_output_directory(tmp_path):
         pytest.param("verify", "out/verify.json", "out/verify.json", id="verify_file"),
         pytest.param("run", "out", "out/example1_report.json", id="run_file"),
         pytest.param("sweep", "out", "out/example1_params_nu0_2_manifest.json", id="sweep_file"),
+        pytest.param("sweep", "out", "out/example1_params_nu0_sweep.csv", id="sweep_summary"),
     ],
 )
 def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, output, taken):
@@ -396,7 +433,11 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, out
     assert main([command, *options[command], str(tmp_path / output)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("output error: ") and err.count("\n") == 1
+    # The error names the path asked for, never a temp file.
+    assert ".tmp_" not in err and (taken is None or err.endswith(f"'{tmp_path / taken}'\n"))
     assert list(tmp_path.rglob(".tmp_*")) == []
+    # No output file is left in place: a command writes all of its files or none.
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["blocker", "config.json"]
 
 
 @pytest.mark.parametrize("seed", [995202943, 2043792527])

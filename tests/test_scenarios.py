@@ -2,6 +2,9 @@
 two qubit scenarios, the oscillator run, representation equivalence, and
 config validation."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from fluctdyn.scenarios import (
     run_scenario,
     snr_comparison,
 )
+
+DEMO_CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "configs")
 
 
 def test_example1_defaults_tight_everywhere():
@@ -314,3 +319,13 @@ def test_custom_scenario_rejects_exact_for_tabulated_h():
     }
     with pytest.raises(ConfigError, match="midpoint"):
         ScenarioConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_demo_configs_are_the_stock_configs(name):
+    # The stock parameters live both in demos/configs and in default_config.
+    with open(os.path.join(DEMO_CONFIGS, f"{name}.json")) as fh:
+        demo = ScenarioConfig.from_dict(json.load(fh))
+    stock = default_config(name)
+    fields = ("name", "params", "grid", "method", "tolerances")
+    assert [getattr(demo, f) for f in fields] == [getattr(stock, f) for f in fields]
