@@ -12,8 +12,9 @@ quadrature).
 
 The traces apply ``H``, ``dH/dt``, ``A`` and ``v_A`` to the states over the
 grid with :meth:`TimeDepOperator.act` and reduce the images with the
-batched moments kernel of :mod:`fluctdyn.fluctuation`, chunk by chunk
-along the time axis.
+batched moments kernel of :mod:`fluctdyn.fluctuation`, walking the grid
+in :func:`~fluctdyn.fluctuation.walk_grid`, which names the first time
+where a statistic overflows.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .dynamics import TimeDepOperator, Trajectory, time_chunks
-from .fluctuation import centered_moments, inner_re, rate_columns
+from .dynamics import TimeDepOperator, Trajectory
+from .fluctuation import centered_moments, inner_re, rate_columns, walk_grid
 from .linops import require_hermitian, require_normalized
 
 
@@ -80,19 +81,19 @@ def mt_ml_times(h: np.ndarray, psi: np.ndarray, hbar: float = 1.0) -> SpeedLimit
     )
 
 
-def _energy_spread(h: TimeDepOperator, traj: Trajectory, with_rate: bool = False):
-    """``sigma_H`` at every grid point, plus ``cov(H, dH/dt)`` when ``with_rate``."""
-    times = traj.grid.times
-    sig = np.empty(len(times))
-    cov = np.empty(len(times)) if with_rate else None
-    for chunk in time_chunks(len(times), h.dim, h.act_rows):
-        t, psi = times[chunk], traj.states[chunk]
+def _energy_spread(h: TimeDepOperator, traj: Trajectory, with_rate: bool = False) -> tuple[np.ndarray, ...]:
+    """``(sigma_H,)`` at every grid point, or ``(sigma_H, cov(H, dH/dt))`` when ``with_rate``."""
+
+    def columns(t, psi):
         _, dh = centered_moments(h.act(t, psi), psi, t)
-        sig[chunk] = np.sqrt(inner_re(dh, dh))
-        if with_rate:
-            _, dhd = centered_moments(h.act_deriv(t, psi), psi, t)
-            cov[chunk] = inner_re(dh, dhd)
-    return sig, cov
+        sig = np.sqrt(inner_re(dh, dh))
+        if not with_rate:
+            return (sig,)
+        _, dhd = centered_moments(h.act_deriv(t, psi), psi, t)
+        return sig, inner_re(dh, dhd)
+
+    width = 2 if with_rate else 1
+    return walk_grid(traj.grid.times, [traj.states], columns, width, "energy statistics", h.dim, h.act_rows)
 
 
 def mt_integral_check(
@@ -106,7 +107,7 @@ def mt_integral_check(
     ``defect = lhs - rhs`` (nonnegative up to quadrature error).
     """
     times = traj.grid.times
-    sig, _ = _energy_spread(h, traj)
+    (sig,) = _energy_spread(h, traj)
     lhs = _cumtrapz(sig / hbar, times)
     overlaps = np.abs(traj.states @ traj.states[0].conj())
     rhs = pi / 2.0 - np.arcsin(np.clip(overlaps, 0.0, 1.0))

@@ -316,12 +316,15 @@ def cmd_verify(args) -> int:
 
 
 def _set_by_path(raw: dict, path: str, value) -> None:
+    """Set ``value`` at the dotted ``path``, adding missing objects; a non-object in the way is a ``ConfigError``."""
+    from .scenarios import ConfigError
+
     keys = path.split(".")
     node = raw
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            node[key] = {}
-        node = node[key]
+    for depth, key in enumerate(keys[:-1], start=1):
+        node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(keys[:depth]), f"{json.dumps(node)} is not an object, so {path} cannot be set")
     node[keys[-1]] = value
 
 
@@ -360,8 +363,8 @@ def cmd_sweep(args) -> int:
     configs = []
     for value in values:
         raw = json.loads(json.dumps(raw_base))
-        _set_by_path(raw, args.param, value)
         try:
+            _set_by_path(raw, args.param, value)
             configs.append(ScenarioConfig.from_dict(raw))
         except ConfigError as exc:
             print(f"config error at {exc} (for {args.param}={value})", file=sys.stderr)

@@ -60,8 +60,8 @@ the closed form member by member.  Each trajectory is bit for bit that of
 its own call, and a single operator is a stack of one.
 
 Trajectories store the full state history plus per-step normalization
-defects, and optionally the cumulative propagators (needed by the
-representation-equivalence diagnostics).
+defects.  A propagator ``U(t)`` is the trajectories of the basis states:
+its columns come from one stacked call ``propagate([h] * d, np.eye(d))``.
 """
 
 from __future__ import annotations
@@ -450,14 +450,12 @@ class Trajectory:
     """Evolved states over a grid plus unitarity diagnostics.
 
     ``states[k]`` is the state at ``grid.times[k]``; ``norm_defects[k]`` is
-    ``| ||states[k]|| - 1 |``.  ``propagators``, when stored, holds the
-    cumulative unitaries ``U(t_k)`` with ``states[k] = U(t_k) @ states[0]``.
+    ``| ||states[k]|| - 1 |``.
     """
 
     grid: TimeGrid
     states: np.ndarray
     norm_defects: np.ndarray
-    propagators: Optional[np.ndarray] = None
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -557,7 +555,6 @@ def propagate(
     grid: TimeGrid,
     method: str = "midpoint",
     hbar: float = 1.0,
-    store_propagators: bool = False,
 ) -> Trajectory | list[Trajectory]:
     """Evolve ``psi0`` under ``h`` over ``grid``.
 
@@ -602,16 +599,13 @@ def propagate(
         runs = []
         for op, psi, member in zip(ops, psi0, members):
             with _naming(member):
-                runs.append(_exact_commuting(op, psi, grid.times, hbar, store_propagators))
+                runs.append(_exact_commuting(op, psi, grid.times, hbar))
     elif method == "midpoint":
-        runs = _midpoint(ops, psi0, grid, hbar, store_propagators, stacked)
+        runs = _midpoint(ops, psi0, grid, hbar, stacked)
     else:
         raise ValueError(f"unknown propagation method {method!r}")
 
-    trajs = [
-        Trajectory(grid=grid, states=states, norm_defects=norm_defect(states), propagators=props)
-        for states, props in runs
-    ]
+    trajs = [Trajectory(grid=grid, states=states, norm_defects=norm_defect(states)) for states in runs]
     return trajs if stacked else trajs[0]
 
 
@@ -637,8 +631,8 @@ class _MemberTimes:
         return f"{self.times[j]} (member {self.first + member})"
 
 
-def _exact_commuting(h: TimeDepOperator, psi0: np.ndarray, times: np.ndarray, hbar: float, store: bool):
-    """``(states, propagators or None)`` of the closed-form route for one operator."""
+def _exact_commuting(h: TimeDepOperator, psi0: np.ndarray, times: np.ndarray, hbar: float) -> np.ndarray:
+    """The states of the closed-form route for one operator."""
     if not h.commuting_family:
         raise ValueError("exact_commuting requires a commuting_family operator: commuting bases")
     lams, vecs = _common_eigenbasis(list(h.bases))
@@ -646,14 +640,13 @@ def _exact_commuting(h: TimeDepOperator, psi0: np.ndarray, times: np.ndarray, hb
     # column by column; temporaries, so they are freed before the states are formed.
     integrals = (np.outer(c, lam) for c, lam in zip(_cumulative_simpson(h, times, SIMPSON_TOL).T, lams))
     phases = np.exp((-1j / hbar) * reduce(np.add, integrals))
-    props = (phases[:, None, :] * vecs) @ vecs.conj().T if store else None
     # In place: a temporary here raised a 50k-point trace's peak memory.
     phases *= vecs.conj().T @ psi0
-    return phases @ vecs.T, props
+    return phases @ vecs.T
 
 
-def _midpoint(ops: list, psi0: np.ndarray, grid: TimeGrid, hbar: float, store: bool, stacked: bool) -> list:
-    """``(states, propagators or None)`` of every operator, stepped together.
+def _midpoint(ops: list, psi0: np.ndarray, grid: TimeGrid, hbar: float, stacked: bool) -> list:
+    """The states of every operator, stepped together.
 
     Members go in groups whose ``(members x steps, d, d)`` stack of step
     exponentials fits ``CHUNK_BYTES``; a member too long for that is alone
@@ -672,9 +665,6 @@ def _midpoint(ops: list, psi0: np.ndarray, grid: TimeGrid, hbar: float, store: b
         g = len(group)
         states = np.empty((g, n + 1, dim, 1), dtype=complex)
         states[:, 0, :, 0] = psi0[first : first + g]
-        props = np.empty((g, n + 1, dim, dim), dtype=complex) if store else None
-        if store:
-            props[:, 0] = np.eye(dim)
         for chunk in time_chunks(n, dim):
             t = mids[chunk]
             samples = []
@@ -687,7 +677,5 @@ def _midpoint(ops: list, psi0: np.ndarray, grid: TimeGrid, hbar: float, store: b
             steps = herm_expm(samples, scale=-1j * dt / hbar, times=labels).reshape(g, len(t), dim, dim)
             for j, k in enumerate(range(chunk.start, chunk.stop)):
                 np.matmul(steps[:, j], states[:, k], out=states[:, k + 1])
-                if store:
-                    np.matmul(steps[:, j], props[:, k], out=props[:, k + 1])
-        runs += [(states[i, :, :, 0], None if props is None else props[i]) for i in range(g)]
+        runs += [states[i, :, :, 0] for i in range(g)]
     return runs

@@ -38,8 +38,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bloch
-from .dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate, time_chunks
-from .fluctuation import SIGMA_FLOOR, TIGHT_TOL, BoundSeries, bound_series, inner_re, velocity
+from .dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate
+from .fluctuation import SIGMA_FLOOR, TIGHT_TOL, BoundSeries, bound_series, inner_re, velocity, walk_grid
 from .hilbert import (
     FockSpace,
     SqueezedCoherentParams,
@@ -470,17 +470,10 @@ class ScenarioReport:
     pieces: ScenarioPieces
 
 
-def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> ScenarioReport:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Propagate, evaluate the bound series, and compare with overlays."""
     pieces = cfg.build()
-    traj = propagate(
-        pieces.hamiltonian,
-        pieces.psi0,
-        cfg.grid,
-        method=cfg.method,
-        hbar=pieces.hbar,
-        store_propagators=store_propagators,
-    )
+    traj = propagate(pieces.hamiltonian, pieces.psi0, cfg.grid, method=cfg.method, hbar=pieces.hbar)
     series = bound_series(
         pieces.observable,
         pieces.hamiltonian,
@@ -550,27 +543,27 @@ def run_scenario(cfg: ScenarioConfig, store_propagators: bool = False) -> Scenar
 
 
 def picture_equivalence_check(
-    a: TimeDepOperator, h: TimeDepOperator, traj: Trajectory, hbar: float = 1.0
+    a: TimeDepOperator, h: TimeDepOperator, traj: Trajectory, method: str, hbar: float = 1.0
 ) -> float:
     """Max defect between the two representations of ``<v_A>``.
 
     Compares ``<psi(0)| U^dag v U |psi(0)>`` (rotated observable, fixed
     state) with ``<psi(t)| v |psi(t)>`` (rotated state, fixed observable)
-    along the trajectory; requires the trajectory to carry its cumulative
-    propagators.
+    along the trajectory that ``method`` produced.  The columns of ``U(t)``
+    are the trajectories of the basis states, from one stacked
+    :func:`propagate` call; a defect that is not finite breaks down.
     """
-    if traj.propagators is None:
-        raise ValueError("trajectory lacks stored propagators; propagate(store_propagators=True)")
-    times = traj.grid.times
+    basis = propagate([h] * h.dim, np.eye(h.dim, dtype=complex), traj.grid, method=method, hbar=hbar)
     psi0 = traj.states[0]
     v_op = velocity(a, h, hbar)
-    worst = 0.0
-    for chunk in time_chunks(len(times), a.dim):
-        t, u, psi = times[chunk], traj.propagators[chunk], traj.states[chunk]
+
+    def defects(t, psi, *columns):
+        u = np.stack(columns, axis=-1)
         rotated = np.einsum("i,kij,j->k", psi0.conj(), u.conj().swapaxes(1, 2) @ v_op.sample(t) @ u, psi0).real
-        direct = inner_re(psi, v_op.act(t, psi))
-        worst = max(worst, float(np.max(np.abs(rotated - direct))))
-    return worst
+        return (np.abs(rotated - inner_re(psi, v_op.act(t, psi))),)
+
+    arrays = [traj.states] + [b.states for b in basis]
+    return float(np.max(walk_grid(traj.grid.times, arrays, defects, 1, "picture-equivalence defects", a.dim)[0]))
 
 
 def default_config(name: str, n_steps: Optional[int] = None) -> ScenarioConfig:

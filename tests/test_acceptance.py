@@ -264,9 +264,9 @@ def test_criterion_09_snr_floor(ex1, ex2):
 def test_criterion_10_picture_equivalence():
     worst = 0.0
     for name, steps in (("example1", 1000), ("example2", 1000), ("example3", 400)):
-        rep = run_scenario(default_config(name, n_steps=steps), store_propagators=True)
+        rep = run_scenario(default_config(name, n_steps=steps))
         defect = picture_equivalence_check(
-            rep.pieces.observable, rep.pieces.hamiltonian, rep.trajectory, hbar=rep.pieces.hbar
+            rep.pieces.observable, rep.pieces.hamiltonian, rep.trajectory, rep.config.method, hbar=rep.pieces.hbar
         )
         worst = max(worst, defect)
     ok = worst <= 1e-9

@@ -5,6 +5,8 @@ here (deviation of the generator, its rate, the overlap with the initial
 state), which makes saturation cases exact oracles.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from fluctdyn.bounds import (
 )
 from fluctdyn.dynamics import TimeDepOperator, TimeGrid, propagate
 from fluctdyn.hilbert import pauli, qubit_basis, qubit_plus
+from fluctdyn.linops import NumericBreakdown
 from fluctdyn.scenarios import default_config, run_scenario
 
 SZ = pauli("z")
@@ -125,6 +128,17 @@ def test_fs_acceleration_fd_fallback():
     interior = slice(1, -1)
     fd = np.gradient(v, traj.grid.times)
     assert np.abs(accel[interior] - fd[interior]).max() < 1e-3
+
+
+@pytest.mark.parametrize("trace", [mt_integral_check, fs_kinematics])
+def test_an_overflowing_energy_spread_breaks_down(trace):
+    # sigma_H^2 = 1e310 / 4 on |+>: once passed on as an infinite lhs or path length.
+    traj = propagate(TimeDepOperator.stationary(SZ), qubit_plus(), TimeGrid(0.0, 1.0, 10))
+    h = TimeDepOperator.scaled(np.cos, lambda t: -np.sin(t), 1e155 * (pauli("x") + SZ / 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericBreakdown, match="energy statistics are not finite at t = 0.0$"):
+            trace(h, traj)
 
 
 def test_snr_trace_floor_and_flags():

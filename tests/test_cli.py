@@ -379,6 +379,21 @@ def test_sweep_example1_frequencies_all_tight(tmp_path):
         assert float(row[2]) == 1.0  # tight fraction per value
 
 
+@pytest.mark.parametrize(
+    "param,value,node",
+    [("params.a.fn", '"cos"', "params.a"), ("params.omega0.x", "1", "params.omega0")],
+    ids=["through_a_string", "through_a_number"],
+)
+def test_a_sweep_path_through_a_non_object_exits_2(tmp_path, capsys, param, value, node):
+    # Once a TypeError traceback (exit 1) from assigning into the string or number.
+    cfg = write_config(tmp_path, EX1)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--param", param, "--values", value, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {node}: ") and err.count("\n") == 1 and err.count(node + ":") == 1
+    assert not out.exists()
+
+
 def test_sweep_empty_values_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, EX1)
     assert main(["sweep", "--config", cfg, "--param", "params.nu0", "--values"]) == 2
@@ -527,6 +542,12 @@ def test_run_with_a_huge_frequency_ends_with_flags(tmp_path):
     [
         pytest.param({"omega0": 1e155}, "rate statistics are not finite at t = ", id="omega0_1e155"),
         pytest.param({"omega0": 1e300}, "rate statistics are not finite at t = 0.001", id="omega0_1e300"),
+        # Only var * sigma_v^2, of degree four in A, overflows; it once passed as inf and nan.
+        pytest.param(
+            {"a": {"fn": "const", "scale": 1e150}},
+            "Cauchy-Schwarz residuals are not finite at t = 0.0\n",
+            id="observable_1e150",
+        ),
     ],
 )
 def test_run_with_an_overflowing_frequency_ends_without_a_traceback(tmp_path, params, breakdown):

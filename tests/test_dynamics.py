@@ -122,14 +122,20 @@ def test_midpoint_composition():
     assert np.abs(second.states[-1] - full.states[-1]).max() <= 1e-9
 
 
-def test_propagators_are_stored_and_consistent():
+def basis_propagators(h, grid, **kwargs):
+    """``U(t_k)`` at every grid time: its columns are the trajectories of the basis states."""
+    basis = propagate([h] * h.dim, np.eye(h.dim, dtype=complex), grid, **kwargs)
+    return np.stack([b.states for b in basis], axis=-1)
+
+
+def test_basis_state_trajectories_reproduce_the_states():
     h = example1_hamiltonian()
     grid = TimeGrid(0.0, 3.0, 120)
     for method in ("exact_commuting", "midpoint"):
-        traj = propagate(h, qubit_plus(), grid, method=method, store_propagators=True)
-        assert traj.propagators.shape == (121, 2, 2)
-        recon = np.einsum("kij,j->ki", traj.propagators, qubit_plus())
-        assert np.abs(recon - traj.states).max() < 1e-12
+        traj = propagate(h, qubit_plus(), grid, method=method)
+        props = basis_propagators(h, grid, method=method)
+        assert props.shape == (121, 2, 2)
+        assert np.abs(props @ qubit_plus() - traj.states).max() < 1e-12
 
 
 def test_propagate_preconditions():
@@ -156,13 +162,11 @@ def test_midpoint_chunked_matches_per_step_loop():
     assert len(list(time_chunks(grid.n_steps, 21))) == 3
     psi0 = np.zeros(21, dtype=complex)
     psi0[[0, 7]] = 1.0 / np.sqrt(2.0)
-    traj = propagate(h, psi0, grid, method="midpoint", hbar=0.8, store_propagators=True)
-    psi, prop = psi0, np.eye(21)
+    traj = propagate(h, psi0, grid, method="midpoint", hbar=0.8)
+    psi = psi0
     for k, t in enumerate(grid.times[:-1]):
-        u = herm_expm(h.value(t + grid.dt / 2.0), scale=-1j * grid.dt / 0.8)
-        psi, prop = u @ psi, u @ prop
+        psi = herm_expm(h.value(t + grid.dt / 2.0), scale=-1j * grid.dt / 0.8) @ psi
         assert np.array_equal(traj.states[k + 1], psi)
-        assert np.array_equal(traj.propagators[k + 1], prop)
 
 
 def _switched_skew():
@@ -385,11 +389,11 @@ def test_exact_commuting_matches_the_closed_form_propagator():
     h = TimeDepOperator.linear([(c, dc, b) for (c, dc), b in zip(coeffs, bases)])
     psi0 = random_state(4, rng)
     grid = TimeGrid(0.0, 2.0, 50)
-    traj = propagate(h, psi0, grid, method="exact_commuting", hbar=0.8, store_propagators=True)
+    traj = propagate(h, psi0, grid, method="exact_commuting", hbar=0.8)
     t = grid.times[:, None]
     phases = np.exp((-1j / 0.8) * (lams[0] * t + lams[1] * t**2 / 2.0 + lams[2] * t**3 / 3.0))
     props = np.einsum("ij,kj,lj->kil", vecs, phases, vecs.conj())
-    assert np.abs(traj.propagators - props).max() <= 1e-14
+    assert np.abs(basis_propagators(h, grid, method="exact_commuting", hbar=0.8) - props).max() <= 1e-14
     assert np.abs(traj.states - props @ psi0).max() <= 1e-14
 
 
@@ -403,10 +407,6 @@ def assert_stack_is_per_operator(ops, psi0, grid, **kwargs):
         assert np.array_equal(traj.states, alone.states)
         assert np.array_equal(traj.norm_defects, alone.norm_defects)
         assert traj.grid == grid
-        if kwargs.get("store_propagators"):
-            assert np.array_equal(traj.propagators, alone.propagators)
-        else:
-            assert traj.propagators is None
 
 
 def test_stacked_midpoint_is_per_operator_on_the_sweep_draws():
@@ -417,11 +417,11 @@ def test_stacked_midpoint_is_per_operator_on_the_sweep_draws():
 
 
 def test_stacked_midpoint_is_per_operator_on_random_operators():
-    # d = 5 with K = 1..5 dense terms, propagators stored.
+    # d = 5 with K = 1..5 dense terms.
     rng = np.random.default_rng(17)
     ops = [_random_linear(rng, 5, 1 + k % 5) for k in range(10)]
     psi0 = np.stack([random_state(5, rng) for _ in ops])
-    assert_stack_is_per_operator(ops, psi0, TimeGrid(0.0, 1.5, 60), method="midpoint", hbar=0.7, store_propagators=True)
+    assert_stack_is_per_operator(ops, psi0, TimeGrid(0.0, 1.5, 60), method="midpoint", hbar=0.7)
 
 
 def test_stacked_exact_commuting_is_per_operator():
@@ -432,7 +432,7 @@ def test_stacked_exact_commuting_is_per_operator():
     ops.append(TimeDepOperator.stationary(bases[0]))
     psi0 = np.stack([random_state(3, rng) for _ in ops])
     grid = TimeGrid(0.0, 2.0, 40)
-    assert_stack_is_per_operator(ops, psi0, grid, method="exact_commuting", store_propagators=True)
+    assert_stack_is_per_operator(ops, psi0, grid, method="exact_commuting")
 
 
 @pytest.mark.parametrize("matrices", [25, 7], ids=["member_groups", "time_chunks"])
@@ -443,11 +443,10 @@ def test_stack_chunks_do_not_change_the_results(monkeypatch, matrices):
     ops = [_random_linear(rng, 2, 2) for _ in range(5)]
     psi0 = np.stack([random_state(2, rng) for _ in ops])
     grid = TimeGrid(0.0, 1.0, 10)
-    expected = [propagate(op, psi, grid, store_propagators=True) for op, psi in zip(ops, psi0)]
+    expected = [propagate(op, psi, grid) for op, psi in zip(ops, psi0)]
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", matrices * 16 * 4)
-    for traj, alone in zip(propagate(ops, psi0, grid, store_propagators=True), expected):
+    for traj, alone in zip(propagate(ops, psi0, grid), expected):
         assert np.array_equal(traj.states, alone.states)
-        assert np.array_equal(traj.propagators, alone.propagators)
 
 
 @pytest.mark.parametrize("method", ["exact_commuting", "midpoint"])

@@ -5,12 +5,13 @@ derivatives of the known mean/deviation curves, finite differences of the
 statistics along exactly-known states, and the geometric decompositions.
 """
 
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from fluctdyn import linops
+from fluctdyn import dynamics, linops
 from fluctdyn.dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate
 from fluctdyn.fluctuation import (
     bound_series,
@@ -20,6 +21,7 @@ from fluctdyn.fluctuation import (
     rate_columns,
     velocity,
     velocity_observable,
+    walk_grid,
 )
 from fluctdyn.hilbert import pauli, qubit_plus
 from fluctdyn.scenarios import default_config
@@ -434,3 +436,33 @@ def test_velocity_samples_each_coefficient_once():
     hm, am = h.sample(t), a.sample(t)
     direct = a.sample_deriv(t) + (1j / 0.7) * (hm @ am - am @ hm)
     assert np.abs(sampled - direct).max() <= 1e-14 * np.abs(direct).max()
+
+
+def test_walk_grid_fills_every_chunk_and_names_the_first_bad_time(monkeypatch):
+    # Chunks of 4 points: the walk must equal one evaluation over the grid,
+    # and an overflow from the third chunk on is named at its first time.
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 4 * 16 * 2 * 2)
+    times = np.linspace(0.0, 1.0, 11)
+    states = np.stack([np.cos(times), np.sin(times)], axis=1)
+    assert len(list(dynamics.time_chunks(len(times), 2))) == 3
+
+    def columns(t, psi):
+        return psi[:, 0] * t, np.exp(1e3 * np.where(t > 0.75, 1.0, t))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(linops.NumericBreakdown, match=f"test columns are not finite at t = {times[8]}$"):
+            walk_grid(times, (states,), columns, 2, "test columns", 2)
+        first, second = walk_grid(times, (states,), lambda t, psi: columns(t / 2.0, psi), 2, "test columns", 2)
+    assert np.array_equal(first, states[:, 0] * times / 2.0)
+    assert np.array_equal(second, np.exp(1e3 * times / 2.0))
+
+
+def test_an_overflowing_cauchy_schwarz_residual_breaks_down():
+    # var * sigma_v^2 ~ 1e300 * 1e300, while every rate statistic is finite.
+    traj = exact_trajectory(0.0, 1.0, 10)
+    a = TimeDepOperator.stationary(1e150 * SX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(linops.NumericBreakdown, match="Cauchy-Schwarz residuals are not finite at t = 0.0$"):
+            bound_series(a, h_op(), traj)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fluctdyn.dynamics import TimeGrid, propagate
+from fluctdyn.linops import NumericBreakdown
 from fluctdyn.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -202,34 +203,39 @@ def test_midpoint_reports_converge_to_exact():
 
 def test_picture_equivalence_examples():
     for name in ("example1", "example2"):
-        rep = run_scenario(default_config(name, n_steps=500), store_propagators=True)
+        rep = run_scenario(default_config(name, n_steps=500))
         defect = picture_equivalence_check(
-            rep.pieces.observable, rep.pieces.hamiltonian, rep.trajectory
+            rep.pieces.observable, rep.pieces.hamiltonian, rep.trajectory, rep.config.method
         )
         assert defect <= 1e-10
 
-    rep3 = run_scenario(default_config("example3", n_steps=300), store_propagators=True)
+    rep3 = run_scenario(default_config("example3", n_steps=300))
     defect3 = picture_equivalence_check(
-        rep3.pieces.observable, rep3.pieces.hamiltonian, rep3.trajectory
+        rep3.pieces.observable, rep3.pieces.hamiltonian, rep3.trajectory, rep3.config.method
     )
     assert defect3 <= 1e-9
 
 
 def test_picture_equivalence_detects_corruption():
-    rep = run_scenario(default_config("example1", n_steps=200), store_propagators=True)
+    rep = run_scenario(default_config("example1", n_steps=200))
     traj = rep.trajectory
-    traj.propagators = traj.propagators.copy()
-    traj.propagators[100] = np.eye(2)  # skip one step's rotation
+    traj.states = traj.states.copy()
+    traj.states[100:] = traj.states[99]  # the state stops at step 99
     defect = picture_equivalence_check(
-        rep.pieces.observable, rep.pieces.hamiltonian, traj
+        rep.pieces.observable, rep.pieces.hamiltonian, traj, rep.config.method
     )
     assert defect > 1e-3
 
 
-def test_picture_equivalence_requires_propagators():
-    rep = run_scenario(default_config("example1", n_steps=50))
-    with pytest.raises(ValueError, match="propagators"):
-        picture_equivalence_check(rep.pieces.observable, rep.pieces.hamiltonian, rep.trajectory)
+def test_picture_equivalence_names_a_non_finite_state():
+    # A NaN defect once dropped out of the running maximum.
+    rep = run_scenario(default_config("example1", n_steps=200))
+    traj = rep.trajectory
+    traj.states = traj.states.copy()
+    traj.states[150] = np.nan
+    message = f"picture-equivalence defects are not finite at t = {traj.grid.times[150]}$"
+    with pytest.raises(NumericBreakdown, match=message):
+        picture_equivalence_check(rep.pieces.observable, rep.pieces.hamiltonian, traj, rep.config.method)
 
 
 def test_snr_comparison_ratios_in_unit_interval():
