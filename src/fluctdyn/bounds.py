@@ -81,16 +81,20 @@ def mt_ml_times(h: np.ndarray, psi: np.ndarray, hbar: float = 1.0) -> SpeedLimit
     )
 
 
-def _energy_spread(h: TimeDepOperator, traj: Trajectory, with_rate: bool = False) -> tuple[np.ndarray, ...]:
-    """``(sigma_H,)`` at every grid point, or ``(sigma_H, cov(H, dH/dt))`` when ``with_rate``."""
+def _energy_spread(h: TimeDepOperator, traj: Trajectory, hbar: float, with_rate: bool = False) -> tuple:
+    """``(sigma_H / hbar,)`` at every grid point, or with ``cov(H, dH/dt) / hbar^2`` when ``with_rate``.
+
+    The divisions by ``hbar`` are part of the walk, so a quotient that
+    overflows breaks down at its first time.
+    """
 
     def columns(t, psi):
         _, dh = centered_moments(h.act(t, psi), psi, t)
-        sig = np.sqrt(inner_re(dh, dh))
+        sig = np.sqrt(inner_re(dh, dh)) / hbar
         if not with_rate:
             return (sig,)
         _, dhd = centered_moments(h.act_deriv(t, psi), psi, t)
-        return sig, inner_re(dh, dhd)
+        return sig, inner_re(dh, dhd) / hbar / hbar
 
     width = 2 if with_rate else 1
     return walk_grid(traj.grid.times, [traj.states], columns, width, "energy statistics", h.dim, h.act_rows)
@@ -107,8 +111,8 @@ def mt_integral_check(
     ``defect = lhs - rhs`` (nonnegative up to quadrature error).
     """
     times = traj.grid.times
-    (sig,) = _energy_spread(h, traj)
-    lhs = _cumtrapz(sig / hbar, times)
+    (sig,) = _energy_spread(h, traj, hbar)
+    lhs = _cumtrapz(sig, times)
     overlaps = np.abs(traj.states @ traj.states[0].conj())
     rhs = pi / 2.0 - np.arcsin(np.clip(overlaps, 0.0, 1.0))
     return lhs, rhs, lhs - rhs
@@ -123,18 +127,19 @@ def fs_kinematics(
 
     The Fubini-Study line element gives the speed ``v = 2 sigma_H / hbar``.
     The path length is the trapezoid integral of ``v``; the acceleration is
-    ``2 cov(H, dH/dt) / (hbar sigma_H)``.  Instants with ``sigma_H = 0`` get
-    NaN acceleration (undefined there).
+    ``2 cov(H, dH/dt) / (hbar sigma_H)``.  Instants where ``sigma_H / hbar``
+    is at most ``1e-12`` get NaN acceleration (undefined there).
     """
     times = traj.grid.times
-    sig, cov = _energy_spread(h, traj, with_rate=True)
-    v = 2.0 * sig / hbar
+    # sigma_H / hbar and cov(H, dH/dt) / hbar^2.
+    sig, cov = _energy_spread(h, traj, hbar, with_rate=True)
+    v = 2.0 * sig
     s = _cumtrapz(v, times)
 
     accel = np.full(len(times), np.nan)
     floor = 1e-12
     ok = sig > floor
-    accel[ok] = 2.0 * cov[ok] / (hbar * sig[ok])
+    accel[ok] = 2.0 * cov[ok] / sig[ok]
     return s, v, accel
 
 

@@ -1,16 +1,18 @@
 """Time evolution under time-dependent Hermitian generators.
 
 Operators
-    :class:`TimeDepOperator` is ``sum_k c_k(t) B_k``, held as three fields:
+    :class:`TimeDepOperator` is ``sum_k c_k(t) B_k``, held as four fields:
     ``coeffs``, one function of an ``(n,)`` array of times returning the
     ``(n, K)`` real coefficients; ``rates``, the same for their derivatives;
-    and ``bases``, the ``(K, d, d)`` Hermitian stack.
-    :meth:`~TimeDepOperator.linear` takes ``(c_k, dc_k, B_k)`` triples, whose
-    coefficients map an array of times to one value per time, validates
-    the bases (keeping their Hermitian parts), fills a missing derivative
-    with a Richardson difference of the coefficient and stacks the
-    coefficients into one function, so every operator has exactly one
-    derivative rule; :meth:`~TimeDepOperator.scaled`,
+    ``bases``, the ``(K, d, d)`` Hermitian stack; and ``primitives``, the
+    same for primitives of the coefficients, or None.
+    :meth:`~TimeDepOperator.linear` takes ``(c_k, dc_k, B_k)`` triples, or
+    ``(c_k, dc_k, B_k, C_k)`` with a primitive ``C_k``, whose coefficients
+    map an array of times to one value per time, validates the bases
+    (keeping their Hermitian parts), fills a missing derivative with a
+    Richardson difference of the coefficient and stacks the coefficients
+    into one function, so every operator has exactly one derivative rule;
+    :meth:`~TimeDepOperator.scaled`,
     :meth:`~TimeDepOperator.stationary` and :meth:`~TimeDepOperator.tabulated`
     (piecewise-linear interpolation of sampled matrices, expanded in the
     real Hermitian basis :func:`hermitian_basis`) build on it.
@@ -35,14 +37,14 @@ coefficients and bases:
 
 ``exact_commuting``
     For operators whose bases commute pairwise
-    (:attr:`TimeDepOperator.commuting_family`) the propagator is the closed
-    form ``exp(-(i/hbar) * Integral_0^t H)``.  All coefficients are
-    integrated in one pass of Simpson quadrature, each refined adaptively
-    where needed (absolute tolerance 1e-12, raised to the rounding of that
-    coefficient's largest samples), and the bases are diagonalized once,
-    in one shared eigenbasis, so the propagator at every output time is a
-    diagonal of phases in that basis; the states are one product of the
-    phased coordinates of ``psi0`` with that basis.
+    (:attr:`TimeDepOperator.commuting_family`) and whose coefficients carry
+    their primitives, the propagator is the closed form
+    ``exp(-(i/hbar) * Integral_{t0}^t H)``.  The integrals are the
+    primitives' differences ``C_k(t) - C_k(t0)``, checked like coefficient
+    values, and the bases are diagonalized once, in one shared eigenbasis,
+    so the propagator at every output time is a diagonal of phases in that
+    basis; the states are one product of the phased coordinates of
+    ``psi0`` with that basis.
 
 ``midpoint``
     General-purpose exponential midpoint stepping,
@@ -75,10 +77,6 @@ import numpy as np
 
 from .linops import HERM_TOL, NumericBreakdown, at_time, herm_expm, norm_defect, require_hermitian, require_normalized
 
-SIMPSON_TOL = 1e-12
-# Quadrature asks for no less than this many ulps of max|f| times the width:
-# rounding alone once drove every interval of a large coefficient to depth 30.
-ROUNDING_FLOOR = 64
 # Step of the Richardson difference that stands in for a derivative not given.
 RICHARDSON_STEP = 1e-3
 # Largest (n, d, d) complex stack a grid function holds at once.  Larger
@@ -117,7 +115,7 @@ def coefficient_array(f: Callable, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _checked(values: np.ndarray, times: np.ndarray, what: str = "coefficient value") -> np.ndarray:
     """``values``, one row per time, after a check that they are finite and real.
 
     Raises
@@ -132,7 +130,7 @@ def _checked(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     if bad.any():
         k = int(np.argmax(bad.any(axis=1)))
         value = values[k][bad[k]][0]
-        raise NumericBreakdown(f"coefficient value {value} is not a finite real number{at_time(times, k)}")
+        raise NumericBreakdown(f"{what} {value} is not a finite real number{at_time(times, k)}")
     return values.real
 
 
@@ -189,6 +187,10 @@ class TimeDepOperator:
         The same for their derivatives ``dc_k/dt``.
     bases : np.ndarray
         The ``(K, d, d)`` Hermitian bases ``B_k``.
+    primitives : callable or None
+        The same as ``coeffs`` for primitives ``C_k`` of the coefficients
+        (``dC_k/dt = c_k``), which the ``exact_commuting`` route needs;
+        None when they are not known.
 
     Build operators with :meth:`linear` (or :meth:`scaled`,
     :meth:`stationary`, :meth:`tabulated`), which checks the bases and
@@ -199,6 +201,7 @@ class TimeDepOperator:
     coeffs: Callable[[np.ndarray], np.ndarray]
     rates: Callable[[np.ndarray], np.ndarray]
     bases: np.ndarray
+    primitives: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def dim(self) -> int:
@@ -271,10 +274,12 @@ class TimeDepOperator:
         return out
 
     def _coefficients(self, slot: int, times: np.ndarray) -> np.ndarray:
-        """The ``(n, K)`` checked values of the coefficients (slot 0) or their derivatives (slot 1).
+        """The ``(n, K)`` checked coefficients (slot 0), derivatives (slot 1) or integrals (slot 2).
 
-        Overflow and invalid operations inside the coefficients are not
-        warned about: the check reports them.
+        The integrals run from ``times[0]``: they are the differences
+        ``C_k(t) - C_k(times[0])`` of the primitives.  Overflow and invalid
+        operations inside the coefficients are not warned about: the check
+        reports them.
 
         Raises
         ------
@@ -282,10 +287,12 @@ class TimeDepOperator:
             If the values do not have the shape ``(n, K)``, naming theirs.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray((self.rates if slot else self.coeffs)(times))
-        if values.shape != (len(times), len(self.bases)):
-            raise ValueError(f"coefficients of shape {values.shape}, expected {(len(times), len(self.bases))}")
-        return _checked(values, times)
+            values = np.asarray((self.coeffs, self.rates, self.primitives)[slot](times))
+            if values.shape != (len(times), len(self.bases)):
+                raise ValueError(f"coefficients of shape {values.shape}, expected {(len(times), len(self.bases))}")
+            if slot == 2:
+                values = values - values[0]
+        return _checked(values, times, "coefficient integral" if slot == 2 else "coefficient value")
 
     def _sample(self, slot: int, times: np.ndarray) -> np.ndarray:
         """``sum_k x_k(t) B_k`` over the coefficients (slot 0) or their derivatives (slot 1).
@@ -336,7 +343,7 @@ class TimeDepOperator:
 
     @classmethod
     def linear(cls, terms) -> "TimeDepOperator":
-        """Operator ``sum_k c_k(t) B_k`` from ``(c_k, dc_k, B_k)`` triples.
+        """Operator ``sum_k c_k(t) B_k`` from ``(c_k, dc_k, B_k)`` or ``(c_k, dc_k, B_k, C_k)`` terms.
 
         ``c_k`` and ``dc_k`` map an ``(n,)`` array of times to ``(n,)``
         values (a scalar is broadcast); they are stacked into the operator's
@@ -344,25 +351,30 @@ class TimeDepOperator:
         ``HERM_TOL``) and of one dimension; each is kept as its Hermitian
         part ``(B + B^dagger)/2``, so the operator is Hermitian to the last
         bit.  A ``dc_k`` given as None becomes a Richardson difference of
-        ``c_k`` (step ``RICHARDSON_STEP``).
+        ``c_k`` (step ``RICHARDSON_STEP``).  A primitive ``C_k`` of ``c_k``,
+        the optional fourth entry, is stacked into ``primitives`` the same
+        way; the operator has primitives only when every term gives one.
         """
-        terms = list(terms)
+        terms = [tuple(term) + (None,) * (4 - len(term)) for term in terms]
         if not terms:
             raise ValueError("a linear operator needs at least one term")
-        bases = [hermitian_part(require_hermitian(b, what="operator basis")) for _, _, b in terms]
+        bases = [hermitian_part(require_hermitian(b, what="operator basis")) for _, _, b, _ in terms]
         dim = bases[0].shape[-1]
         if any(b.shape != (dim, dim) for b in bases):
             raise ValueError("operator basis matrices differ in dimension")
         coeffs, rates = [], []
-        for c, dc, _ in terms:
+        for c, dc, _, _ in terms:
             coeffs.append(partial(coefficient_array, c))
             rates.append(richardson(coeffs[-1]) if dc is None else partial(coefficient_array, dc))
-        return cls(partial(_columns, coeffs), partial(_columns, rates), np.stack(bases))
+        primitives = None
+        if all(term[3] is not None for term in terms):
+            primitives = partial(_columns, [partial(coefficient_array, term[3]) for term in terms])
+        return cls(partial(_columns, coeffs), partial(_columns, rates), np.stack(bases), primitives)
 
     @classmethod
     def stationary(cls, mat: np.ndarray) -> "TimeDepOperator":
-        """Constant-in-time operator; a (trivially) commuting family."""
-        return cls.linear([(lambda t: 1.0, lambda t: 0.0, mat)])
+        """Constant-in-time operator; a (trivially) commuting family, with primitive ``t``."""
+        return cls.linear([(lambda t: 1.0, lambda t: 0.0, mat, lambda t: t)])
 
     @classmethod
     def scaled(
@@ -370,9 +382,10 @@ class TimeDepOperator:
         f: Callable[[np.ndarray], np.ndarray],
         fdot: Optional[Callable[[np.ndarray], np.ndarray]],
         base: np.ndarray,
+        primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> "TimeDepOperator":
-        """Operator of the form ``f(t) * base`` (a commuting family)."""
-        return cls.linear([(f, fdot, base)])
+        """Operator of the form ``f(t) * base`` (a commuting family), with ``f``'s primitive if given."""
+        return cls.linear([(f, fdot, base, primitive)])
 
     @classmethod
     def tabulated(cls, times: np.ndarray, samples: np.ndarray) -> "TimeDepOperator":
@@ -458,80 +471,17 @@ class Trajectory:
     norm_defects: np.ndarray
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    refined = left + right
-    err = refined - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return refined + err / 15.0
-    return _adaptive_simpson(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + _adaptive_simpson(
-        f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1
-    )
-
-
-def _rounding_floor(scale, width):
-    """The least tolerance over an interval of ``width`` where ``|f| <= scale``: its samples' rounding."""
-    return ROUNDING_FLOOR * np.finfo(float).eps * scale * width
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = SIMPSON_TOL, max_depth: int = 30) -> float:
-    """Adaptive Simpson quadrature of a scalar function over ``[a, b]``.
-
-    The tolerance is raised to the rounding of ``f``'s samples over
-    ``[a, b]`` (:func:`_rounding_floor`), so that rounding alone cannot
-    force refinement to ``max_depth``.
-    """
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = max(tol, _rounding_floor(max(abs(fa), abs(fm), abs(fb)), abs(b - a)))
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _cumulative_simpson(h: TimeDepOperator, times: np.ndarray, tol: float) -> np.ndarray:
-    """``(n, K)`` cumulative integrals of every coefficient of ``h`` at the grid times.
-
-    Vectorized two-level Simpson per interval and column, with adaptive
-    refinement of any (interval, column) pair whose two-panel error
-    estimate exceeds the tolerance.  Each column's tolerance is at least the
-    rounding of samples as large as its largest ``|c_k|`` on the grid
-    (:func:`_rounding_floor`).
-    """
-    dt = np.diff(times)
-    fv, fm, fq1, fq3 = (
-        h._coefficients(0, x).astype(float)
-        for x in (times, (times[:-1] + times[1:]) / 2.0, times[:-1] + 0.25 * dt, times[:-1] + 0.75 * dt)
-    )
-    dt = dt[:, None]
-    coarse = dt / 6.0 * (fv[:-1] + 4.0 * fm + fv[1:])
-    fine = dt / 12.0 * (fv[:-1] + 4.0 * fq1 + 2.0 * fm + 4.0 * fq3 + fv[1:])
-    err = np.abs(fine - coarse) / 15.0
-    pieces = fine + (fine - coarse) / 15.0
-    scale = np.max([np.max(np.abs(x), axis=0) for x in (fv, fm, fq1, fq3)], axis=0)
-    tols = np.maximum(tol, _rounding_floor(scale, dt))
-    for k, m in zip(*np.nonzero(err > tols)):
-        pieces[k, m] = adaptive_simpson(
-            lambda t: h._coefficients(0, np.array([t]))[0, m], times[k], times[k + 1], tol=tols[k, m]
-        )
-    out = np.empty_like(fv)
-    out[0] = 0.0
-    np.cumsum(pieces, axis=0, out=out[1:])
-    return out
-
-
 def _common_eigenbasis(bases: list) -> tuple[np.ndarray, np.ndarray]:
     """``(lams, vecs)`` with ``bases[k] = vecs diag(lams[k]) vecs^dagger`` for commuting bases.
 
     ``vecs`` are the eigenvectors of a generic real combination of the
     bases: each is rescaled to the magnitude of the first and weighted by
     ``cos(k)``, so no basis drowns the others and the combination is
-    degenerate only where every basis is.  Raises if some basis is not
-    diagonal in ``vecs``.  A single basis is diagonalized as it is and keeps
-    the eigenvalues ``eigh`` returns for it.
+    degenerate only where every basis is.  Commuting bases can still meet
+    a degenerate combination; then some basis is not diagonal in ``vecs``,
+    which raises :class:`~fluctdyn.linops.NumericBreakdown`.  A single
+    basis is diagonalized as it is and keeps the eigenvalues ``eigh``
+    returns for it.
     """
     sizes = [np.abs(b).max() for b in bases]
     ref = sizes[0] or 1.0
@@ -545,7 +495,9 @@ def _common_eigenbasis(bases: list) -> tuple[np.ndarray, np.ndarray]:
     for k, r in enumerate(rotated):
         defect = np.abs(r - np.diag(np.diagonal(r))).max()
         if defect > HERM_TOL * max(1.0, sizes[k]):
-            raise AssertionError(f"basis {k} is not diagonal in the shared eigenbasis (defect {defect:.3e})")
+            raise NumericBreakdown(
+                f"basis {k} is not diagonal in the shared eigenbasis (defect {defect:.3e}); use midpoint"
+            )
     return lams, vecs
 
 
@@ -566,10 +518,11 @@ def propagate(
     Parameters
     ----------
     method : {"exact_commuting", "midpoint"}
-        ``exact_commuting`` requires ``h.commuting_family`` and evaluates
-        the closed-form propagator independently at every output time,
-        member by member; ``midpoint`` composes per-step exponentials, and
-        steps all members of a stack together.
+        ``exact_commuting`` requires ``h.commuting_family`` and
+        ``h.primitives``, and evaluates the closed-form propagator
+        independently at every output time, member by member; ``midpoint``
+        composes per-step exponentials, and steps all members of a stack
+        together.
 
     Raises
     ------
@@ -578,7 +531,7 @@ def propagate(
         finite (:class:`~fluctdyn.linops.NumericBreakdown`) or not
         Hermitian at a time it is sampled (named in the message, with the
         member of a stack), or ``exact_commuting`` is requested for an
-        operator whose bases do not commute.
+        operator whose bases do not commute or that has no primitives.
     """
     stacked = not isinstance(h, TimeDepOperator)
     ops = list(h) if stacked else [h]
@@ -635,10 +588,12 @@ def _exact_commuting(h: TimeDepOperator, psi0: np.ndarray, times: np.ndarray, hb
     """The states of the closed-form route for one operator."""
     if not h.commuting_family:
         raise ValueError("exact_commuting requires a commuting_family operator: commuting bases")
+    if h.primitives is None:
+        raise ValueError("exact_commuting requires the primitives of the coefficients; use midpoint without them")
     lams, vecs = _common_eigenbasis(list(h.bases))
     # Integral of H at every grid time, in the shared eigenbasis, summed
     # column by column; temporaries, so they are freed before the states are formed.
-    integrals = (np.outer(c, lam) for c, lam in zip(_cumulative_simpson(h, times, SIMPSON_TOL).T, lams))
+    integrals = (np.outer(c, lam) for c, lam in zip(h._coefficients(2, times).T, lams))
     phases = np.exp((-1j / hbar) * reduce(np.add, integrals))
     # In place: a temporary here raised a 50k-point trace's peak memory.
     phases *= vecs.conj().T @ psi0

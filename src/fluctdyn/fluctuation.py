@@ -73,15 +73,23 @@ def centered_moments(
 
     ``images`` and ``states`` are ``(n, d)``, the images of Hermitian
     operators and the states they were applied to.  The imaginary part of
-    each mean (pure rounding noise for Hermitian input) is discarded after
-    an assertion that it is negligible relative to the mean; the first
-    offending point raises, reported at its time when ``times`` is given.
+    each mean, rounding noise for Hermitian input, is discarded after a
+    check that it is below ``IMAG_TOL`` times ``max(1, ||psi_k|| ||A_k psi_k||)``,
+    the bound on ``|<A_k>|`` that its rounding scales with.  The norms are
+    taken only at the points that ``max(1, |<A_k>|)`` flags, a threshold no
+    larger.  The first offending point raises
+    :class:`~fluctdyn.linops.NumericBreakdown`, named at its time when
+    ``times`` is given.
     """
     means = np.einsum("ki,ki->k", states.conj(), images)
-    bad = np.abs(means.imag) > IMAG_TOL * np.maximum(1.0, np.abs(means.real))
-    if np.count_nonzero(bad):
-        k = int(np.argmax(bad))
-        raise AssertionError(f"{what} has non-negligible imaginary part {means.imag[k]:.3e}{at_time(times, k)}")
+    flagged = np.flatnonzero(np.abs(means.imag) > IMAG_TOL * np.maximum(1.0, np.abs(means.real)))
+    if len(flagged):
+        with np.errstate(over="ignore"):  # an infinite bound flags nothing; the walk checks the statistics
+            scale = np.linalg.norm(states[flagged], axis=1) * np.linalg.norm(images[flagged], axis=1)
+        bad = flagged[np.abs(means.imag[flagged]) > IMAG_TOL * np.maximum(1.0, scale)]
+        if len(bad):
+            k = int(bad[0])
+            raise NumericBreakdown(f"{what} has non-negligible imaginary part {means.imag[k]:.3e}{at_time(times, k)}")
     means = means.real
     return means, images - means[:, None] * states
 

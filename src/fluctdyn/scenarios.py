@@ -268,10 +268,13 @@ def _qubit_pieces(cfg: ScenarioConfig, with_b: bool) -> ScenarioPieces:
         b_echo = None
 
     sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
+    # The primitive is written as phase writes it, so the propagated phase
+    # and the overlays round alike.
     h_op = TimeDepOperator.scaled(
         lambda t: hbar * omega0 * np.cos(nu0 * t),
         lambda t: -hbar * omega0 * nu0 * np.sin(nu0 * t),
         sz,
+        lambda t: hbar * (omega0 / nu0) * np.sin(nu0 * t),
     )
     if with_b:
         a_op = TimeDepOperator.linear([(af, afd, sx), (bf, bfd, sz)])

@@ -70,7 +70,10 @@ def test_evolution_matches_matrix_trajectory():
     from fluctdyn.hilbert import qubit_plus
 
     h_mat = TimeDepOperator.scaled(
-        lambda t: omega0 * np.cos(nu0 * t), lambda t: -omega0 * nu0 * np.sin(nu0 * t), SZ
+        lambda t: omega0 * np.cos(nu0 * t),
+        lambda t: -omega0 * nu0 * np.sin(nu0 * t),
+        SZ,
+        lambda t: (omega0 / nu0) * np.sin(nu0 * t),
     )
     grid = TimeGrid(0.0, 5.0, 2000)
     traj = propagate(h_mat, qubit_plus(), grid, method="exact_commuting")

@@ -122,7 +122,7 @@ def test_fs_acceleration_limit_along_example1():
 
 
 def test_fs_acceleration_fd_fallback():
-    h_no_deriv = TimeDepOperator.linear([(np.cos, None, SZ)])
+    h_no_deriv = TimeDepOperator.linear([(np.cos, None, SZ, np.sin)])
     traj = propagate(h_no_deriv, qubit_plus(), TimeGrid(0.2, 1.2, 500), method="exact_commuting")
     _, v, accel = fs_kinematics(h_no_deriv, traj)
     interior = slice(1, -1)
@@ -139,6 +139,18 @@ def test_an_overflowing_energy_spread_breaks_down(trace):
         warnings.simplefilter("error")
         with pytest.raises(NumericBreakdown, match="energy statistics are not finite at t = 0.0$"):
             trace(h, traj)
+
+
+@pytest.mark.parametrize("trace", [mt_integral_check, fs_kinematics])
+def test_a_tiny_hbar_breaks_down_inside_the_walk(trace):
+    # sigma_H / hbar = 1e309 on |+> under sz: the quotient once overflowed
+    # after the walk had checked sigma_H, with a RuntimeWarning.
+    h = TimeDepOperator.stationary(SZ)
+    traj = propagate(h, qubit_plus(), TimeGrid(0.0, 1.0, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericBreakdown, match="energy statistics are not finite at t = 0.0$"):
+            trace(h, traj, hbar=1e-309)
 
 
 def test_snr_trace_floor_and_flags():

@@ -273,17 +273,28 @@ def test_run_invariant_failure_exits_3(tmp_path, capsys):
     assert report["failed"] and report["flags"]
 
 
+# a = t^2 overflows beyond t ~ 1.3e154, so A has no finite value there.
+OVERFLOWING_OBSERVABLE = _with(_with(EX1, "params", a="t2"), "grid", t1=1e200)
+# hbar * omega0 = 1e309 overflows at every midpoint of H, and the primitive
+# hbar (omega0 / nu0) sin(nu0 t) that exact_commuting reads is inf * 0 at t0.
+OVERFLOWING_HAMILTONIAN = _with(EX1, "params", omega0=1e308, hbar=10.0)
+
+
 @pytest.mark.parametrize(
-    "raw",
+    "raw,method,breakdown",
     [
-        # a = t^2 overflows beyond t ~ 1.3e154, so A has no finite value there.
-        pytest.param(_with(_with(EX1, "params", a="t2"), "grid", t1=1e200), id="overflowing_observable"),
-        # hbar * omega0 = 1e309 overflows at every midpoint of H.
-        pytest.param(_with(EX1, "params", omega0=1e308, hbar=10.0), id="overflowing_hamiltonian"),
+        pytest.param(OVERFLOWING_OBSERVABLE, "midpoint", "coefficient value inf", id="overflowing_observable"),
+        pytest.param(OVERFLOWING_HAMILTONIAN, "midpoint", "coefficient value inf", id="overflowing_hamiltonian"),
+        pytest.param(
+            OVERFLOWING_OBSERVABLE, "exact_commuting", "coefficient value inf", id="overflowing_observable_exact"
+        ),
+        pytest.param(
+            OVERFLOWING_HAMILTONIAN, "exact_commuting", "coefficient integral nan", id="overflowing_hamiltonian_exact"
+        ),
     ],
 )
-def test_run_numeric_breakdown_exits_3(tmp_path, capsys, raw):
-    cfg = write_config(tmp_path, dict(raw, method="midpoint"))
+def test_run_numeric_breakdown_exits_3(tmp_path, capsys, raw, method, breakdown):
+    cfg = write_config(tmp_path, dict(raw, method=method))
     out = tmp_path / "out"
     args = ["sweep", "--config", cfg, "--param", "params.nu0", "--values", "1.0", "2.0", "--output-dir", str(out)]
     # Record every warning, as a user's stderr would show it.
@@ -291,10 +302,11 @@ def test_run_numeric_breakdown_exits_3(tmp_path, capsys, raw):
         warnings.simplefilter("always")
         assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "numeric breakdown: coefficient value inf is not a finite real number at t = " in err
+        assert err.startswith(f"numeric breakdown: {breakdown} is not a finite real number at t = ")
+        assert err.count("\n") == 1
         assert main(args) == 3
         err += capsys.readouterr().err
-        assert "numeric breakdown for params.nu0=1.0: coefficient value inf" in err
+        assert f"numeric breakdown for params.nu0=1.0: {breakdown}" in err
     assert "RuntimeWarning" not in err
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists() or not any(out.iterdir())
@@ -525,16 +537,32 @@ def test_package_names_load_on_first_use():
         fluctdyn.nonexistent
 
 
-def test_run_with_a_huge_frequency_ends_with_flags(tmp_path):
-    # Stock example1 at omega0 = 1e10: rounding of the 2e10-rad phase once
-    # kept the coefficient quadrature refining to depth 30 on every interval.
-    raw = dict(EX1, grid={"t0": 0.0, "t1": 5.0, "n_steps": 5000}, method="exact_commuting")
+def _run_huge_frequency(tmp_path, method):
+    """Stock example1 at omega0 = 1e10 in a fresh process (at most 10 s), with no traceback or warning."""
+    raw = dict(EX1, grid={"t0": 0.0, "t1": 5.0, "n_steps": 5000}, method=method)
     cfg = write_config(tmp_path, _with(raw, "params", omega0=1e10))
     console = "import sys; from fluctdyn.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = _fluctdyn_process([console, "run", "--config", cfg, "--output-dir", str(tmp_path)], timeout=10)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    return proc
+
+
+def test_run_with_a_huge_frequency_follows_the_exact_phase(tmp_path):
+    # The 2e10-rad phase is the primitive itself, written as the overlays
+    # write it; a coefficient quadrature once flagged overlay_deviation here.
+    proc = _run_huge_frequency(tmp_path, "exact_commuting")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads((tmp_path / "example1_report.json").read_text())
+    assert report["flags"] == []
+    gaps = report["summary"]["max_overlay_deviation"]
+    assert gaps["mu"] <= 1e-12 and gaps["sigma"] <= 1e-12
+
+
+def test_run_with_a_huge_frequency_ends_with_flags(tmp_path):
+    # Midpoint's phase error at 1e10 rad/s is of order one: the run says so.
+    proc = _run_huge_frequency(tmp_path, "midpoint")
     assert proc.returncode == 3
     assert "invariant flags: ['overlay_deviation:mu:" in proc.stderr
-    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -559,6 +587,18 @@ def test_run_with_an_overflowing_frequency_ends_without_a_traceback(tmp_path, pa
     proc = _fluctdyn_process([console, "run", "--config", cfg, "--output-dir", str(tmp_path)], timeout=30)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(f"numeric breakdown: {breakdown}") and proc.stderr.count("\n") == 1
+
+
+def test_run_with_a_large_observable_exits_0(tmp_path, capsys):
+    # <1e8 sz> on |+> is 0 with an imaginary part of rounding, 3.7e-9 at
+    # t = 0.3, that once failed a check scaled by |<A>| alone (exit 1).
+    raw = _with(CUSTOM, "params", psi0=[[1.0, 0.0], [1.0, 0.0]])
+    raw["params"]["observable"] = {"constant": [[[1e8, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e8, 0.0]]]}
+    raw = dict(raw, grid={"t0": 0.0, "t1": 5.0, "n_steps": 100}, method="midpoint")
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "custom_report.json").read_text())["flags"] == []
 
 
 def test_run_with_a_huge_frequency_and_a_tiny_amplitude_exits_0(tmp_path):

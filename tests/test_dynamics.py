@@ -14,7 +14,6 @@ from fluctdyn import dynamics, verify
 from fluctdyn.dynamics import (
     TimeDepOperator,
     TimeGrid,
-    adaptive_simpson,
     hermitian_basis,
     propagate,
     time_chunks,
@@ -28,17 +27,13 @@ def example1_hamiltonian(omega0=1.0, nu0=1.0):
         lambda t: omega0 * np.cos(nu0 * t),
         lambda t: -omega0 * nu0 * np.sin(nu0 * t),
         pauli("z"),
+        lambda t: (omega0 / nu0) * np.sin(nu0 * t),
     )
 
 
 def example1_state(t, omega0=1.0, nu0=1.0):
     theta = (omega0 / nu0) * np.sin(nu0 * t)
     return np.array([np.exp(-1j * theta), np.exp(1j * theta)]) / np.sqrt(2.0)
-
-
-def test_adaptive_simpson_of_a_scalar_function():
-    val = adaptive_simpson(np.cos, 0.0, 3.0)
-    assert val == pytest.approx(np.sin(3.0), abs=1e-12)
 
 
 def test_zero_hamiltonian_freezes_state():
@@ -78,7 +73,9 @@ def test_commuting_non_scalar_family():
     for frame in (np.eye(2), np.array([[c, -s], [s, c]], dtype=complex)):
         p = frame @ np.diag([1.0, 0.0]) @ frame.conj().T
         q = frame @ np.diag([0.0, 1.0]) @ frame.conj().T
-        h = TimeDepOperator.linear([(np.cos, lambda t: -np.sin(t), p), (lambda t: 0.5, lambda t: 0.0, q)])
+        h = TimeDepOperator.linear(
+            [(np.cos, lambda t: -np.sin(t), p, np.sin), (lambda t: 0.5, lambda t: 0.0, q, lambda t: 0.5 * t)]
+        )
         psi0 = frame @ np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
         traj = propagate(h, psi0, grid, method="exact_commuting")
         for k, t in enumerate(grid.times):
@@ -143,13 +140,40 @@ def test_propagate_preconditions():
     grid = TimeGrid(0.0, 1.0, 10)
     with pytest.raises(ValueError, match="not normalized"):
         propagate(h, np.array([1.0, 1.0]), grid)
-    noncomm = TimeDepOperator.linear([(np.cos, None, pauli("z")), (np.sin, None, pauli("x"))])
+    noncomm = TimeDepOperator.linear([(np.cos, None, pauli("z"), np.sin), (np.sin, None, pauli("x"), np.cos)])
     with pytest.raises(ValueError, match="commuting_family"):
         propagate(noncomm, qubit_plus(), grid, method="exact_commuting")
     with pytest.raises(ValueError, match="method"):
         propagate(h, qubit_plus(), grid, method="rk4")
     with pytest.raises(ValueError, match="t1 > t0"):
         TimeGrid(1.0, 1.0, 5)
+
+
+def test_exact_commuting_needs_the_primitives():
+    # Commuting bases, but one term without a primitive: the operator has none.
+    grid = TimeGrid(0.0, 1.0, 10)
+    h = TimeDepOperator.linear([(np.cos, None, pauli("z"), np.sin), (np.sin, None, 2.0 * pauli("z"))])
+    assert h.commuting_family and h.primitives is None
+    with pytest.raises(ValueError, match="primitives .*midpoint"):
+        propagate(h, qubit_plus(), grid, method="exact_commuting")
+    assert propagate(h, qubit_plus(), grid, method="midpoint").norm_defects.max() < 1e-14
+
+
+def test_a_degenerate_combination_of_commuting_bases_breaks_down():
+    # B_0 = V diag(1, l) V^T and B_1 = V diag(0, 1) V^T commute, but l is
+    # chosen so that the combination B_0 + cos(1) |B_0| / |B_1| B_1 that
+    # picks the shared eigenbasis is a multiple of the identity.
+    c, s = np.cos(0.7), np.sin(0.7)
+    frame = np.array([[c, -s], [s, c]])
+    b1 = frame @ np.diag([0.0, 1.0]) @ frame.T
+    lam = 1.0
+    for _ in range(50):
+        b0 = frame @ np.diag([1.0, lam]) @ frame.T
+        lam = 1.0 - np.cos(1.0) * np.abs(b0).max() / np.abs(b1).max()
+    h = TimeDepOperator.linear([(np.cos, None, b0, np.sin), (np.sin, None, b1, lambda t: 1.0 - np.cos(t))])
+    assert h.commuting_family
+    with pytest.raises(NumericBreakdown, match="not diagonal in the shared eigenbasis .*; use midpoint$"):
+        propagate(h, qubit_plus(), TimeGrid(0.0, 1.0, 10), method="exact_commuting")
 
 
 def test_midpoint_chunked_matches_per_step_loop():
@@ -265,10 +289,12 @@ def test_non_real_or_non_finite_coefficient_raises_at_first_time(method):
     grid = TimeGrid(0.0, 1.0, 10)
     first = grid.times[1] if method == "exact_commuting" else grid.times[0] + grid.dt / 2.0
     # exp(1j t) would silently become cos t in a real cast.
-    complex_h = TimeDepOperator.scaled(lambda t: np.exp(1j * t), None, pauli("z"))
+    complex_h = TimeDepOperator.scaled(lambda t: np.exp(1j * t), None, pauli("z"), lambda t: -1j * np.exp(1j * t))
     with pytest.raises(ValueError, match=f"not a finite real number at t = {first}$"):
         propagate(complex_h, qubit_plus(), grid, method=method)
-    nan_h = TimeDepOperator.scaled(lambda t: np.where(t > 0.0, np.nan, 1.0), None, pauli("z"))
+    nan_h = TimeDepOperator.scaled(
+        lambda t: np.where(t > 0.0, np.nan, 1.0), None, pauli("z"), lambda t: np.where(t > 0.0, np.nan, t)
+    )
     with pytest.raises(ValueError, match=f"not a finite real number at t = {first}$"):
         propagate(nan_h, qubit_plus(), grid, method=method)
 
@@ -302,7 +328,12 @@ def _random_linear(rng, dim, count, bases=None):
     for k, b in enumerate(bases):
         w, p = rng.uniform(0.5, 2.0), rng.uniform(0.0, np.pi)
         terms.append(
-            (lambda t, w=w, p=p, k=k: np.cos(w * t + p) + 0.3 * k, lambda t, w=w, p=p: -w * np.sin(w * t + p), b)
+            (
+                lambda t, w=w, p=p, k=k: np.cos(w * t + p) + 0.3 * k,
+                lambda t, w=w, p=p: -w * np.sin(w * t + p),
+                b,
+                lambda t, w=w, p=p, k=k: np.sin(w * t + p) / w + 0.3 * k * t,
+            )
         )
     return TimeDepOperator.linear(terms)
 
@@ -379,14 +410,18 @@ def test_act_names_the_first_non_finite_coefficient():
 
 
 def test_exact_commuting_matches_the_closed_form_propagator():
-    # H(t) = B_0 + t B_1 + t^2 B_2 with B_k = V diag(l_k) V^dag: Simpson's rule
-    # is exact for these coefficients, so Lambda(t) = l_0 t + l_1 t^2/2 + l_2 t^3/3.
+    # H(t) = B_0 + t B_1 + t^2 B_2 with B_k = V diag(l_k) V^dag, so
+    # Lambda(t) = l_0 t + l_1 t^2/2 + l_2 t^3/3.
     rng = np.random.default_rng(13)
     vecs = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     lams = rng.normal(size=(3, 4))
     bases = [vecs @ np.diag(lam) @ vecs.conj().T for lam in lams]
-    coeffs = [(np.ones_like, np.zeros_like), (lambda t: t, np.ones_like), (np.square, lambda t: 2.0 * t)]
-    h = TimeDepOperator.linear([(c, dc, b) for (c, dc), b in zip(coeffs, bases)])
+    coeffs = [
+        (np.ones_like, np.zeros_like, lambda t: t),
+        (lambda t: t, np.ones_like, lambda t: t**2 / 2.0),
+        (np.square, lambda t: 2.0 * t, lambda t: t**3 / 3.0),
+    ]
+    h = TimeDepOperator.linear([(c, dc, b, f) for (c, dc, f), b in zip(coeffs, bases)])
     psi0 = random_state(4, rng)
     grid = TimeGrid(0.0, 2.0, 50)
     traj = propagate(h, psi0, grid, method="exact_commuting", hbar=0.8)
@@ -456,7 +491,9 @@ def test_a_breakdown_in_a_stack_names_its_member_and_first_time(monkeypatch, met
     grid = TimeGrid(0.0, 1.0, 10)
     first = grid.times[1] if method == "exact_commuting" else grid.times[0] + grid.dt / 2.0
     ops = [example1_hamiltonian(omega0=1.0 + k) for k in range(5)]
-    ops[3] = TimeDepOperator.scaled(lambda t: np.where(t > 0.0, np.nan, 1.0), None, pauli("z"))
+    ops[3] = TimeDepOperator.scaled(
+        lambda t: np.where(t > 0.0, np.nan, 1.0), None, pauli("z"), lambda t: np.where(t > 0.0, np.nan, t)
+    )
     psi0 = np.tile(qubit_plus(), (5, 1))
     with pytest.raises(NumericBreakdown, match=rf"not a finite real number at t = {first} \(member 3\)$"):
         propagate(ops, psi0, grid, method=method)

@@ -14,6 +14,7 @@ import pytest
 from fluctdyn import dynamics, linops
 from fluctdyn.dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate
 from fluctdyn.fluctuation import (
+    HERM_ASSERT_TOL,
     bound_series,
     checked_moments,
     higher_order_chain,
@@ -34,6 +35,7 @@ def h_op(omega0=1.0, nu0=1.0):
         lambda t: omega0 * np.cos(nu0 * t),
         lambda t: -omega0 * nu0 * np.sin(nu0 * t),
         SZ,
+        lambda t: (omega0 / nu0) * np.sin(nu0 * t),
     )
 
 
@@ -466,3 +468,15 @@ def test_an_overflowing_cauchy_schwarz_residual_breaks_down():
         warnings.simplefilter("error")
         with pytest.raises(linops.NumericBreakdown, match="Cauchy-Schwarz residuals are not finite at t = 0.0$"):
             bound_series(a, h_op(), traj)
+
+
+def test_a_basis_off_hermitian_past_the_assert_tolerance_trips_the_imaginary_part_check():
+    # The constructor takes its bases as they are: sx + i delta 1 gives <A>
+    # the imaginary part delta on every state, while ||psi|| ||A psi|| ~ 1.
+    skewed = SX + 2j * HERM_ASSERT_TOL * np.eye(2)
+    a = TimeDepOperator(
+        coeffs=lambda t: np.ones((len(t), 1)), rates=lambda t: np.zeros((len(t), 1)), bases=skewed[None]
+    )
+    breakdown = "expectation has non-negligible imaginary part 2.000e-10 at t = 0.0$"
+    with pytest.raises(linops.NumericBreakdown, match=breakdown):
+        bound_series(a, h_op(), exact_trajectory(0.0, 1.0, 10))
