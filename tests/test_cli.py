@@ -592,7 +592,7 @@ def test_run_with_an_overflowing_frequency_ends_without_a_traceback(tmp_path, pa
 def test_run_with_a_large_observable_exits_0(tmp_path, capsys):
     # <1e8 sz> on |+> is 0 with an imaginary part of rounding, 3.7e-9 at
     # t = 0.3, that once failed a check scaled by |<A>| alone (exit 1).
-    raw = _with(CUSTOM, "params", psi0=[[1.0, 0.0], [1.0, 0.0]])
+    raw = _with(CUSTOM, "params", psi0=[[2**-0.5, 0.0], [2**-0.5, 0.0]])
     raw["params"]["observable"] = {"constant": [[[1e8, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e8, 0.0]]]}
     raw = dict(raw, grid={"t0": 0.0, "t1": 5.0, "n_steps": 100}, method="midpoint")
     cfg = write_config(tmp_path, raw)
