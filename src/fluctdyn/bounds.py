@@ -26,13 +26,18 @@ import numpy as np
 
 from .dynamics import TimeDepOperator, Trajectory
 from .fluctuation import centered_moments, inner_re, rate_columns, walk_grid
-from .linops import require_hermitian, require_normalized
+from .linops import NumericBreakdown, at_time, require_hermitian, require_normalized
 
 
-def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _cumtrapz(y: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
+    """The running trapezoid integral of ``y`` over ``x``; where ``y`` or it is first not finite, a breakdown."""
     out = np.empty_like(y)
     out[0] = 0.0
-    np.cumsum((y[1:] + y[:-1]) / 2.0 * np.diff(x), out=out[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum((y[1:] + y[:-1]) / 2.0 * np.diff(x), out=out[1:])
+    bad = ~(np.isfinite(y) & np.isfinite(out))
+    if bad.any():
+        raise NumericBreakdown(f"{what} or its running integral is not finite{at_time(x, int(np.argmax(bad)))}")
     return out
 
 
@@ -112,7 +117,7 @@ def mt_integral_check(
     """
     times = traj.grid.times
     (sig,) = _energy_spread(h, traj, hbar)
-    lhs = _cumtrapz(sig, times)
+    lhs = _cumtrapz(sig, times, "sigma_H / hbar")
     overlaps = np.abs(traj.states @ traj.states[0].conj())
     rhs = pi / 2.0 - np.arcsin(np.clip(overlaps, 0.0, 1.0))
     return lhs, rhs, lhs - rhs
@@ -133,8 +138,9 @@ def fs_kinematics(
     times = traj.grid.times
     # sigma_H / hbar and cov(H, dH/dt) / hbar^2.
     sig, cov = _energy_spread(h, traj, hbar, with_rate=True)
-    v = 2.0 * sig
-    s = _cumtrapz(v, times)
+    with np.errstate(over="ignore"):
+        v = 2.0 * sig
+    s = _cumtrapz(v, times, "speed")
 
     accel = np.full(len(times), np.nan)
     floor = 1e-12
@@ -169,7 +175,7 @@ def snr_trace(
     times = traj.grid.times
     mu, var, _, _, sigma_v_sq, _ = rate_columns(a, h, traj, hbar=hbar)
     integrand = np.sqrt(sigma_v_sq)
-    budget = np.sqrt(var[0]) + _cumtrapz(integrand, times)
+    budget = np.sqrt(var[0]) + _cumtrapz(integrand, times, "sigma_v")
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = np.where(var > 0.0, mu**2 / np.where(var > 0.0, var, 1.0), np.inf)
         snr_min = np.where(budget > 0.0, mu**2 / np.where(budget > 0.0, budget, 1.0) ** 2, np.inf)

@@ -1,9 +1,9 @@
 """Command-line front end: scenario runs, sweeps, and verification suites.
 
 Outputs are built for scripts and CI: a fixed-schema CSV per run, a JSON
-report, and a manifest listing every emitted file.  Identical config plus
-seed yields byte-identical files (shortest round-trip float formatting,
-fixed column order, writes go to a temp file and are renamed into place).
+report, and a manifest listing every emitted file.  An identical config
+yields byte-identical files (shortest round-trip float formatting, fixed
+column order, writes go to a temp file and are renamed into place).
 The series CSV is formatted and written ``ROWS_PER_BLOCK`` rows at a time.
 A sweep writes each value's files to temp files as soon as the value has
 run and drops its report, so its memory does not grow with the number of
@@ -199,7 +199,6 @@ def _config_echo(cfg: ScenarioConfig, report: ScenarioReport) -> dict:
         "grid": {"t0": cfg.grid.t0, "t1": cfg.grid.t1, "n_steps": cfg.grid.n_steps},
         "method": cfg.method,
         "tolerances": cfg.tolerances,
-        "seed": cfg.seed,
     }
 
 

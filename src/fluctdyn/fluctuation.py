@@ -124,15 +124,17 @@ def velocity(a: TimeDepOperator, h: TimeDepOperator, hbar: float = 1.0) -> TimeD
         return _velocity_in_basis(a, h, hbar)
     scale = 1j / hbar
     js, ks, brackets = [], [], []
-    for j, hb in enumerate(h.bases):
-        for k, ab in enumerate(a.bases):
-            bracket = scale * (hb @ ab - ab @ hb)
-            if bracket.any():
-                # The symmetrized basis is Hermitian to the last bit; the
-                # coefficients are real, so v_A needs no validation.
-                js.append(j)
-                ks.append(k)
-                brackets.append(hermitian_part(bracket))
+    # A tiny hbar makes a bracket NaN, which the walk over the grid names.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, hb in enumerate(h.bases):
+            for k, ab in enumerate(a.bases):
+                bracket = scale * (hb @ ab - ab @ hb)
+                if bracket.any():
+                    # The symmetrized basis is Hermitian to the last bit; the
+                    # coefficients are real, so v_A needs no validation.
+                    js.append(j)
+                    ks.append(k)
+                    brackets.append(hermitian_part(bracket))
     # No derivative of dc_k is given.
     second = richardson(a.rates)
     if not brackets:

@@ -147,8 +147,9 @@ def herm_expm(h: np.ndarray, scale: complex = 1.0, herm_tol: float = HERM_TOL, t
         (:class:`NumericBreakdown`) and Hermiticity within ``herm_tol``
         (``ValueError``); the first offending one raises.
     scale : complex
-        Scalar multiplying ``h`` in the exponent.  For purely imaginary
-        ``scale`` the result is unitary up to eigensolver accuracy.
+        Scalar multiplying ``h`` in the exponent; one that is not finite
+        raises :class:`NumericBreakdown`.  For purely imaginary ``scale`` the
+        result is unitary up to eigensolver accuracy.
     times : array, optional
         The time of each matrix of the stack, named in the error message.
 
@@ -164,7 +165,7 @@ def herm_expm(h: np.ndarray, scale: complex = 1.0, herm_tol: float = HERM_TOL, t
         raise ValueError(f"herm_expm argument must be a square matrix or a stack of them, got shape {h.shape}")
     scale = complex(scale)
     if not (np.isfinite(scale.real) and np.isfinite(scale.imag)):
-        raise ValueError("scale must be finite")
+        raise NumericBreakdown(f"herm_expm scale {scale} is not finite")
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise NumericBreakdown(f"herm_expm argument has non-finite entries{at_time(times, int(np.argmin(finite)))}")

@@ -16,24 +16,25 @@ Three built-in scenarios exercise the rate bounds end to end:
     quadrature observable ``cos(theta) x + sin(theta) p``, starting from a
     displaced squeezed vacuum.
 
-Every scenario carries closed-form overlays for the mean, the deviation,
-and the squared-velocity channel; runs compare the numeric pipeline to the
-overlays and summarize tight/loose classification per grid point.
-A run also flags a trajectory whose largest norm defect exceeds its
-``norm_budget`` tolerance; a non-finite defect counts as over budget.
-Coefficient functions come from a whitelisted expression set with analytic
-derivatives (a general expression parser is deliberately out of scope); a
-``custom`` scenario accepts constant or tabulated operators instead, the
-latter interpolated piecewise-linearly by
-:meth:`~fluctdyn.dynamics.TimeDepOperator.tabulated`, with central
-differences of the samples as derivatives.
+Each scenario is one entry of ``SCENARIOS``: its builder, the ``params``
+keys that builder reads, and its stock ``params`` and ``grid``.  Every
+object of a config takes only its declared keys; any other key is a
+:class:`ConfigError` at its path.  Runs compare the numeric pipeline with
+the closed-form overlays of the mean, the deviation and the squared
+velocity, classify each grid point tight or loose, and flag a trajectory
+whose largest norm defect exceeds ``norm_budget`` (a non-finite defect
+counts as over budget).  Coefficient functions come from a whitelist with
+analytic derivatives (a general expression parser is out of scope); a
+``custom`` scenario takes constant or tabulated operators instead, the
+latter interpolated by :meth:`~fluctdyn.dynamics.TimeDepOperator.tabulated`.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -86,7 +87,7 @@ def coefficient(spec, path: str = "coefficient") -> tuple[Callable, Callable, di
     if isinstance(spec, str):
         name, scale = spec, 1.0
     elif isinstance(spec, dict):
-        name = spec.get("fn")
+        name = _known_keys(spec, ("fn", "scale"), path).get("fn")
         scale = _real(spec.get("scale", 1.0), f"{path}.scale")
     else:
         raise ConfigError(path, f"expected a selector string or {{'fn', 'scale'}} mapping, got {type(spec).__name__}")
@@ -109,10 +110,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require(params: dict, key: str, scenario: str):
-    if key not in params:
-        raise ConfigError(f"params.{key}", f"required for scenario {scenario!r}")
-    return params[key]
+def _require(cfg: "ScenarioConfig", key: str):
+    if key not in cfg.params:
+        raise ConfigError(f"params.{key}", f"required for scenario {cfg.name!r}")
+    return cfg.params[key]
+
+
+def _known_keys(obj, keys, path: str, what: str = "key") -> dict:
+    """``obj``, checked to be an object whose keys are all among ``keys``.
+
+    The one key check of a config: the first other key is a config error
+    at its own path (``path`` is empty at the top level).
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(path or "<root>", f"must be an object with keys from {tuple(keys)}")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else key, f"unknown {what}; expected one of {tuple(keys)}")
+    return obj
 
 
 def _real(value, path: str) -> float:
@@ -169,9 +184,7 @@ class ScenarioConfig:
     grid: TimeGrid
     method: str = "exact_commuting"
     tolerances: dict = field(default_factory=dict)
-    seed: int = 20240617
 
-    KNOWN = ("example1", "example2", "example3", "custom")
     # Each tolerance a config may set, with the value it takes when unset.
     TOLERANCES = {
         "tight_tol": TIGHT_TOL,
@@ -183,17 +196,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("<root>", "config must be a JSON object")
+        _known_keys(raw, ("name", "params", "grid", "method", "tolerances"), "")
         name = raw.get("name")
-        if name not in cls.KNOWN:
-            raise ConfigError("name", f"expected one of {cls.KNOWN}, got {name!r}")
-        params = raw.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("params", "must be an object")
-        grid_raw = raw.get("grid")
-        if not isinstance(grid_raw, dict):
-            raise ConfigError("grid", "must be an object with t0, t1, n_steps")
+        if name not in SCENARIOS:
+            raise ConfigError("name", f"expected one of {tuple(SCENARIOS)}, got {name!r}")
+        params = _known_keys(raw.get("params", {}), SCENARIOS[name].keys, "params", f"parameter of {name}")
+        grid_raw = _known_keys(raw.get("grid"), ("t0", "t1", "n_steps"), "grid")
         for key in ("t1", "n_steps"):
             if key not in grid_raw:
                 raise ConfigError(f"grid.{key}", "required")
@@ -208,17 +216,10 @@ class ScenarioConfig:
         method = raw.get("method", "exact_commuting")
         if method not in ("exact_commuting", "midpoint"):
             raise ConfigError("method", f"expected exact_commuting or midpoint, got {method!r}")
-        tolerances = raw.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ConfigError("tolerances", "must be an object")
+        tolerances = _known_keys(raw.get("tolerances", {}), cls.TOLERANCES, "tolerances", "tolerance")
         for key, value in tolerances.items():
-            if key not in cls.TOLERANCES:
-                raise ConfigError(f"tolerances.{key}", f"unknown tolerance; expected one of {tuple(cls.TOLERANCES)}")
             _positive(value, f"tolerances.{key}")
-        seed = raw.get("seed", 20240617)
-        if not _is_int(seed):
-            raise ConfigError("seed", "must be an integer")
-        cfg = cls(name=name, params=params, grid=grid, method=method, tolerances=dict(tolerances), seed=seed)
+        cfg = cls(name=name, params=params, grid=grid, method=method, tolerances=dict(tolerances))
         cfg.build()  # validate scenario-specific parameters eagerly
         return cfg
 
@@ -226,13 +227,7 @@ class ScenarioConfig:
         return float(self.tolerances.get(key, self.TOLERANCES[key]))
 
     def build(self) -> "ScenarioPieces":
-        if self.name == "example1":
-            return _build_example1(self)
-        if self.name == "example2":
-            return _build_example2(self)
-        if self.name == "example3":
-            return _build_example3(self)
-        return _build_custom(self)
+        return SCENARIOS[self.name].build(self)
 
 
 @dataclass
@@ -255,17 +250,13 @@ def _rows(x, y, z) -> np.ndarray:
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def _qubit_pieces(cfg: ScenarioConfig, with_b: bool) -> ScenarioPieces:
-    scenario = cfg.name
-    omega0 = _positive(_require(cfg.params, "omega0", scenario), "params.omega0")
-    nu0 = _positive(_require(cfg.params, "nu0", scenario), "params.nu0")
+def _qubit_pieces(cfg: ScenarioConfig) -> ScenarioPieces:
+    with_b = "b" in SCENARIOS[cfg.name].keys  # A = a(t) sx + b(t) sz
+    omega0 = _positive(_require(cfg, "omega0"), "params.omega0")
+    nu0 = _positive(_require(cfg, "nu0"), "params.nu0")
     hbar = _positive(cfg.params.get("hbar", 1.0), "params.hbar")
-    af, afd, a_echo = coefficient(_require(cfg.params, "a", scenario), "params.a")
-    if with_b:
-        bf, bfd, b_echo = coefficient(_require(cfg.params, "b", scenario), "params.b")
-    else:
-        bf = bfd = None
-        b_echo = None
+    af, afd, a_echo = coefficient(_require(cfg, "a"), "params.a")
+    bf, bfd, b_echo = coefficient(_require(cfg, "b"), "params.b") if with_b else (None, None, None)
 
     sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
     # The primitive is written as phase writes it, so the propagated phase
@@ -312,12 +303,8 @@ def _qubit_pieces(cfg: ScenarioConfig, with_b: bool) -> ScenarioPieces:
         return _rows(np.cos(phi), np.sin(phi), 0.0)
 
     h_vec = lambda t: _rows(0.0, 0.0, omega0 * np.cos(nu0 * t))
-    if with_b:
-        m_vec = lambda t: _rows(af(t), 0.0, bf(t))
-        md_vec = lambda t: _rows(afd(t), 0.0, bfd(t))
-    else:
-        m_vec = lambda t: _rows(af(t), 0.0, 0.0)
-        md_vec = lambda t: _rows(afd(t), 0.0, 0.0)
+    m_vec = lambda t: _rows(af(t), 0.0, bf(t) if with_b else 0.0)
+    md_vec = lambda t: _rows(afd(t), 0.0, bfd(t) if with_b else 0.0)
     model = bloch.BlochModel(a=a_vec, h=h_vec, m=m_vec, m_dot=md_vec)
 
     echo = {"omega0": omega0, "nu0": nu0, "hbar": hbar, "a": a_echo}
@@ -334,18 +321,10 @@ def _qubit_pieces(cfg: ScenarioConfig, with_b: bool) -> ScenarioPieces:
     )
 
 
-def _build_example1(cfg: ScenarioConfig) -> ScenarioPieces:
-    return _qubit_pieces(cfg, with_b=False)
-
-
-def _build_example2(cfg: ScenarioConfig) -> ScenarioPieces:
-    return _qubit_pieces(cfg, with_b=True)
-
-
-def _build_example3(cfg: ScenarioConfig) -> ScenarioPieces:
-    alpha = _complex_pair(_require(cfg.params, "alpha", "example3"), "params.alpha")
-    z = _complex_pair(_require(cfg.params, "z", "example3"), "params.z")
-    s = _require(cfg.params, "s", "example3")
+def _oscillator_pieces(cfg: ScenarioConfig) -> ScenarioPieces:
+    alpha = _complex_pair(_require(cfg, "alpha"), "params.alpha")
+    z = _complex_pair(_require(cfg, "z"), "params.z")
+    s = _require(cfg, "s")
     if not _is_int(s) or s < 1:
         raise ConfigError("params.s", f"must be an integer >= 1, got {s!r}")
     hbar = _positive(cfg.params.get("hbar", 1.0), "params.hbar")
@@ -353,17 +332,21 @@ def _build_example3(cfg: ScenarioConfig) -> ScenarioPieces:
     omega = _positive(cfg.params.get("omega", 1.0), "params.omega")
     thf, thfd, th_echo = coefficient(cfg.params.get("theta", "cos"), "params.theta")
 
+    space = FockSpace(s=s, hbar=hbar, mass=mass, omega=omega)
+    # Each number is in range, but together they can take the matrices out of it.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x_op, p_op = quadratures(space)
+            h_mat = oscillator_hamiltonian(space)
+            psi0 = displaced_squeezed_vacuum(space, SqueezedCoherentParams(alpha=alpha, z=z))
+            needed = recommended_dim(abs(alpha) ** 2, 1e-6)
+    except ArithmeticError as exc:
+        raise ConfigError("params", f"hbar, mass, omega, alpha and z leave the float range ({exc})") from None
     warnings = []
-    needed = recommended_dim(abs(alpha) ** 2, 1e-6)
     if s < needed and not cfg.params.get("allow_small_s", False):
         warnings.append(
             f"truncation_below_recommended: s={s} < recommended {needed} for |alpha|^2={abs(alpha)**2:.3g}"
         )
-
-    space = FockSpace(s=s, hbar=hbar, mass=mass, omega=omega)
-    x_op, p_op = quadratures(space)
-    h_mat = oscillator_hamiltonian(space)
-    psi0 = displaced_squeezed_vacuum(space, SqueezedCoherentParams(alpha=alpha, z=z))
 
     a_op = TimeDepOperator.linear(
         [
@@ -402,37 +385,27 @@ def _hermitian_from_json(raw, dim: int, path: str) -> np.ndarray:
     return mat
 
 
-def _build_custom(cfg: ScenarioConfig) -> ScenarioPieces:
-    dim = _require(cfg.params, "dim", "custom")
+def _custom_pieces(cfg: ScenarioConfig) -> ScenarioPieces:
+    dim = _require(cfg, "dim")
     if not _is_int(dim) or dim < 1:
         raise ConfigError("params.dim", "must be a positive integer")
     hbar = _positive(cfg.params.get("hbar", 1.0), "params.hbar")
 
     def tabulated(key: str) -> TimeDepOperator:
-        raw = _require(cfg.params, key, "custom")
-        if not isinstance(raw, dict):
-            raise ConfigError(f"params.{key}", "expected an object with 'constant' or 'samples'")
+        raw = _known_keys(_require(cfg, key), ("constant", "samples"), f"params.{key}")
+        if len(raw) != 1:
+            raise ConfigError(f"params.{key}", "needs exactly one of 'constant' and 'samples'")
         if "constant" in raw:
             mat = _hermitian_from_json(raw["constant"], dim, f"params.{key}.constant")
             return TimeDepOperator.stationary(mat)
-        if "samples" not in raw:
-            raise ConfigError(f"params.{key}", "needs either 'constant' or 'samples'")
         samples = raw["samples"]
         times = cfg.grid.times
         if not isinstance(samples, list) or len(samples) != len(times):
-            raise ConfigError(
-                f"params.{key}.samples",
-                f"expected one matrix per grid point ({len(times)})",
-            )
-        mats = np.stack(
-            [
-                _hermitian_from_json(s, dim, f"params.{key}.samples[{i}]")
-                for i, s in enumerate(samples)
-            ]
-        )
-        return TimeDepOperator.tabulated(times, mats)
+            raise ConfigError(f"params.{key}.samples", f"expected one matrix per grid point ({len(times)})")
+        mats = [_hermitian_from_json(m, dim, f"params.{key}.samples[{i}]") for i, m in enumerate(samples)]
+        return TimeDepOperator.tabulated(times, np.stack(mats))
 
-    psi_arr = _real_array(_require(cfg.params, "psi0", "custom"), (dim, 2), "params.psi0")
+    psi_arr = _real_array(_require(cfg, "psi0"), (dim, 2), "params.psi0")
     psi0 = psi_arr[:, 0] + 1j * psi_arr[:, 1]
     nrm = np.linalg.norm(psi0)
     if nrm == 0:
@@ -451,6 +424,42 @@ def _build_custom(cfg: ScenarioConfig) -> ScenarioPieces:
         hbar=hbar,
         params_echo={"dim": dim, "hbar": hbar},
     )
+
+
+class Scenario(NamedTuple):
+    """A built-in scenario: its builder, the ``params`` keys it reads, and its stock ``params`` and ``grid``."""
+
+    build: Callable[[ScenarioConfig], ScenarioPieces]
+    keys: tuple
+    stock: Optional[dict] = None
+
+
+_QUBIT_KEYS = ("omega0", "nu0", "a", "hbar")
+_QUBIT_GRID = {"t0": 0.0, "t1": 5.0, "n_steps": 5000}
+
+# The one table of scenarios: a name is a config's "name", and the keys
+# are all that its "params" may hold.
+SCENARIOS = {
+    "example1": Scenario(
+        _qubit_pieces,
+        _QUBIT_KEYS,
+        {"params": {"omega0": 1.0, "nu0": 1.0, "a": "t"}, "grid": _QUBIT_GRID},
+    ),
+    "example2": Scenario(
+        _qubit_pieces,
+        _QUBIT_KEYS + ("b",),
+        {"params": {"omega0": 1.0, "nu0": 1.0, "a": "t", "b": "t"}, "grid": _QUBIT_GRID},
+    ),
+    "example3": Scenario(
+        _oscillator_pieces,
+        ("alpha", "z", "s", "hbar", "mass", "omega", "theta", "allow_small_s"),
+        {
+            "params": dict(alpha=[2.0, 1.0], z=[0.5, 0.5], s=20, omega=1.0, hbar=1.0, mass=1.0, theta="cos"),
+            "grid": {"t0": 0.0, "t1": 2.0 * math.pi, "n_steps": 4000},
+        },
+    ),
+    "custom": Scenario(_custom_pieces, ("dim", "hbar", "psi0", "hamiltonian", "observable")),
+}
 
 
 @dataclass
@@ -570,35 +579,12 @@ def picture_equivalence_check(
 
 
 def default_config(name: str, n_steps: Optional[int] = None) -> ScenarioConfig:
-    """The stock parameter set for each built-in scenario."""
-    if name == "example1":
-        raw = {
-            "name": "example1",
-            "params": {"omega0": 1.0, "nu0": 1.0, "a": "t"},
-            "grid": {"t0": 0.0, "t1": 5.0, "n_steps": n_steps or 5000},
-        }
-    elif name == "example2":
-        raw = {
-            "name": "example2",
-            "params": {"omega0": 1.0, "nu0": 1.0, "a": "t", "b": "t"},
-            "grid": {"t0": 0.0, "t1": 5.0, "n_steps": n_steps or 5000},
-        }
-    elif name == "example3":
-        raw = {
-            "name": "example3",
-            "params": {
-                "alpha": [2.0, 1.0],
-                "z": [0.5, 0.5],
-                "s": 20,
-                "omega": 1.0,
-                "hbar": 1.0,
-                "mass": 1.0,
-                "theta": "cos",
-            },
-            "grid": {"t0": 0.0, "t1": 2.0 * math.pi, "n_steps": n_steps or 4000},
-        }
-    else:
+    """The stock parameter set of a built-in scenario, from its entry in ``SCENARIOS``."""
+    stock = SCENARIOS[name].stock if name in SCENARIOS else None
+    if stock is None:
         raise ValueError(f"no default config for {name!r}")
+    raw = {"name": name, **copy.deepcopy(stock)}
+    raw["grid"]["n_steps"] = n_steps or raw["grid"]["n_steps"]
     return ScenarioConfig.from_dict(raw)
 
 

@@ -153,6 +153,25 @@ def test_a_tiny_hbar_breaks_down_inside_the_walk(trace):
             trace(h, traj, hbar=1e-309)
 
 
+@pytest.mark.parametrize(
+    "trace,message",
+    [
+        (mt_integral_check, "sigma_H / hbar or its running integral is not finite at t = 0.1$"),
+        (fs_kinematics, "speed or its running integral is not finite at t = 0.0$"),
+    ],
+)
+def test_a_speed_near_the_float_limit_breaks_down_in_the_trapezoid(trace, message):
+    # sigma_H / hbar = 1.1e308 on |+> under sz passes the walk; the trapezoid
+    # sum and the speed 2 sigma_H / hbar once overflowed with a RuntimeWarning
+    # and came back as an infinite lhs or path length.
+    h = TimeDepOperator.stationary(SZ)
+    traj = propagate(h, qubit_plus(), TimeGrid(0.0, 1.0, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericBreakdown, match=message):
+            trace(h, traj, hbar=9e-309)
+
+
 def test_snr_trace_floor_and_flags():
     rep = run_scenario(default_config("example1"))
     trace = snr_trace(rep.pieces.observable, rep.pieces.hamiltonian, rep.trajectory)

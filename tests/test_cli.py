@@ -251,6 +251,56 @@ def test_a_misspelt_tolerance_lists_every_known_name(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error at tolerances.norm_budgt: unknown tolerance; expected one of {names}\n"
 
 
+SIGMA_Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "raw,path",
+    [
+        pytest.param(dict(EX1, methd="midpoint"), "methd", id="methd"),
+        # No scenario draws random numbers; verify --seed is the CLI's seed.
+        pytest.param(dict(EX1, seed=5), "seed", id="seed"),
+        pytest.param(_with(EX1, "grid", nsteps=9), "grid.nsteps", id="grid.nsteps"),
+        pytest.param(_with(EX1, "params", omgea0=3.0), "params.omgea0", id="params.omgea0"),
+        # b(t) is example2's; example1 would run with A = a(t) sx alone.
+        pytest.param(_with(EX1, "params", b="t2"), "params.b", id="params.b_on_example1"),
+        pytest.param(_with(EX1, "params", a={"fn": "t", "scal": 2.0}), "params.a.scal", id="params.a.scal"),
+        pytest.param(
+            _with(CUSTOM, "params", hamiltonian={"constant": SIGMA_Z, "constnt": SIGMA_Z}),
+            "params.hamiltonian.constnt",
+            id="params.hamiltonian.constnt",
+        ),
+        pytest.param(
+            _with(
+                dict(CUSTOM, method="midpoint"), "params", observable={"constant": SIGMA_Z, "samples": [SIGMA_Z] * 11}
+            ),
+            "params.observable",
+            id="constant_and_samples",
+        ),
+    ],
+)
+def test_an_undeclared_key_exits_2(tmp_path, capsys, raw, path):
+    # Each was once ignored: the run went ahead without it and exited 0.
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_sweep_over_an_undeclared_key_exits_2(tmp_path, capsys):
+    # Once seven files whose summary rows were identical: params.omgea0 was ignored.
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs", "example1.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ["sweep", "--config", config, "--param", "params.omgea0", "--values", "1", "2", "--output-dir", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at params.omgea0: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 def test_a_run_over_its_norm_budget_exits_3(tmp_path, capsys):
     # The exact propagator is unitary to rounding; a budget below it flags the run.
     cfg = write_config(tmp_path, _with(EX1, "tolerances", norm_budget=1e-300))
@@ -485,11 +535,11 @@ def test_console_script_installed():
     assert "fluctdyn" in proc.stdout
 
 
-def _fluctdyn_process(args, timeout=60):
-    """``python -c <code> args`` with this fluctdyn on the path."""
+def _fluctdyn_process(args, timeout=60, options=("-c",)):
+    """``python <options> args`` with this fluctdyn on the path, ``python -c <code> args`` by default."""
     src = os.path.dirname(os.path.dirname(fluctdyn.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, *options, *args], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 # Runs one command, then prints the fluctdyn modules it loaded as its last line.
@@ -536,6 +586,50 @@ def test_package_names_load_on_first_use():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         fluctdyn.nonexistent
 
+
+@pytest.mark.parametrize("method", ["exact_commuting", "midpoint"])
+def test_run_with_a_tiny_hbar_breaks_down_without_a_warning(tmp_path, method):
+    # 1j / hbar is infinite at hbar = 1e-309: v_A's commutator bases and the
+    # exact route's phase exponent came out NaN with RuntimeWarnings, which
+    # -W error turned into a traceback.
+    cfg = write_config(tmp_path, dict(_with(EX1, "params", hbar=1e-309), method=method))
+    args = ["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]
+    proc = _fluctdyn_process(args, options=("-W", "error", "-m", "fluctdyn.cli"))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric breakdown: ") and proc.stderr.count("\n") == 1
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"mass": 5e-324},
+        {"mass": 5e-324, "omega": 5e-324},
+        {"hbar": 1e308, "omega": 1e308},
+        {"alpha": [1e308, 0.5]},
+        {"z": [1e308, 0.0]},
+    ],
+    ids=["tiny_mass", "tiny_mass_and_omega", "huge_hbar_omega", "huge_alpha", "huge_z"],
+)
+def test_an_oscillator_beyond_the_float_range_is_a_config_error(tmp_path, capsys, params):
+    # Each number is valid, but together they take a matrix entry out of the
+    # float range: once a RuntimeWarning, or a ZeroDivisionError or
+    # OverflowError traceback.
+    cfg = write_config(tmp_path, _with(EX3, "params", **params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at params: hbar, mass, omega, alpha and z leave the float range (")
+    assert err.count("\n") == 1
+
+
+def test_a_midpoint_step_beyond_the_float_range_breaks_down(tmp_path, capsys):
+    # dt / hbar = 1 / 1e-309 is infinite: herm_expm once raised a ValueError traceback.
+    raw = dict(_with(_with(EX1, "params", hbar=1e-309), "grid", n_steps=5), method="midpoint")
+    cfg = write_config(tmp_path, raw)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "numeric breakdown: herm_expm scale -infj is not finite\n"
 
 def _run_huge_frequency(tmp_path, method):
     """Stock example1 at omega0 = 1e10 in a fresh process (at most 10 s), with no traceback or warning."""

@@ -7,6 +7,8 @@ closed form, a per-step exponential loop for the chunked midpoint
 stepper, and one call per operator for a stack of operators.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -268,13 +270,17 @@ def test_midpoint_rejects_non_finite_h_at_its_time():
 
 
 def test_norm_defects_of_non_finite_states_are_nan():
-    # Phases beyond the float range give NaN states; their defects stay NaN,
-    # which a run counts as over its norm budget.
+    # Midpoint phases beyond the float range give NaN states; their defects
+    # stay NaN, which a run counts as over its norm budget.  The exact route
+    # checks its phase exponent instead and breaks down at its first time.
     huge = TimeDepOperator.stationary(1e200 * pauli("z"))
-    for method in ("exact_commuting", "midpoint"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = propagate(huge, qubit_plus(), TimeGrid(0.0, 1e200, 4), method=method)
-        assert np.isnan(traj.norm_defects).any()
+    grid = TimeGrid(0.0, 1e200, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = propagate(huge, qubit_plus(), grid, method="midpoint")
+    assert np.isnan(traj.norm_defects).any()
+    message = f"phase exponent inf is not a finite real number at t = {grid.times[1]}"
+    with pytest.raises(NumericBreakdown, match=re.escape(message)):
+        propagate(huge, qubit_plus(), grid, method="exact_commuting")
 
 
 def test_time_dep_operator_fd_fallback():
