@@ -27,7 +27,7 @@ from fluctdyn.scenarios import ScenarioConfig, default_config, run_scenario
 def run_with_cutoff(s, n_steps=4000):
     raw = {
         "name": "example3",
-        "params": {"alpha": [2.0, 1.0], "z": [0.5, 0.5], "s": s, "allow_small_s": True},
+        "params": {"alpha": [2.0, 1.0], "z": [0.5, 0.5], "s": s},
         "grid": {"t0": 0.0, "t1": 2.0 * np.pi, "n_steps": n_steps},
     }
     return run_scenario(ScenarioConfig.from_dict(raw))

@@ -97,18 +97,13 @@ class BlochEvolution:
     flagged: bool
 
 
-def bloch_evolve(
-    model: BlochModel,
-    grid: TimeGrid,
-    a0: Optional[np.ndarray] = None,
-    drift_tol: float = DRIFT_TOL,
-) -> BlochEvolution:
+def bloch_evolve(model: BlochModel, grid: TimeGrid, a0: Optional[np.ndarray] = None) -> BlochEvolution:
     """Integrate ``a_dot = 2 h x a`` with classic fourth-order stepping.
 
     ``h`` is sampled at every stage time (each step's start, midpoint and
     end) with one call; only the steps themselves run in a loop.  No
     renormalization is applied; the drift of ``|a|`` away from its initial
-    value is the discretization diagnostic, and exceeding ``drift_tol``
+    value is the discretization diagnostic, and exceeding ``DRIFT_TOL``
     flags the grid as too coarse.
     """
     a = _vectors(model.a, _times(grid.t0))[0] if a0 is None else np.asarray(a0, dtype=float)
@@ -131,7 +126,7 @@ def bloch_evolve(
         out[k + 1] = a
     norms = np.linalg.norm(out, axis=1)
     drift = float(np.max(np.abs(norms - norms[0])))
-    return BlochEvolution(grid=grid, vectors=out, max_drift=drift, flagged=drift > drift_tol)
+    return BlochEvolution(grid=grid, vectors=out, max_drift=drift, flagged=drift > DRIFT_TOL)
 
 
 # eq=False: a generated __eq__ would compare the arrays elementwise.
@@ -190,12 +185,12 @@ def geometric_residual(model: BlochModel, t) -> tuple[np.ndarray, np.ndarray]:
     return rhs - lhs, degenerate
 
 
-def tightness_span_test(model: BlochModel, t, tol: float = SPAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def tightness_span_test(model: BlochModel, t) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares membership of ``m_dot`` in ``span{m x h, a}``, at each time of ``t``.
 
     Returns ``(member, defect)`` arrays, where ``defect`` is the residual
     norm of the best ``lambda (m x h) + mu a`` fit; membership holds when
-    the defect is at most ``tol * max(1, ||m_dot||)``.  The fits are one
+    the defect is at most ``SPAN_TOL * max(1, ||m_dot||)``.  The fits are one
     batched pseudo-inverse with ``lstsq``'s default cutoff, which also
     handles rank deficiency.
     """
@@ -206,4 +201,4 @@ def tightness_span_test(model: BlochModel, t, tol: float = SPAN_TOL) -> tuple[np
     basis = np.stack([_cross(m, _vectors(model.h, times)), a], axis=-1)
     coeffs = np.linalg.pinv(basis, rcond=3 * np.finfo(float).eps) @ md[:, :, None]
     defect = np.linalg.norm(md - (basis @ coeffs)[:, :, 0], axis=1)
-    return defect <= tol * np.maximum(1.0, np.linalg.norm(md, axis=1)), defect
+    return defect <= SPAN_TOL * np.maximum(1.0, np.linalg.norm(md, axis=1)), defect

@@ -86,23 +86,33 @@ def mt_ml_times(h: np.ndarray, psi: np.ndarray, hbar: float = 1.0) -> SpeedLimit
     )
 
 
-def _energy_spread(h: TimeDepOperator, traj: Trajectory, hbar: float, with_rate: bool = False) -> tuple:
-    """``(sigma_H / hbar,)`` at every grid point, or with ``cov(H, dH/dt) / hbar^2`` when ``with_rate``.
+def _energy_spread(h: TimeDepOperator, traj: Trajectory, hbar: float, with_accel: bool = False) -> tuple:
+    """``(sigma_H / hbar,)`` at every grid point, or with the acceleration when ``with_accel``.
 
-    The divisions by ``hbar`` are part of the walk, so a quotient that
-    overflows breaks down at its first time.
+    The acceleration is ``2 cov(H, dH/dt) / (hbar sigma_H)``, NaN where
+    ``sigma_H / hbar`` is at most ``1e-12``.  The divisions by ``hbar`` and
+    ``sigma_H`` are part of the walk, so a quotient that overflows breaks
+    down at its first time.
     """
+    floor = 1e-12
 
     def columns(t, psi):
         _, dh = centered_moments(h.act(t, psi), psi, t)
         sig = np.sqrt(inner_re(dh, dh)) / hbar
-        if not with_rate:
+        if not with_accel:
             return (sig,)
         _, dhd = centered_moments(h.act_deriv(t, psi), psi, t)
-        return sig, inner_re(dh, dhd) / hbar / hbar
+        # cov(H, dH/dt) / hbar^2, checked itself where the quotient is undefined.
+        accel = inner_re(dh, dhd) / hbar / hbar
+        ok = sig > floor
+        accel[ok] = 2.0 * (accel[ok] / sig[ok])
+        return sig, accel
 
-    width = 2 if with_rate else 1
-    return walk_grid(traj.grid.times, [traj.states], columns, width, "energy statistics", h.dim, h.act_rows)
+    width = 2 if with_accel else 1
+    out = walk_grid(traj.grid.times, [traj.states], columns, width, "energy statistics", h.dim, h.act_rows)
+    if with_accel:
+        out[1][out[0] <= floor] = np.nan
+    return out
 
 
 def mt_integral_check(
@@ -136,16 +146,10 @@ def fs_kinematics(
     is at most ``1e-12`` get NaN acceleration (undefined there).
     """
     times = traj.grid.times
-    # sigma_H / hbar and cov(H, dH/dt) / hbar^2.
-    sig, cov = _energy_spread(h, traj, hbar, with_rate=True)
+    sig, accel = _energy_spread(h, traj, hbar, with_accel=True)
     with np.errstate(over="ignore"):
         v = 2.0 * sig
     s = _cumtrapz(v, times, "speed")
-
-    accel = np.full(len(times), np.nan)
-    floor = 1e-12
-    ok = sig > floor
-    accel[ok] = 2.0 * cov[ok] / sig[ok]
     return s, v, accel
 
 

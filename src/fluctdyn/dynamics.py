@@ -302,13 +302,11 @@ class TimeDepOperator:
         same order whatever the batch, so a time's matrix does not depend on
         the other times sampled with it (a BLAS product rounds a one-row
         batch differently from a longer one).  When no two bases share an
-        entry, as in :func:`hermitian_basis`, it is a gather with the same
-        values, ``O(n d^2)`` instead of ``O(n K d^2)``.
+        entry, as in :func:`hermitian_basis` or with a single basis, it is a
+        gather with the same values, ``O(n d^2)`` instead of ``O(n K d^2)``.
         """
         rows, gather = self._layout()[:2]
         coeffs = self._coefficients(slot, times)
-        if len(self.bases) == 1:  # BLAS is slow at rank-1 products
-            return coeffs[:, 0, None, None] * self.bases[0]
         if gather is None:
             flat = np.einsum("nk,kx->nx", coeffs, rows)
         else:

@@ -10,7 +10,9 @@ Displacement and squeeze operators are built by exponentiating the
 That keeps them exactly unitary inside the simulated space, so the states
 they produce are normalized up to eigensolver accuracy no matter how small
 the space is; the meaningful truncation diagnostics are the tail masses and
-the mean-excitation error, not the norm.
+the mean-excitation error, not the norm.  An anti-Hermitian generator ``g``
+is exponentiated as :func:`~fluctdyn.linops.herm_expm` of the Hermitian
+``-i g`` with ``scale = i``, which checks that ``-i g`` is Hermitian.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import NORM_TOL, antiherm_expm
+from .linops import NORM_TOL, herm_expm
+
+# Largest cutoff recommended_dim tries: a dense operator on 2^20 levels is
+# beyond any run.
+MAX_RECOMMENDED_CUTOFF = 1 << 20
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -138,31 +144,29 @@ def displacement(space: FockSpace, alpha: complex) -> np.ndarray:
     """Unitary displacement ``exp(alpha a_dag - conj(alpha) a)``."""
     alpha = complex(alpha)
     a, ad = ladder(space)
-    return antiherm_expm(alpha * ad - np.conj(alpha) * a)
+    return herm_expm(-1j * (alpha * ad - np.conj(alpha) * a), scale=1j)
 
 
 def squeeze(space: FockSpace, z: complex) -> np.ndarray:
     """Unitary squeeze ``exp(conj(z)/2 a^2 - z/2 a_dag^2)``."""
     z = complex(z)
     a, ad = ladder(space)
-    return antiherm_expm((np.conj(z) / 2.0) * (a @ a) - (z / 2.0) * (ad @ ad))
+    return herm_expm(-1j * ((np.conj(z) / 2.0) * (a @ a) - (z / 2.0) * (ad @ ad)), scale=1j)
 
 
-def displaced_squeezed_vacuum(
-    space: FockSpace, params: SqueezedCoherentParams, norm_tol: float = NORM_TOL
-) -> np.ndarray:
+def displaced_squeezed_vacuum(space: FockSpace, params: SqueezedCoherentParams) -> np.ndarray:
     """Displace-then-squeeze vacuum state ``D(alpha) S(z) |0>``.
 
-    Raises if the normalization defect exceeds ``norm_tol`` (it cannot for
+    Raises if the normalization defect exceeds ``NORM_TOL`` (it cannot for
     this construction unless the eigensolver misbehaves, since both factors
     are exactly unitary in the truncated space).
     """
     state = displacement(space, params.alpha) @ (squeeze(space, params.z) @ space.vacuum())
     defect = abs(np.linalg.norm(state) - 1.0)
-    if defect > norm_tol:
+    if defect > NORM_TOL:
         raise ValueError(
             f"displaced squeezed vacuum normalization defect {defect:.3e} exceeds "
-            f"{norm_tol:.1e}; the space (s={space.s}) is inadequate"
+            f"{NORM_TOL:.1e}; the space (s={space.s}) is inadequate"
         )
     return state
 
@@ -176,22 +180,23 @@ def fock_tail_mass(state: np.ndarray, levels: int = 2):
     return float(mass) if mass.ndim == 0 else mass
 
 
-def _poisson_sums(abs_alpha_sq: float, s: int) -> tuple[float, float]:
-    # Running term ratio t_{n+1} = t_n * |alpha|^2 / (n+1) avoids factorials.
-    total = term = 1.0
-    weighted = 0.0
-    for n in range(1, s + 1):
-        term *= abs_alpha_sq / n
-        total += term
-        weighted += n * term
-    return weighted, total
-
-
 def truncated_mean_photon(abs_alpha_sq: float, s: int) -> float:
     """Mean excitation of a coherent state restricted to ``n <= s``.
 
     The weights are the (unnormalized) Poisson terms ``|alpha|^{2n} / n!``,
-    renormalized over the retained levels.
+    renormalized over the retained levels; the mean is ``|alpha|^2`` less
+    :func:`truncation_error`.
+    """
+    return abs_alpha_sq - truncation_error(abs_alpha_sq, s)
+
+
+def truncation_error(abs_alpha_sq: float, s: int) -> float:
+    """``| |alpha|^2 - truncated_mean_photon(|alpha|^2, s) |``.
+
+    With ``t_n = |alpha|^{2n} / n!``, ``sum_{n <= s} n t_n = |alpha|^2
+    sum_{n < s} t_n``, so this is ``|alpha|^2 t_s / sum_{n <= s} t_n``, with
+    no difference of near-equal means.  The terms are formed in log space,
+    ``n log|alpha|^2 - log n!``, so none overflows.
     """
     if abs_alpha_sq < 0:
         raise ValueError("abs_alpha_sq must be >= 0")
@@ -199,33 +204,31 @@ def truncated_mean_photon(abs_alpha_sq: float, s: int) -> float:
         raise ValueError("s must be >= 0")
     if abs_alpha_sq == 0.0:
         return 0.0
-    weighted, total = _poisson_sums(float(abs_alpha_sq), int(s))
-    return weighted / total
-
-
-def truncation_error(abs_alpha_sq: float, s: int) -> float:
-    """``| |alpha|^2 - truncated_mean_photon(|alpha|^2, s) |``."""
-    return abs(abs_alpha_sq - truncated_mean_photon(abs_alpha_sq, s))
+    n = np.arange(int(s) + 1, dtype=float)
+    log_terms = n * math.log(abs_alpha_sq) - np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    terms = np.exp(log_terms - log_terms.max())
+    return float(abs_alpha_sq * (terms[-1] / terms.sum()))
 
 
 def recommended_dim(abs_alpha_sq: float, eps: float) -> int:
     """Smallest cutoff ``s`` with :func:`truncation_error` at most ``eps``.
 
-    The search is seeded at ``ceil(|alpha|^2 + 5 sqrt(|alpha|^2))`` and walks
-    down or up from there.
+    The error falls as ``s`` grows.  The search starts at
+    ``ceil(|alpha|^2 + 5 sqrt(|alpha|^2))``, doubles until the error is at
+    most ``eps`` and then bisects: ``O(log s)`` evaluations.  It raises
+    ``ValueError`` if no cutoff up to ``MAX_RECOMMENDED_CUTOFF`` is enough.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if abs_alpha_sq < 0:
         raise ValueError("abs_alpha_sq must be >= 0")
-    if abs_alpha_sq == 0.0:
-        return 0
-    seed = max(0, math.ceil(abs_alpha_sq + 5.0 * math.sqrt(abs_alpha_sq)))
-    s = seed
-    if truncation_error(abs_alpha_sq, s) <= eps:
-        while s > 0 and truncation_error(abs_alpha_sq, s - 1) <= eps:
-            s -= 1
-        return s
-    while truncation_error(abs_alpha_sq, s) > eps:
-        s += 1
-    return s
+    # The error exceeds eps at lo (or lo = -1) and is at most eps at hi.
+    lo, hi = -1, min(math.ceil(abs_alpha_sq + 5.0 * math.sqrt(abs_alpha_sq)), MAX_RECOMMENDED_CUTOFF)
+    while truncation_error(abs_alpha_sq, hi) > eps:
+        if hi == MAX_RECOMMENDED_CUTOFF:
+            raise ValueError(f"no cutoff up to {hi} brings the truncation error of {abs_alpha_sq:.3g} to {eps:.1e}")
+        lo, hi = hi, min(2 * hi, MAX_RECOMMENDED_CUTOFF)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if truncation_error(abs_alpha_sq, mid) > eps else (lo, mid)
+    return hi

@@ -1,14 +1,16 @@
 """Dense complex linear-algebra kernel.
 
 Everything else in the package is built on the operations here:
-commutators, Hermitian/anti-Hermitian matrix exponentials, and the
+commutators, the exponential of a Hermitian matrix times a scalar, and the
 structural predicates (Hermiticity, unitarity, normalization) with their
-default tolerances.
+tolerances.
 
 Matrix exponentials go through the eigendecomposition of a Hermitian
 argument rather than Pade scaling-and-squaring: every exponential this
-package needs has an (anti-)Hermitian generator, and the eigendecomposition
-route keeps the result unitary up to eigensolver accuracy.
+package needs is ``exp(scale * h)`` with Hermitian ``h`` (an anti-Hermitian
+generator ``g`` is ``h = -i g`` with ``scale = i``), and the
+eigendecomposition route keeps the result unitary, for imaginary ``scale``,
+up to eigensolver accuracy.
 
 All functions are pure and operate on plain ``numpy`` arrays
 (``complex128``); nothing here mutates its inputs.  Operators may also be
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Default tolerances: one order above double-precision accumulation for the
+# Tolerances: one order above double-precision accumulation for the
 # dimensions this package targets (<= 64).
 HERM_TOL = 1e-12
 UNIT_TOL = 1e-10
@@ -94,10 +96,10 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max())
 
 
-def is_unitary(m: np.ndarray, tol: float = UNIT_TOL) -> tuple[bool, float]:
-    """Unitarity predicate; returns ``(flag, max_defect)``."""
+def is_unitary(m: np.ndarray) -> tuple[bool, float]:
+    """Unitarity predicate within ``UNIT_TOL``; returns ``(flag, max_defect)``."""
     defect = unitarity_defect(as_operator(m))
-    return defect <= tol, defect
+    return defect <= UNIT_TOL, defect
 
 
 def norm_defect(v: np.ndarray):
@@ -128,14 +130,14 @@ def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, what: str = "operato
     return m
 
 
-def require_normalized(v: np.ndarray, tol: float = NORM_TOL, what: str = "state") -> np.ndarray:
-    """``v`` as a finite complex state normalized within ``tol``; an ``(n, d)`` stack row by row."""
+def require_normalized(v: np.ndarray, what: str = "state") -> np.ndarray:
+    """``v`` as a finite complex state normalized within ``NORM_TOL``; an ``(n, d)`` stack row by row."""
     v = as_state(v)
-    _check_defects(norm_defect(v), tol, v.ndim == 2, f"{what} is not normalized")
+    _check_defects(norm_defect(v), NORM_TOL, v.ndim == 2, f"{what} is not normalized")
     return v
 
 
-def herm_expm(h: np.ndarray, scale: complex = 1.0, herm_tol: float = HERM_TOL, times=None) -> np.ndarray:
+def herm_expm(h: np.ndarray, scale: complex = 1.0, times=None) -> np.ndarray:
     """``exp(scale * h)`` for Hermitian ``h`` via eigendecomposition.
 
     Parameters
@@ -144,7 +146,7 @@ def herm_expm(h: np.ndarray, scale: complex = 1.0, herm_tol: float = HERM_TOL, t
         Hermitian matrix, or an ``(n, d, d)`` stack of them exponentiated
         with one batched eigendecomposition; a single matrix is a batch of
         one.  Every matrix is checked for finite entries
-        (:class:`NumericBreakdown`) and Hermiticity within ``herm_tol``
+        (:class:`NumericBreakdown`) and Hermiticity within ``HERM_TOL``
         (``ValueError``); the first offending one raises.
     scale : complex
         Scalar multiplying ``h`` in the exponent; one that is not finite
@@ -170,29 +172,15 @@ def herm_expm(h: np.ndarray, scale: complex = 1.0, herm_tol: float = HERM_TOL, t
     if not finite.all():
         raise NumericBreakdown(f"herm_expm argument has non-finite entries{at_time(times, int(np.argmin(finite)))}")
     defects = hermitian_defect(stack)
-    bad = defects > herm_tol
+    bad = defects > HERM_TOL
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(
-            f"herm_expm argument is not Hermitian (defect {defects[k]:.3e} > tol {herm_tol:.1e}){at_time(times, k)}"
+            f"herm_expm argument is not Hermitian (defect {defects[k]:.3e} > tol {HERM_TOL:.1e}){at_time(times, k)}"
         )
     w, vecs = np.linalg.eigh(stack)
     out = (vecs * np.exp(scale * w)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     return out.reshape(h.shape)
-
-
-def antiherm_expm(g: np.ndarray, herm_tol: float = HERM_TOL) -> np.ndarray:
-    """``exp(g)`` for anti-Hermitian ``g``; unitary by construction.
-
-    Routed through :func:`herm_expm` on the Hermitian matrix ``-i g``.
-    """
-    g = as_operator(g)
-    defect = float(np.abs(g + g.conj().swapaxes(-1, -2)).max())
-    if defect > herm_tol:
-        raise ValueError(
-            f"antiherm_expm argument is not anti-Hermitian (defect {defect:.3e} > tol {herm_tol:.1e})"
-        )
-    return herm_expm(-1j * g, scale=1j, herm_tol=np.inf)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

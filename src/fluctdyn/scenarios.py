@@ -42,6 +42,7 @@ from . import bloch
 from .dynamics import TimeDepOperator, TimeGrid, Trajectory, propagate
 from .fluctuation import SIGMA_FLOOR, TIGHT_TOL, BoundSeries, bound_series, inner_re, velocity, walk_grid
 from .hilbert import (
+    MAX_RECOMMENDED_CUTOFF,
     FockSpace,
     SqueezedCoherentParams,
     displaced_squeezed_vacuum,
@@ -339,13 +340,17 @@ def _oscillator_pieces(cfg: ScenarioConfig) -> ScenarioPieces:
             x_op, p_op = quadratures(space)
             h_mat = oscillator_hamiltonian(space)
             psi0 = displaced_squeezed_vacuum(space, SqueezedCoherentParams(alpha=alpha, z=z))
-            needed = recommended_dim(abs(alpha) ** 2, 1e-6)
+            try:
+                needed = recommended_dim(abs(alpha) ** 2, 1e-6)
+            except ValueError:  # no cutoff up to MAX_RECOMMENDED_CUTOFF is enough
+                needed = None
     except ArithmeticError as exc:
         raise ConfigError("params", f"hbar, mass, omega, alpha and z leave the float range ({exc})") from None
     warnings = []
-    if s < needed and not cfg.params.get("allow_small_s", False):
+    if needed is None or s < needed:
+        recommended = f"above {MAX_RECOMMENDED_CUTOFF}" if needed is None else needed
         warnings.append(
-            f"truncation_below_recommended: s={s} < recommended {needed} for |alpha|^2={abs(alpha)**2:.3g}"
+            f"truncation_below_recommended: s={s} < recommended {recommended} for |alpha|^2={abs(alpha)**2:.3g}"
         )
 
     a_op = TimeDepOperator.linear(
@@ -452,7 +457,7 @@ SCENARIOS = {
     ),
     "example3": Scenario(
         _oscillator_pieces,
-        ("alpha", "z", "s", "hbar", "mass", "omega", "theta", "allow_small_s"),
+        ("alpha", "z", "s", "hbar", "mass", "omega", "theta"),
         {
             "params": dict(alpha=[2.0, 1.0], z=[0.5, 0.5], s=20, omega=1.0, hbar=1.0, mass=1.0, theta="cos"),
             "grid": {"t0": 0.0, "t1": 2.0 * math.pi, "n_steps": 4000},

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -59,62 +59,63 @@ def _braket(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", states.conj(), np.matmul(ops, states[:, :, None])[:, :, 0])
 
 
-def _stacked_draws(rng: np.random.Generator, n: int, dims: list) -> Iterator[tuple[np.ndarray, ...]]:
-    """``n`` draws of a dimension from ``dims``, two random observables and a
-    random state, as ``(A, B, psi)`` stacks of one dimension each.
+def _in_stacks(draw: Callable[[], tuple], n: int) -> Iterator[list]:
+    """``n`` calls of ``draw``, each giving ``(key, item)``, as lists of the items of one key.
 
     The draws are made one at a time, so the random stream is that of a
-    per-draw loop.  A stack is handed on once it holds ``STACK_DRAWS``
-    draws: one stack per dimension raised the suite's peak memory by about
-    3 MB, against none at 64 draws.
+    per-draw loop.  A list is handed on once it holds ``STACK_DRAWS`` items,
+    and the leftovers at the end, so only one stack need be held at a time:
+    one stack per dimension raised the covariance sweep's peak memory by
+    about 3 MB, against none at 64 draws.
     """
     pending = {}
     for _ in range(n):
+        key, item = draw()
+        group = pending.setdefault(key, [])
+        group.append(item)
+        if len(group) == STACK_DRAWS:
+            yield pending.pop(key)
+    yield from pending.values()
+
+
+def _stacked_draws(rng: np.random.Generator, n: int, dims: list) -> Iterator[tuple[np.ndarray, ...]]:
+    """``n`` draws of a dimension from ``dims``, two random observables and a
+    random state, as ``(A, B, psi)`` stacks of one dimension each (:func:`_in_stacks`)."""
+
+    def draw():
         dim = int(rng.choice(dims))
-        group = pending.setdefault(dim, [])
         a = linops.random_hermitian(dim, rng)
         b = linops.random_hermitian(dim, rng)
-        group.append((a, b, linops.random_state(dim, rng)))
-        if len(group) == STACK_DRAWS:
-            yield tuple(np.array(x) for x in zip(*pending.pop(dim)))
-    for group in pending.values():
+        return dim, (a, b, linops.random_state(dim, rng))
+
+    for group in _in_stacks(draw, n):
         yield tuple(np.array(x) for x in zip(*group))
 
 
 def _driven_qubits(rng: np.random.Generator, n: int) -> Iterator[tuple[list, np.ndarray]]:
     """``n`` random driven qubits ``H = f(t) n.sigma + g(t) k.sigma`` and
-    initial states, as ``(operators, (m, 2) states)`` stacks of at most
-    ``STACK_DRAWS``.
-
-    The draws are made one at a time, in the order of a per-draw loop, and
-    a stack is handed on once it is full, so only one stack's trajectories
-    need be held at a time.
-    """
+    initial states, as ``(operators, (m, 2) states)`` stacks (:func:`_in_stacks`)."""
     from . import scenarios
     from .dynamics import TimeDepOperator
     from .hilbert import pauli
 
     names = list(scenarios._COEFFS)
     paulis = np.stack([pauli("x"), pauli("y"), pauli("z")])
-    ops, states = [], []
-    for k in range(n):
+
+    def draw():
         nvec = rng.normal(size=3)
         nvec /= np.linalg.norm(nvec)
         kvec = rng.normal(size=3)
         kvec /= np.linalg.norm(kvec)
-        f, fd, _ = scenarios.coefficient(
-            {"fn": str(rng.choice(names)), "scale": float(rng.uniform(0.3, 2.0))}
-        )
-        g, gd, _ = scenarios.coefficient(
-            {"fn": str(rng.choice(names)), "scale": float(rng.uniform(0.3, 2.0))}
-        )
+        f, fd, _ = scenarios.coefficient({"fn": str(rng.choice(names)), "scale": float(rng.uniform(0.3, 2.0))})
+        g, gd, _ = scenarios.coefficient({"fn": str(rng.choice(names)), "scale": float(rng.uniform(0.3, 2.0))})
         mat_n = np.tensordot(nvec, paulis, axes=1)
         mat_k = np.tensordot(kvec, paulis, axes=1)
-        ops.append(TimeDepOperator.linear([(f, fd, mat_n), (g, gd, mat_k)]))
-        states.append(linops.random_state(2, rng))
-        if len(ops) == STACK_DRAWS or k == n - 1:
-            yield ops, np.array(states)
-            ops, states = [], []
+        return 2, (TimeDepOperator.linear([(f, fd, mat_n), (g, gd, mat_k)]), linops.random_state(2, rng))
+
+    for group in _in_stacks(draw, n):
+        ops, states = zip(*group)
+        yield list(ops), np.array(states)
 
 
 def covariance_sweep(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, ...]:

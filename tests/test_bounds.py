@@ -172,6 +172,30 @@ def test_a_speed_near_the_float_limit_breaks_down_in_the_trapezoid(trace, messag
             trace(h, traj, hbar=9e-309)
 
 
+def test_an_acceleration_whose_doubled_covariance_overflows_is_finite():
+    # cov(H, dH/dt) / hbar^2 = -1.5 sin(2t) 1e308 is finite, but twice it is
+    # not from t = 0.4: the acceleration once came back -inf with a
+    # RuntimeWarning, where 2 (cov / sigma) is about -3.5 sin(t) 1e154.
+    h = TimeDepOperator.linear([(lambda t: np.sqrt(3.0) * np.cos(t), lambda t: -np.sqrt(3.0) * np.sin(t), SZ, np.sin)])
+    traj = propagate(h, qubit_plus(), TimeGrid(0.0, 1.0, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, accel = fs_kinematics(h, traj, hbar=1e-154)
+    expected = -2.0 * np.sqrt(3.0) * np.sin(traj.grid.times) / 1e-154
+    assert np.allclose(accel, expected, rtol=1e-12, atol=0.0)
+
+
+def test_an_overflowing_acceleration_breaks_down():
+    # sigma_H / hbar = 1e-5 and cov(H, dH/dt) / hbar^2 = 1e305 on |+> are
+    # finite, and their quotient is not: it once came back inf.
+    h = TimeDepOperator.linear([(lambda t: 1e-15, lambda t: 1e300, SZ)])
+    traj = propagate(TimeDepOperator.stationary(SZ), qubit_plus(), TimeGrid(0.0, 1.0, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericBreakdown, match="energy statistics are not finite at t = 0.0$"):
+            fs_kinematics(h, traj, hbar=1e-10)
+
+
 def test_snr_trace_floor_and_flags():
     rep = run_scenario(default_config("example1"))
     trace = snr_trace(rep.pieces.observable, rep.pieces.hamiltonian, rep.trajectory)

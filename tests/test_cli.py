@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -265,6 +266,8 @@ SIGMA_Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
         # b(t) is example2's; example1 would run with A = a(t) sx alone.
         pytest.param(_with(EX1, "params", b="t2"), "params.b", id="params.b_on_example1"),
         pytest.param(_with(EX1, "params", a={"fn": "t", "scal": 2.0}), "params.a.scal", id="params.a.scal"),
+        # Once silenced example3's below-recommended-cutoff warning.
+        pytest.param(_with(EX3, "params", allow_small_s=True), "params.allow_small_s", id="params.allow_small_s"),
         pytest.param(
             _with(CUSTOM, "params", hamiltonian={"constant": SIGMA_Z, "constnt": SIGMA_Z}),
             "params.hamiltonian.constnt",
@@ -622,6 +625,19 @@ def test_an_oscillator_beyond_the_float_range_is_a_config_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("config error at params: hbar, mass, omega, alpha and z leave the float range (")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", [30.0, 1e3, 1e10, 1e154])
+def test_a_large_displacement_ends_in_bounded_time(tmp_path, alpha):
+    # The recommended cutoff was the unchecked seed of a search whose terms
+    # overflowed past |alpha|^2 of about 709, and at alpha = 1e10 the search
+    # walked one level per step and did not end.
+    cfg = write_config(tmp_path, _with(_with(EX3, "params", alpha=[alpha, 0.0]), "grid", n_steps=200))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")])
+    assert code in (0, 2, 3) and time.perf_counter() - start < 5.0
 
 
 def test_a_midpoint_step_beyond_the_float_range_breaks_down(tmp_path, capsys):

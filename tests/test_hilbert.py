@@ -2,8 +2,8 @@
 displacement/squeeze unitaries, and the truncation diagnostics.
 
 The truncation numbers are cross-checked against a reference summation
-evaluated through log-gamma terms (independent of the running-ratio
-implementation under test).
+evaluated through per-term log-gamma weights (independent of the
+closed-form error ``|alpha|^2 t_s / sum t_n`` under test).
 """
 
 import math
@@ -110,6 +110,15 @@ def test_displacement_mean_excitation():
     assert abs(n_mean - 5.0) < 1e-4
 
 
+def test_displacement_excitation_approaches_alpha_squared():
+    # <N> of a generator-built displaced vacuum approaches |alpha|^2 when the
+    # space is much larger than the excitation.
+    space = FockSpace(s=40)
+    state = displacement(space, complex(np.sqrt(5.0))) @ space.vacuum()
+    n_mean = float(np.vdot(state, number_op(space) @ state).real)
+    assert n_mean == pytest.approx(5.0, abs=1e-6)
+
+
 def test_unitary_factories_sweep():
     worst = 0.0
     for s in (10, 25, 40):
@@ -174,8 +183,17 @@ def test_recommended_dim():
     with pytest.raises(ValueError, match="positive"):
         recommended_dim(5.0, 0.0)
     assert recommended_dim(0.0, 1e-6) == 0
-    for nbar, eps in ((5.0, 1e-6), (5.0, 1e-4), (2.0, 1e-8), (10.0, 1e-5)):
+    # At 750 the running Poisson terms once overflowed, and the search
+    # returned its unchecked seed 887, whose error was NaN.
+    for nbar, eps in ((5.0, 1e-6), (5.0, 1e-4), (2.0, 1e-8), (10.0, 1e-5), (750.0, 1e-6)):
         s = recommended_dim(nbar, eps)
         assert truncation_error(nbar, s) <= eps
         if s > 0:
             assert truncation_error(nbar, s - 1) > eps
+
+
+def test_recommended_dim_is_bounded():
+    # The search once walked one level per step from |alpha|^2 + 5 |alpha|.
+    for abs_alpha_sq in (1e8, 1e20, 1e308):
+        with pytest.raises(ValueError, match=f"no cutoff up to {hilbert.MAX_RECOMMENDED_CUTOFF} "):
+            recommended_dim(abs_alpha_sq, 1e-6)

@@ -1,7 +1,7 @@
 """Kernel tests: commutators, exponentials, predicates.
 
-Expected values come from direct construction (Pauli algebra, the ladder
-matrices) or from closed-form exponentials; the property sweeps run over
+Expected values come from direct construction (Pauli algebra) or from
+closed-form exponentials; the property sweeps run over
 seeded random Hermitian matrices.
 """
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluctdyn import linops
-from fluctdyn.hilbert import FockSpace, ladder, pauli
+from fluctdyn.hilbert import pauli
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 I2 = np.eye(2, dtype=complex)
@@ -101,29 +101,12 @@ def test_commutator_adjoint_structure_property(seed, dim):
     assert np.abs(k - k.conj().T).max() <= 1e-12 * max(1.0, np.abs(k).max())
 
 
-def test_antiherm_expm_identity_and_diagonal():
-    assert np.allclose(linops.antiherm_expm(np.zeros((3, 3))), np.eye(3))
+def test_herm_expm_identity_and_diagonal():
+    # An anti-Hermitian generator g goes in as -i g with scale i.
+    assert np.allclose(linops.herm_expm(np.zeros((3, 3)), 1j), np.eye(3))
     theta = 0.9
-    out = linops.antiherm_expm(1j * theta * SZ)
+    out = linops.herm_expm(-1j * (1j * theta * SZ), 1j)
     assert np.allclose(out, np.diag([np.exp(1j * theta), np.exp(-1j * theta)]), atol=1e-14)
-
-
-def test_antiherm_expm_rejects_bad_generator():
-    with pytest.raises(ValueError, match="anti-Hermitian"):
-        linops.antiherm_expm(SX)  # Hermitian, not anti-Hermitian
-
-
-def test_antiherm_expm_displacement_excitation():
-    # <N> of a generator-built displaced vacuum approaches |alpha|^2 when the
-    # space is much larger than the excitation.
-    space = FockSpace(s=40)
-    a, ad = ladder(space)
-    alpha = complex(np.sqrt(5.0))
-    d_op = linops.antiherm_expm(alpha * ad - np.conj(alpha) * a)
-    vac = space.vacuum()
-    state = d_op @ vac
-    n_mean = float(np.vdot(state, (ad @ a) @ state).real)
-    assert n_mean == pytest.approx(5.0, abs=1e-6)
 
 
 def test_predicates_report_defects():

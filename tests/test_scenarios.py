@@ -124,19 +124,16 @@ def test_example3_defaults():
     assert rep.tail_mass > 1e-8
 
 
-def test_example3_override_suppresses_recommendation_warning():
+def test_example3_beyond_every_searched_cutoff_warns():
+    # The recommendation was once an unchecked seed; no cutoff up to 2^20
+    # brings |alpha|^2 = 1e20 to a 1e-6 truncation error.
     raw = {
         "name": "example3",
-        "params": {
-            "alpha": [2.0, 1.0],
-            "z": [0.5, 0.5],
-            "s": 20,
-            "allow_small_s": True,
-        },
-        "grid": {"t0": 0.0, "t1": 6.283185307179586, "n_steps": 500},
+        "params": {"alpha": [1e10, 0.0], "z": [0.5, 0.5], "s": 20},
+        "grid": {"t0": 0.0, "t1": 6.283185307179586, "n_steps": 50},
     }
-    rep = run_scenario(ScenarioConfig.from_dict(raw))
-    assert not any(w.startswith("truncation_below_recommended") for w in rep.warnings)
+    warnings = run_scenario(ScenarioConfig.from_dict(raw)).warnings
+    assert warnings[0] == "truncation_below_recommended: s=20 < recommended above 1048576 for |alpha|^2=1e+20"
 
 
 def test_example3_vacuum_limit():
