@@ -35,8 +35,8 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
     out[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum((y[1:] + y[:-1]) / 2.0 * np.diff(x), out=out[1:])
-    bad = ~(np.isfinite(y) & np.isfinite(out))
-    if bad.any():
+    if not (np.isfinite(y).all() and np.isfinite(out).all()):
+        bad = ~(np.isfinite(y) & np.isfinite(out))
         raise NumericBreakdown(f"{what} or its running integral is not finite{at_time(x, int(np.argmax(bad)))}")
     return out
 
@@ -64,7 +64,7 @@ def mt_ml_times(h: np.ndarray, psi: np.ndarray, hbar: float = 1.0) -> SpeedLimit
     """Evaluate both orthogonalization-time bounds for ``(h, psi)``."""
     h = require_hermitian(h, what="Hamiltonian")
     psi = require_normalized(psi)
-    means, centered = centered_moments((h @ psi)[None], psi[None])
+    means, centered = centered_moments((h @ psi)[:, None], psi[:, None])
     mean = float(means[0])
     delta = sqrt(float(inner_re(centered, centered)[0]))
     mt_defined = delta > 0.0

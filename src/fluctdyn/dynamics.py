@@ -21,16 +21,17 @@ Operators
     an ``(n, d, d)`` stack, one array expression over the coefficients;
     ``value``/``dvalue`` are those samples at one time, bit for bit.
     :meth:`~TimeDepOperator.act` and :meth:`~TimeDepOperator.act_deriv`
-    return the images ``sum_k c_k(t_j) B_k psi_j`` of ``(n, d)`` states
-    without forming the stack when ``K <= d``: one product of the states
-    with the bases stacked as a ``(d, K d)`` matrix, then ``K`` scaled adds.
-    Operators with more terms than ``d`` apply their sampled stack.
-    Coefficients must take an array of times; values of the wrong shape
-    raise ``ValueError``.  Coefficient values must be finite and real: the
-    first time where one is not raises
+    take a ``(d, n)`` block of states, time on the last axis, and return
+    the images ``sum_k c_k(t_j) B_k psi_j`` as one, without forming the
+    stack when ``K <= d``: one product of the bases stacked as a
+    ``(K d, d)`` matrix with the block, then ``K`` scaled adds of
+    ``(d, n)`` rows.  Operators with more terms than ``d`` apply their
+    sampled stack to the block.  Coefficients must take an array of times;
+    values of the wrong shape raise ``ValueError``.  Coefficient values
+    must be finite and real: the first time where one is not raises
     :class:`~fluctdyn.linops.NumericBreakdown`.  Grid functions walk the
     time axis with :func:`time_chunks`, so no stack (``(len, d, d)``, or
-    ``(len, min(K, d), d)`` for ``act``) exceeds ``CHUNK_BYTES``.
+    the ``(min(K, d) d, len)`` block of ``act``) exceeds ``CHUNK_BYTES``.
 
 Two propagation routes, both reading ``H`` only through ``sample`` or its
 coefficients and bases:
@@ -86,10 +87,11 @@ CHUNK_BYTES = 1 << 18
 
 
 def time_chunks(n: int, dim: int, rows: Optional[int] = None) -> Iterator[slice]:
-    """Slices covering ``range(n)`` whose ``(len, rows, dim)`` stacks fit ``CHUNK_BYTES``.
+    """Slices covering ``range(n)`` whose ``len * rows * dim`` complex entries fit ``CHUNK_BYTES``.
 
-    ``rows`` defaults to ``dim``, a stack of matrices; a grid function that
-    only applies operators passes their :attr:`TimeDepOperator.act_rows`.
+    ``rows`` defaults to ``dim``, a ``(len, dim, dim)`` stack of matrices; a
+    grid function that only applies operators passes their
+    :attr:`TimeDepOperator.act_rows`, for ``(rows dim, len)`` blocks.
     """
     step = max(1, CHUNK_BYTES // (16 * (dim if rows is None else rows) * dim))
     for start in range(0, n, step):
@@ -124,10 +126,11 @@ def _checked(values: np.ndarray, times: np.ndarray, what: str = "coefficient val
         Naming the first time where a value is not finite or has an
         imaginary part.
     """
-    bad = ~np.isfinite(values)
-    if np.iscomplexobj(values):
-        bad |= values.imag != 0.0
-    if bad.any():
+    complex_values = np.iscomplexobj(values)
+    if not np.isfinite(values).all() or (complex_values and values.imag.any()):
+        bad = ~np.isfinite(values)
+        if complex_values:
+            bad |= values.imag != 0.0
         k = int(np.argmax(bad.any(axis=1)))
         value = values[k][bad[k]][0]
         raise NumericBreakdown(f"{what} {value} is not a finite real number{at_time(times, k)}")
@@ -238,39 +241,42 @@ class TimeDepOperator:
         return self._sample(1, np.asarray(times, dtype=float))
 
     def act(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """The images ``A(t_j) psi_j`` of ``(n, d)`` states at the ``n`` entries of ``times``."""
+        """The images ``A(t_j) psi_j`` of a ``(d, n)`` block of states, column ``j`` at ``times[j]``."""
         return self._act(0, np.asarray(times, dtype=float), states)
 
     def act_deriv(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """The images ``(dA/dt)(t_j) psi_j`` of ``(n, d)`` states at the ``n`` entries of ``times``."""
+        """The images ``(dA/dt)(t_j) psi_j`` of a ``(d, n)`` block of states, column ``j`` at ``times[j]``."""
         return self._act(1, np.asarray(times, dtype=float), states)
 
     @property
     def act_rows(self) -> int:
-        """Rows ``r`` of the ``(n, r, d)`` stack :meth:`act` works on: ``min(K, d)``."""
+        """Rows ``r`` of the ``(r d, n)`` block :meth:`act` works on: ``min(K, d)``."""
         return min(len(self.bases), self.dim)
 
     def _act(self, slot: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
         """``sum_k x_k(t_j) B_k psi_j`` over the coefficients (slot 0) or their derivatives (slot 1).
 
-        With ``K <= d`` terms, one product of the states with the ``(d, K d)``
-        stacked bases gives every ``B_k psi_j``, and ``K`` scaled adds sum
-        them: no ``(n, d, d)`` stack is formed.  With more terms than ``d``
-        (tables, ``v_A`` in the Hermitian basis) the gathered ``sample`` is
-        cheaper, and its stack is applied.  A product of one row rounds
-        differently from a longer batch (BLAS takes its vector route).
+        ``states`` and the result are ``(d, n)`` blocks, time on the last
+        axis.  With ``K <= d`` terms, one product of the ``(K d, d)`` stacked
+        bases with the block gives every ``B_k psi_j``, and ``K`` scaled adds
+        of ``(d, n)`` rows sum them: no ``(n, d, d)`` stack is formed.  With
+        more terms than ``d`` (tables, ``v_A`` in the Hermitian basis) the
+        gathered ``sample`` is cheaper, and its stack is applied to the
+        block.  A block of one column rounds differently from a wider one
+        (BLAS takes its vector route).
         """
-        if states.shape != (len(times), self.dim):
+        if states.shape != (self.dim, len(times)):
             raise ValueError(f"states {states.shape} do not match {len(times)} times of a dim-{self.dim} operator")
         stacked = self._layout()[2]
         if stacked is None:
-            return np.matmul(self._sample(slot, times), states[:, :, None])[:, :, 0]
+            # (d, d, n) products of the stack's columns with the block, summed over the columns.
+            return (self._sample(slot, times).transpose(1, 2, 0) * states).sum(axis=1)
         coeffs = self._coefficients(slot, times)
-        products = states @ stacked
+        products = stacked @ states
         dim = self.dim
-        out = coeffs[:, :1] * products[:, :dim]
+        out = products[:dim] * coeffs[:, 0]
         for k in range(1, len(self.bases)):
-            out += coeffs[:, k, None] * products[:, k * dim : (k + 1) * dim]
+            out += coeffs[:, k] * products[k * dim : (k + 1) * dim]
         return out
 
     def _coefficients(self, slot: int, times: np.ndarray) -> np.ndarray:
@@ -302,8 +308,9 @@ class TimeDepOperator:
         same order whatever the batch, so a time's matrix does not depend on
         the other times sampled with it (a BLAS product rounds a one-row
         batch differently from a longer one).  When no two bases share an
-        entry, as in :func:`hermitian_basis` or with a single basis, it is a
-        gather with the same values, ``O(n d^2)`` instead of ``O(n K d^2)``.
+        entry and few are owned, as in :func:`hermitian_basis` or with one
+        sparse basis, it is a gather with the same values, ``O(n d^2)``
+        instead of ``O(n K d^2)``.
         """
         rows, gather = self._layout()[:2]
         coeffs = self._coefficients(slot, times)
@@ -319,21 +326,25 @@ class TimeDepOperator:
         """``(rows, gather, stacked)`` for :meth:`_sample` and :meth:`_act`, worked out once per ``bases``.
 
         ``rows`` is the ``(K, 2 d^2)`` real view of the bases, or None when
-        no two bases share an entry; ``gather`` then holds the owned entries,
-        their bases and their values.  ``stacked`` is ``[B_1^T ... B_K^T]``,
-        ``(d, K d)``, when ``K <= d``, else None.
+        no two bases share an entry and the owned (nonzero) real entries
+        number fewer than ``K d^2``, half the contraction's products;
+        ``gather`` then holds the owned entries, their bases and their
+        values.  A scattered write of the gather costs several products of
+        the contraction (about 5 ns against 0.5-1 ns), so one dense basis
+        is contracted.  ``stacked`` is the bases one above the other,
+        ``(K d, d)``, when ``K <= d``, else None.
         """
         cached = self.__dict__.get("_cached_layout")
         if cached is None or cached[0] is not self.bases:
             bases = self.bases.astype(complex, copy=False)
             stacked = None
             if len(bases) <= self.dim:
-                stacked = np.ascontiguousarray(bases.transpose(2, 0, 1).reshape(self.dim, -1))
+                stacked = np.ascontiguousarray(bases.reshape(-1, self.dim))
             rows = bases.view(float).reshape(len(bases), -1)
             nonzero = rows != 0.0
             gather = None
-            if np.count_nonzero(nonzero, axis=0).max() <= 1:
-                owned = np.flatnonzero(nonzero.any(axis=0))
+            owned = np.flatnonzero(nonzero.any(axis=0))
+            if np.count_nonzero(nonzero, axis=0).max() <= 1 and len(owned) < len(bases) * self.dim * self.dim:
                 owner = np.argmax(nonzero[:, owned], axis=0)
                 gather, rows = (owned, owner, rows[owner, owned]), None
             cached = self._cached_layout = (self.bases, rows, gather, stacked)
@@ -409,7 +420,12 @@ class TimeDepOperator:
 
 
 def _columns(fns: list, times: np.ndarray) -> np.ndarray:
-    """The ``(n, K)`` values of ``K`` functions of an ``(n,)`` array of times, one per column."""
+    """The ``(n, K)`` values of ``K`` functions of an ``(n,)`` array of times, one per column.
+
+    A single function's values are its column as they are, not copied.
+    """
+    if len(fns) == 1:
+        return fns[0](times)[:, None]
     return np.stack([f(times) for f in fns], axis=1)
 
 

@@ -28,15 +28,18 @@ instead, its coordinates read off ``dA/dt + (i/hbar) [H, A]`` sampled from
 ``A`` and ``H``.
 
 Every statistic goes through one batched kernel, :func:`centered_moments`:
-states ``(n, d)`` and their images ``A_k psi_k`` in, means and centered
-images ``(A_k - <A_k>) psi_k`` out, with variances and covariances as
-row-wise inner products of the centered images (cancellation-free, so an
-eigenstate gives exactly zero).  No statistic needs the matrices
-themselves: grid functions apply their operators with
-:meth:`TimeDepOperator.act`, and every grid statistic (here, in
-:mod:`fluctdyn.bounds` and in :mod:`fluctdyn.scenarios`) walks the time
-axis in :func:`walk_grid`, so memory stays bounded on long grids and large
-cutoffs, and a statistic that overflows raises
+states and their images ``A_k psi_k`` in as ``(d, n)`` blocks, time on the
+last axis, means and centered images ``(A_k - <A_k>) psi_k`` out, with
+variances and covariances as column-wise inner products of the centered
+images (:func:`inner_re`; cancellation-free, so an eigenstate gives
+exactly zero).  No statistic needs the matrices themselves: grid functions
+apply their operators with :meth:`TimeDepOperator.act`, and every grid
+statistic (here, in :mod:`fluctdyn.bounds` and in
+:mod:`fluctdyn.scenarios`) walks the time axis in :func:`walk_grid`, which
+hands each chunk of the ``(n, d)`` trajectory on as a contiguous ``(d,
+len)`` block, so every reduction runs over the short axis ``d`` and every
+elementwise operation along time.  Memory stays bounded on long grids and
+large cutoffs, and a statistic that overflows raises
 :class:`~fluctdyn.linops.NumericBreakdown` at its first time.
 :func:`checked_moments` is the kernel for outside operator stacks: it
 validates a whole stack (Hermitian operators, normalized states) in one
@@ -71,32 +74,37 @@ def centered_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means ``<A_k>`` and centered images ``(A_k - <A_k>) psi_k`` from the images ``A_k psi_k``.
 
-    ``images`` and ``states`` are ``(n, d)``, the images of Hermitian
-    operators and the states they were applied to.  The imaginary part of
-    each mean, rounding noise for Hermitian input, is discarded after a
-    check that it is below ``IMAG_TOL`` times ``max(1, ||psi_k|| ||A_k psi_k||)``,
-    the bound on ``|<A_k>|`` that its rounding scales with.  The norms are
-    taken only at the points that ``max(1, |<A_k>|)`` flags, a threshold no
-    larger.  The first offending point raises
+    ``images`` and ``states`` are ``(d, n)`` blocks, column ``k`` the image
+    of a Hermitian operator and the state it was applied to.  The imaginary
+    part of each mean, rounding noise for Hermitian input, is discarded
+    after a check that it is below ``IMAG_TOL`` times
+    ``max(1, ||psi_k|| ||A_k psi_k||)``, the bound on ``|<A_k>|`` that its
+    rounding scales with.  Only the points whose imaginary part exceeds
+    ``IMAG_TOL`` are looked at further: first against ``max(1, |<A_k>|)``,
+    a threshold no larger, and the norms are taken only where that flags.
+    The first offending point raises
     :class:`~fluctdyn.linops.NumericBreakdown`, named at its time when
     ``times`` is given.
     """
-    means = np.einsum("ki,ki->k", states.conj(), images)
-    flagged = np.flatnonzero(np.abs(means.imag) > IMAG_TOL * np.maximum(1.0, np.abs(means.real)))
-    if len(flagged):
-        with np.errstate(over="ignore"):  # an infinite bound flags nothing; the walk checks the statistics
-            scale = np.linalg.norm(states[flagged], axis=1) * np.linalg.norm(images[flagged], axis=1)
-        bad = flagged[np.abs(means.imag[flagged]) > IMAG_TOL * np.maximum(1.0, scale)]
-        if len(bad):
-            k = int(bad[0])
-            raise NumericBreakdown(f"{what} has non-negligible imaginary part {means.imag[k]:.3e}{at_time(times, k)}")
+    means = (states.conj() * images).sum(axis=0)
+    if (np.abs(means.imag) > IMAG_TOL).any():
+        flagged = np.flatnonzero(np.abs(means.imag) > IMAG_TOL * np.maximum(1.0, np.abs(means.real)))
+        if len(flagged):
+            with np.errstate(over="ignore"):  # an infinite bound flags nothing; the walk checks the statistics
+                scale = np.linalg.norm(states[:, flagged], axis=0) * np.linalg.norm(images[:, flagged], axis=0)
+            bad = flagged[np.abs(means.imag[flagged]) > IMAG_TOL * np.maximum(1.0, scale)]
+            if len(bad):
+                k = int(bad[0])
+                raise NumericBreakdown(
+                    f"{what} has non-negligible imaginary part {means.imag[k]:.3e}{at_time(times, k)}"
+                )
     means = means.real
-    return means, images - means[:, None] * states
+    return means, images - means * states
 
 
 def inner_re(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise ``Re <x_k | y_k>``."""
-    return np.einsum("ki,ki->k", x.conj(), y).real
+    """Column-wise ``Re <x_k | y_k>`` of two ``(d, n)`` blocks."""
+    return (x.conj() * y).real.sum(axis=0)
 
 
 def velocity(a: TimeDepOperator, h: TimeDepOperator, hbar: float = 1.0) -> TimeDepOperator:
@@ -182,7 +190,9 @@ def checked_moments(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np
     states, or one matrix and one state as a batch of one.  Every operator
     must be Hermitian within ``HERM_ASSERT_TOL`` and every state normalized
     within ``NORM_TOL``; the whole stack is checked in one pass and the
-    first offending member raises.  The stack is then applied to the states.
+    first offending member raises.  The stack is then applied to the states,
+    and the images and states go to the kernel as ``(d, n)`` blocks, so the
+    centered images come back as one: column ``k`` is member ``k``'s.
     """
     ops = require_hermitian(ops, tol=HERM_ASSERT_TOL, what="observable")
     states = require_normalized(states)
@@ -190,7 +200,7 @@ def checked_moments(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np
         raise ValueError(f"dimension mismatch: operators {ops.shape} vs states {states.shape}")
     dim = states.shape[-1]
     states = states.reshape(-1, dim)
-    return centered_moments(np.matmul(ops.reshape(-1, dim, dim), states[:, :, None])[:, :, 0], states)
+    return centered_moments(np.matmul(ops.reshape(-1, dim, dim), states[:, :, None])[:, :, 0].T, states.T)
 
 
 def velocity_observable(
@@ -229,10 +239,12 @@ class BoundSeries:
 def walk_grid(times, arrays, columns_of, width: int, what: str, dim: int, rows: Optional[int] = None) -> tuple:
     """The ``width`` columns ``columns_of(t, *chunks)`` returns, one value per time, walked chunk by chunk.
 
-    The chunks are :func:`~fluctdyn.dynamics.time_chunks` of ``(len, rows,
-    dim)`` stacks; ``t`` holds a chunk's times and ``chunks`` the slices of
-    ``arrays`` there.  Overflow is not warned about: the first time where a
-    column is not finite raises :class:`NumericBreakdown` naming ``what``.
+    The chunks are :func:`~fluctdyn.dynamics.time_chunks` of ``(rows dim,
+    len)`` blocks; ``t`` holds a chunk's times and ``chunks`` the slices of
+    ``arrays`` there, time on the last axis: an ``(n, d)`` stack of states
+    is handed on as a C-contiguous ``(d, len)`` block.  Overflow is not
+    warned about: the first time where a column is not finite raises
+    :class:`NumericBreakdown` naming ``what``.
     """
     # Allocated before the first chunk: allocated after it, the columns
     # raised a 50k-point trace's peak RSS by 0.2-0.4 MB.
@@ -240,9 +252,9 @@ def walk_grid(times, arrays, columns_of, width: int, what: str, dim: int, rows: 
     for chunk in time_chunks(len(times), dim, rows):
         t = times[chunk]
         with np.errstate(over="ignore", invalid="ignore"):
-            values = columns_of(t, *(x[chunk] for x in arrays))
-        bad = reduce(np.logical_or, (~np.isfinite(value) for value in values))
-        if bad.any():
+            values = columns_of(t, *(np.ascontiguousarray(x[chunk].T) for x in arrays))
+        if not all(np.isfinite(value).all() for value in values):
+            bad = reduce(np.logical_or, (~np.isfinite(value) for value in values))
             raise NumericBreakdown(f"{what} are not finite{at_time(t, int(np.argmax(bad)))}")
         for column, value in zip(columns, values):
             column[chunk] = value

@@ -575,7 +575,8 @@ def picture_equivalence_check(
     v_op = velocity(a, h, hbar)
 
     def defects(t, psi, *columns):
-        u = np.stack(columns, axis=-1)
+        # The walk hands on (d, len) blocks; u[k] has the evolved basis states as columns.
+        u = np.stack(columns, axis=-1).swapaxes(0, 1)
         rotated = np.einsum("i,kij,j->k", psi0.conj(), u.conj().swapaxes(1, 2) @ v_op.sample(t) @ u, psi0).real
         return (np.abs(rotated - inner_re(psi, v_op.act(t, psi))),)
 

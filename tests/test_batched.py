@@ -26,7 +26,9 @@ from fluctdyn.fluctuation import (
     bound_series,
     centered_moments,
     checked_moments,
+    inner_re,
     velocity,
+    walk_grid,
 )
 from fluctdyn.hilbert import pauli, qubit_plus
 from fluctdyn.linops import NumericBreakdown, random_hermitian, random_state
@@ -265,6 +267,94 @@ def test_sample_matches_value_per_point():
         assert np.array_equal(op.sample_deriv(times), np.stack([op.dvalue(t) for t in times]))
 
 
+# -- the (d, n) block convention -------------------------------------------------
+def _block(rng, dim, n):
+    """A C-contiguous ``(d, n)`` block of random states, column ``j`` the ``j``-th state."""
+    return np.ascontiguousarray(np.stack([random_state(dim, rng) for _ in range(n)], axis=1))
+
+
+def _dense_operator(rng, dim, count):
+    """``sum_k cos(w_k t) B_k`` over ``count`` random dense Hermitian bases."""
+    terms = []
+    for _ in range(count):
+        w = rng.uniform(0.5, 2.0)
+        terms.append((lambda t, w=w: np.cos(w * t), lambda t, w=w: -w * np.sin(w * t), random_hermitian(dim, rng)))
+    return TimeDepOperator.linear(terms)
+
+
+@pytest.mark.parametrize("case", ["terms_d2", "terms_d21", "example3_d21", "table_d3"])
+@pytest.mark.parametrize("n", [1, 7])
+def test_act_on_a_block_is_the_value_applied_column_by_column(case, n):
+    # K <= d goes through the (K d, d) stacked bases, K > d through the
+    # sampled stack; a block of one column takes BLAS's vector route.
+    rng = np.random.default_rng(3)
+    if case == "terms_d2":
+        op = _dense_operator(rng, 2, 2)
+    elif case == "terms_d21":
+        op = _dense_operator(rng, 21, 5)
+    elif case == "example3_d21":
+        pieces, _ = _scenario("example3", n_steps=30)
+        op = velocity(pieces.observable, pieces.hamiltonian, pieces.hbar)
+    else:
+        grid = TimeGrid(0.0, 2.0, 20)
+        op = TimeDepOperator.tabulated(grid.times, np.stack([random_hermitian(3, rng) for _ in grid.times]))
+    assert (op._layout()[2] is None) == (case == "table_d3")
+    times = np.linspace(0.05, 1.95, n)
+    states = _block(rng, op.dim, n)
+    for act, value in ((op.act, op.value), (op.act_deriv, op.dvalue)):
+        got = act(times, states)
+        want = np.stack([value(t) @ states[:, j] for j, t in enumerate(times)], axis=1)
+        assert got.shape == (op.dim, n)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max())), case
+
+
+def test_a_block_of_the_wrong_shape_raises():
+    op = _dense_operator(np.random.default_rng(3), 2, 1)
+    times = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match=r"states \(5, 2\) do not match 5 times of a dim-2 operator"):
+        op.act(times, np.zeros((5, 2), dtype=complex))
+
+
+@pytest.mark.parametrize("dim", [2, 21])
+def test_centered_moments_and_inner_re_match_per_point_vdot(dim):
+    rng = np.random.default_rng(dim)
+    n = 9
+    ops = [random_hermitian(dim, rng) for _ in range(n)]
+    states, other = _block(rng, dim, n), _block(rng, dim, n)
+    images = np.stack([a @ states[:, j] for j, a in enumerate(ops)], axis=1)
+    means, centered = centered_moments(images, states)
+    assert means.shape == (n,) and centered.shape == (dim, n)
+    for j, a in enumerate(ops):
+        mean, want, _ = _centered(a, states[:, j])
+        assert abs(means[j] - mean) <= 1e-13 * max(1.0, abs(mean))
+        assert np.abs(centered[:, j] - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
+    got = inner_re(centered, other)
+    want = np.array([np.vdot(centered[:, j], other[:, j]).real for j in range(n)])
+    assert_close(got, want, "inner_re")
+
+
+def test_walk_grid_hands_on_contiguous_time_last_blocks(monkeypatch):
+    # Chunks of 4 points of a (11, 3) trajectory: every chunk arrives as a
+    # C-contiguous (3, len) block, and a 1-d array as its slice.
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 4 * 16 * 3 * 3)
+    rng = np.random.default_rng(8)
+    times = np.linspace(0.0, 1.0, 11)
+    states = np.stack([random_state(3, rng) for _ in times])
+    extra = rng.normal(size=len(times))
+    seen = []
+
+    def columns(t, psi, x):
+        assert psi.shape == (3, len(t)) and psi.flags.c_contiguous
+        assert x.shape == t.shape
+        seen.append(psi)
+        return (psi[1].real + x,)
+
+    (column,) = walk_grid(times, (states, extra), columns, 1, "test columns", 3)
+    assert [block.shape[1] for block in seen] == [4, 4, 3]
+    assert np.array_equal(np.concatenate(seen, axis=1), states.T)
+    assert np.array_equal(column, states[:, 1].real + extra)
+
+
 # -- the covariance sweep of the algebra suite ---------------------------------
 def _draws(seed, n):
     """``n`` draws in the algebra suite's order, grouped into stacks by dimension."""
@@ -385,7 +475,9 @@ def test_imaginary_mean_assertion_fires_at_first_offending_time():
     times = TimeGrid(0.0, 1.0, 10).times
     stack = SX + 1j * times[:, None, None] * np.eye(2)
     states = np.tile(qubit_plus(), (len(times), 1))
-    images = np.matmul(stack, states[:, :, None])[:, :, 0]
+    # The kernel takes (d, n) blocks: column k is the point at times[k].
+    images = np.matmul(stack, states[:, :, None])[:, :, 0].T
+    states = states.T
     with pytest.raises(NumericBreakdown, match=f"imaginary part .*at t = {times[1]}$"):
         centered_moments(images, states, times)
     with pytest.raises(NumericBreakdown, match="imaginary part"):

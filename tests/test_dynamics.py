@@ -347,9 +347,10 @@ def _random_linear(rng, dim, count, bases=None):
 def assert_act_matches_sample(op, times, rng):
     states = np.stack([random_state(op.dim, rng) for _ in times])
     for act, sample in ((op.act, op.sample), (op.act_deriv, op.sample_deriv)):
-        expected = np.matmul(sample(times), states[:, :, None])[:, :, 0]
-        got = act(times, states)
-        assert got.shape == states.shape
+        expected = np.matmul(sample(times), states[:, :, None])[:, :, 0].T
+        # act takes and returns (d, n) blocks, time on the last axis.
+        got = act(times, np.ascontiguousarray(states.T))
+        assert got.shape == expected.shape
         scale = max(1.0, float(np.abs(expected).max()))
         assert np.abs(got - expected).max() <= 1e-13 * scale, (op.dim, len(op.bases))
 
@@ -360,7 +361,8 @@ def test_act_matches_sample_on_random_operators(dim):
     times = np.linspace(-1.0, 3.0, 9)
     for count in range(1, dim + 1):
         op = _random_linear(rng, dim, count)
-        assert count == 1 or op._layout()[1] is None  # dense bases share entries
+        # Dense bases share entries, and one dense basis owns too many to gather.
+        assert op._layout()[1] is None
         assert_act_matches_sample(op, times, rng)
 
 
@@ -400,9 +402,28 @@ def test_act_matches_sample_on_velocity_and_chain_levels():
         assert_act_matches_sample(op, times, rng)
 
 
+def test_a_dense_single_basis_is_contracted_and_sparse_bases_gathered():
+    # The gather writes each owned entry with a scattered store, several times
+    # the cost of a product of the contraction: it is taken only where the
+    # owned real entries number fewer than K d^2.
+    rng = np.random.default_rng(13)
+    dense = TimeDepOperator.stationary(random_hermitian(16, rng))
+    real_dense = TimeDepOperator.stationary(random_hermitian(5, rng).real)
+    sparse = example1_hamiltonian()
+    diagonal = TimeDepOperator.stationary(np.diag(np.arange(21.0)))
+    grid = TimeGrid(0.0, 2.0, 20)
+    table = TimeDepOperator.tabulated(grid.times, np.stack([random_hermitian(4, rng) for _ in grid.times]))
+    assert dense._layout()[1] is None and real_dense._layout()[1] is None
+    assert all(op._layout()[1] is not None for op in (sparse, diagonal, table))
+    times = np.linspace(0.0, 2.0, 41)
+    for op in (dense, real_dense, sparse, diagonal, table):
+        assert np.array_equal(op.sample(times), np.stack([op.value(t) for t in times]))
+        assert np.array_equal(op.sample_deriv(times), np.stack([op.dvalue(t) for t in times]))
+
+
 def test_act_names_the_first_non_finite_coefficient():
     grid = TimeGrid(0.0, 1.0, 10)
-    states = np.tile(qubit_plus(), (len(grid.times), 1))
+    states = np.tile(qubit_plus(), (len(grid.times), 1)).T
     bad = lambda t: np.where(t > 0.25, np.nan, 1.0)
     first = grid.times[3]
     # One term (applied term by term) and three terms (more than d = 2: the

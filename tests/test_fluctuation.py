@@ -449,7 +449,7 @@ def test_walk_grid_fills_every_chunk_and_names_the_first_bad_time(monkeypatch):
     assert len(list(dynamics.time_chunks(len(times), 2))) == 3
 
     def columns(t, psi):
-        return psi[:, 0] * t, np.exp(1e3 * np.where(t > 0.75, 1.0, t))
+        return psi[0] * t, np.exp(1e3 * np.where(t > 0.75, 1.0, t))
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
