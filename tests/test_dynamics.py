@@ -4,10 +4,12 @@ Oracles: closed-form phase evolution for scalar commuting families and
 for a two-term commuting family, refinement invariance of the closed-form
 route, the midpoint stepper's measured convergence order against the
 closed form, a per-step exponential loop for the chunked midpoint
-stepper, and one call per operator for a stack of operators.
+stepper, one chunk for the chunked closed form, and one call per operator
+for a stack of operators.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from fluctdyn.dynamics import (
 )
 from fluctdyn.hilbert import FockSpace, number_op, oscillator_hamiltonian, pauli, qubit_plus
 from fluctdyn.linops import NumericBreakdown, herm_expm, random_hermitian, random_state
+from fluctdyn.scenarios import ScenarioConfig
 
 
 def example1_hamiltonian(omega0=1.0, nu0=1.0):
@@ -321,6 +324,10 @@ def test_tabulated_operator_round_trips_samples():
     assert np.abs(op.sample_deriv(grid.times[[0, -1]]) - ends).max() <= 1e-12 * np.abs(ends).max()
     # Halfway between samples: their mean; an all-zero table keeps one term.
     assert np.abs(op.value(grid.times[3] + grid.dt / 2.0) - (mats[3] + mats[4]) / 2.0).max() <= 1e-14
+    # The derivative there interpolates the central differences at samples 3
+    # and 4; it is not the slope (M_4 - M_3) / dt of the interpolated value.
+    between = ((mats[4] - mats[2]) + (mats[5] - mats[3])) / (4.0 * grid.dt)
+    assert np.abs(op.dvalue(grid.times[3] + grid.dt / 2.0) - between).max() <= 1e-12 * np.abs(between).max()
     zero = TimeDepOperator.tabulated(grid.times, np.zeros_like(mats))
     assert len(zero.bases) == 1 and not zero.sample(grid.times).any()
 
@@ -457,6 +464,74 @@ def test_exact_commuting_matches_the_closed_form_propagator():
     props = np.einsum("ij,kj,lj->kil", vecs, phases, vecs.conj())
     assert np.abs(basis_propagators(h, grid, method="exact_commuting", hbar=0.8) - props).max() <= 1e-14
     assert np.abs(traj.states - props @ psi0).max() <= 1e-14
+
+
+# -- the closed form in time chunks ---------------------------------------------
+def _example3(s):
+    """example3's Hamiltonian, initial state and stock grid (4000 steps over one period) at cutoff ``s``."""
+    raw = {
+        "name": "example3",
+        "params": {"alpha": [2.0, 1.0], "z": [0.5, 0.5], "s": s},
+        "grid": {"t0": 0.0, "t1": 2.0 * np.pi, "n_steps": 4000},
+    }
+    cfg = ScenarioConfig.from_dict(raw)
+    pieces = cfg.build()
+    return pieces.hamiltonian, pieces.psi0, cfg.grid
+
+
+@pytest.mark.parametrize("case", ["example1", "example3"])
+def test_exact_chunks_do_not_change_the_states(monkeypatch, case):
+    # Chunks of 1234 times: the 5001 and 4001 grid points span four.  Both
+    # Hamiltonians are diagonal, so their shared eigenbasis is exact and no
+    # product rounds by the place of a column in its chunk.
+    if case == "example1":
+        h, psi0, grid = example1_hamiltonian(omega0=2.0), qubit_plus(), TimeGrid(0.0, 10.0, 5000)
+    else:
+        h, psi0, grid = _example3(20)
+    dim, n = h.dim, len(grid.times)
+    basis = np.eye(dim)
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 16 * dim * n)
+    assert len(list(time_chunks(n, dim, 1))) == 1
+    whole = propagate(h, psi0, grid, method="exact_commuting")
+    whole_basis = propagate([h] * dim, basis, grid, method="exact_commuting")
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 16 * dim * 1234)
+    assert len(list(time_chunks(n, dim, 1))) >= 3
+    chunked = propagate(h, psi0, grid, method="exact_commuting")
+    assert chunked.states.flags.c_contiguous and chunked.states.shape == (n, dim)
+    assert np.array_equal(chunked.states, whole.states)
+    for traj, alone in zip(propagate([h] * dim, basis, grid, method="exact_commuting"), whole_basis):
+        assert np.array_equal(traj.states, alone.states)
+
+
+def test_a_phase_overflow_after_a_chunk_boundary_names_its_first_time(monkeypatch):
+    # Chunks of 7 times; the primitive is 0 up to between times 22 and 23,
+    # then its phase exponent, 1e20 (t - t_b) / 1e-300, overflows from t_23 on.
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 16 * 2 * 7)
+    grid = TimeGrid(0.0, 1.0, 100)
+    switch = grid.times[22] + grid.dt / 2.0
+    h = TimeDepOperator.scaled(
+        lambda t: np.where(t > switch, 1e20, 0.0),
+        lambda t: np.zeros_like(t),
+        pauli("z"),
+        lambda t: 1e20 * np.maximum(t - switch, 0.0),
+    )
+    with pytest.raises(NumericBreakdown, match=rf"^phase exponent -?inf is not a finite real number at t = {grid.times[23]}$"):
+        propagate(h, qubit_plus(), grid, method="exact_commuting", hbar=1e-300)
+
+
+def test_exact_propagation_holds_one_chunk_of_temporaries_beside_the_states():
+    # example3 at s = 60 over 4000 steps: 3.9 MB of states.  Forming the
+    # phases of every time at once held about twice that in temporaries.
+    h, psi0, grid = _example3(60)
+    propagate(h, psi0, grid, method="exact_commuting")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        traj = propagate(h, psi0, grid, method="exact_commuting")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= traj.states.nbytes + 6 * dynamics.CHUNK_BYTES
 
 
 # -- propagating a stack of operators -------------------------------------------
