@@ -5,10 +5,13 @@ report, and a manifest listing every emitted file.  An identical config
 yields byte-identical files (shortest round-trip float formatting, fixed
 column order, writes go to a temp file and are renamed into place).
 The series CSV is formatted and written ``ROWS_PER_BLOCK`` rows at a time.
-A sweep writes each value's files to temp files as soon as the value has
-run and drops its report, so its memory does not grow with the number of
-values, then stages the summary and renames every file into place, none
-while any final path is a directory.
+A sweep validates every value's config first, so a config error is
+reported before any value runs.  It then writes each value's files to temp
+files as soon as the value has run and drops its report, so reports and
+trajectories do not pile up; each value's validated config, with the
+pieces it was built into, is held for the whole sweep.  Last it stages the
+summary and renames every file into place, none while any final path is a
+directory.
 
 Exit codes: 0 success; 1 verification failure; 2 malformed config or
 arguments, or an output directory or file that cannot be created or
@@ -395,6 +398,17 @@ def cmd_sweep(args) -> int:
     return EXIT_INVARIANT if any_failed else EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluctdyn",
@@ -413,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite", choices=sorted(verify.SUITES) + ["all"], help="which suite to run"
     )
-    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=_seed, default=verify.DEFAULT_SEED)
     p_verify.add_argument("--output", default=None, help="write the JSON result here instead of stdout")
     p_verify.set_defaults(func=cmd_verify)
 

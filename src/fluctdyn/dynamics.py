@@ -463,6 +463,9 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t1 > self.t0:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+        # In Python floats, so that an overflowing span warns nowhere.
+        if not np.isfinite(float(self.t1) - float(self.t0)):
+            raise ValueError(f"need a finite span t1 - t0, got [{self.t0}, {self.t1}]")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         times = np.linspace(self.t0, self.t1, self.n_steps + 1)

@@ -154,7 +154,8 @@ def herm_expm(h: np.ndarray, scale: complex = 1.0, times=None) -> np.ndarray:
         (:class:`NumericBreakdown`) and Hermiticity within ``HERM_TOL``
         (``ValueError``); the first offending one raises.
     scale : complex
-        Scalar multiplying ``h`` in the exponent; one that is not finite
+        Scalar multiplying ``h`` in the exponent; one that is not finite,
+        or that takes an eigenvalue's exponent out of the float range,
         raises :class:`NumericBreakdown`.  For purely imaginary ``scale`` the
         result is unitary up to eigensolver accuracy.
     times : array, optional
@@ -184,6 +185,14 @@ def herm_expm(h: np.ndarray, scale: complex = 1.0, times=None) -> np.ndarray:
             f"herm_expm argument is not Hermitian (defect {defects[k]:.3e} > tol {HERM_TOL:.1e}){at_time(times, k)}"
         )
     w, vecs = np.linalg.eigh(stack)
+    # A finite scale times finite eigenvalues can still leave the float range.
+    # The largest exponent is checked in Python floats, which do not warn,
+    # so the exponential itself runs as it would without the check.
+    largest = max(abs(scale.real), abs(scale.imag)) * float(max(-w.min(initial=0.0), w.max(initial=0.0)))
+    if not np.isfinite(largest):
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(scale * w).all(axis=1)
+        raise NumericBreakdown(f"herm_expm exponent is not finite{at_time(times, int(np.argmin(finite)))}")
     out = (vecs * np.exp(scale * w)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     return out.reshape(h.shape)
 

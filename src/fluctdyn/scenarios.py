@@ -178,13 +178,20 @@ def _complex_pair(value, path: str) -> complex:
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario description (normally parsed from JSON)."""
+    """Validated scenario description (normally parsed from JSON).
+
+    A config is built once, at construction: ``pieces`` is that build, the
+    one that validated the scenario's ``params``, and :func:`run_scenario`
+    runs on it.  Build errors are raised by the constructor, so a config
+    that exists is a valid one.
+    """
 
     name: str
     params: dict
     grid: TimeGrid
     method: str = "exact_commuting"
     tolerances: dict = field(default_factory=dict)
+    pieces: ScenarioPieces = field(init=False, repr=False, compare=False)
 
     # Each tolerance a config may set, with the value it takes when unset.
     TOLERANCES = {
@@ -195,8 +202,12 @@ class ScenarioConfig:
         "residual_tol": RESIDUAL_VIOLATION_TOL,
     }
 
+    def __post_init__(self):
+        self.pieces = self.build()
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        """The config described by the JSON object ``raw``, built once; a problem is a :class:`ConfigError`."""
         _known_keys(raw, ("name", "params", "grid", "method", "tolerances"), "")
         name = raw.get("name")
         if name not in SCENARIOS:
@@ -220,14 +231,13 @@ class ScenarioConfig:
         tolerances = _known_keys(raw.get("tolerances", {}), cls.TOLERANCES, "tolerances", "tolerance")
         for key, value in tolerances.items():
             _positive(value, f"tolerances.{key}")
-        cfg = cls(name=name, params=params, grid=grid, method=method, tolerances=dict(tolerances))
-        cfg.build()  # validate scenario-specific parameters eagerly
-        return cfg
+        return cls(name=name, params=params, grid=grid, method=method, tolerances=dict(tolerances))
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, self.TOLERANCES[key]))
 
     def build(self) -> "ScenarioPieces":
+        """A new build of this config by its scenario's builder; ``pieces`` holds the one made at construction."""
         return SCENARIOS[self.name].build(self)
 
 
@@ -489,7 +499,7 @@ class ScenarioReport:
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Propagate, evaluate the bound series, and compare with overlays."""
-    pieces = cfg.build()
+    pieces = cfg.pieces
     traj = propagate(pieces.hamiltonian, pieces.psi0, cfg.grid, method=cfg.method, hbar=pieces.hbar)
     series = bound_series(
         pieces.observable,

@@ -306,10 +306,7 @@ def bloch_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     rep = runs["example1"]
     members, _ = bloch.tightness_span_test(rep.pieces.bloch_model, rep.series.t)
     all_member = bool(np.all(members))
-    nondeg = ~rep.series.degenerate
-    tight_ok = bool(
-        np.all(rep.series.residual_r2[nondeg] <= 1e-6 * np.maximum(1.0, rep.series.v2_mean[nondeg]))
-    )
+    tight_ok = bool(np.all(rep.series.tight[~rep.series.degenerate]))
     coupled = (not all_member) or tight_ok
     out.append(
         _result(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fluctdyn import scenarios
 from fluctdyn.cli import main
 
 
@@ -13,3 +14,21 @@ def verify_all(tmp_path_factory):
     out = tmp_path_factory.mktemp("verify") / "verify.json"
     code = main(["verify", "all", "--output", str(out)])
     return code, json.loads(out.read_text())
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """``count_builds(name)``: a list that collects each config the scenario ``name`` is built for, from then on."""
+
+    def install(name):
+        entry = scenarios.SCENARIOS[name]
+        builds = []
+
+        def build(cfg):
+            builds.append(cfg)
+            return entry.build(cfg)
+
+        monkeypatch.setitem(scenarios.SCENARIOS, name, entry._replace(build=build))
+        return builds
+
+    return install

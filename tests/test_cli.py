@@ -365,6 +365,31 @@ def test_run_numeric_breakdown_exits_3(tmp_path, capsys, raw, method, breakdown)
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_a_grid_whose_span_overflows_is_a_config_error(tmp_path, capsys):
+    # t1 - t0 = 2e308 overflowed inside np.linspace, which warned twice and
+    # gave a grid of NaN: the run broke down with exit 3.
+    cfg = write_config(tmp_path, _with(EX1, "grid", t0=-1e308, t1=1e308, n_steps=10))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at grid: ") and err.count("\n") == 1
+    assert caught == []
+    assert not out.exists()
+
+
+def test_each_config_is_built_once(tmp_path, count_builds):
+    builds = count_builds("example1")
+    cfg = write_config(tmp_path, _with(EX1, "grid", n_steps=50))
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
+    assert len(builds) == 1
+    args = ["sweep", "--config", cfg, "--param", "params.nu0", "--values", "1", "2", "3"]
+    assert main(args + ["--output-dir", str(tmp_path / "sweep")]) == 0
+    # The base config, then one config per value.
+    assert len(builds) == 1 + 4
+
+
 def test_sweep_breaking_down_after_a_completed_value_leaves_no_files(tmp_path, capsys):
     # omega0 = 1.0 completes; hbar * omega0 = 1e309 overflows at every midpoint of H.
     cfg = write_config(tmp_path, dict(_with(EX1, "params", hbar=10.0), method="midpoint"))
@@ -520,6 +545,27 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, out
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["blocker", "config.json"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["algebra", "--seed", "-1"],
+        ["bounds", "--seed", "-1"],
+        ["bloch", "--seed", "-1"],
+        ["truncation", "--seed", "-1"],
+        ["all", "--seed", "-5"],
+    ],
+    ids=["algebra", "bounds", "bloch", "truncation", "all"],
+)
+def test_verify_rejects_a_negative_seed(capsys, argv):
+    # numpy's generators raised ValueError (a traceback, exit 1) or, where
+    # the suite draws nothing, the seed was ignored (exit 0).
+    with pytest.raises(SystemExit) as info:
+        main(["verify", *argv])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "argument --seed: expected a non-negative integer" in err
+
+
 @pytest.mark.parametrize("seed", [995202943, 2043792527])
 def test_verify_algebra_passes_at_rounding_limited_seeds(seed):
     # Seeds where herm_expm_additive, normalized by max(1, ||e^{(s1+s2) h}||),
@@ -646,6 +692,19 @@ def test_a_midpoint_step_beyond_the_float_range_breaks_down(tmp_path, capsys):
     cfg = write_config(tmp_path, raw)
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "numeric breakdown: herm_expm scale -infj is not finite\n"
+
+
+def test_a_midpoint_step_whose_exponent_overflows_breaks_down(tmp_path, capsys):
+    # dt = 1e307 is finite, but dt times an eigenvalue of H is not: the step
+    # exponential warned twice before the run broke down on its statistics.
+    raw = dict(_with(EX3, "grid", t1=1e308, n_steps=10), method="midpoint")
+    cfg = write_config(tmp_path, raw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "numeric breakdown: herm_expm exponent is not finite at t = 5e+306\n"
+    assert caught == []
+
 
 def _run_huge_frequency(tmp_path, method):
     """Stock example1 at omega0 = 1e10 in a fresh process (at most 10 s), with no traceback or warning."""

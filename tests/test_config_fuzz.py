@@ -2,10 +2,10 @@
 
 Each case starts from a stock example1-3 config on a grid of at most 200
 steps, renames, drops or adds a key at some level, and sets numeric
-parameters to values across the float range.  Run in-process with warnings
-as errors, every case must end in exit 0, 2 (config error) or 3 (invariant
-failure or numeric breakdown) within its time limit, with no exception and
-no warning.
+parameters and the grid's ends to values across the float range.  Run
+in-process with warnings as errors, every case must end in exit 0, 2
+(config error) or 3 (invariant failure or numeric breakdown) within its
+time limit, with no exception and no warning.
 """
 
 import copy
@@ -22,11 +22,13 @@ from fluctdyn.cli import main
 from fluctdyn.scenarios import SCENARIOS
 
 NAMES = ("example1", "example2", "example3")
-# The numeric parameters each scenario reads; "scale" is a selector's.
+# The numeric parameters each scenario reads; "scale" is a selector's, and
+# "t0" and "t1" are the grid's.  The cutoff "s" is left out: a large one
+# allocates dense (s+1)^2 operators, so its time is not bounded yet.
 NUMERIC = {
-    "example1": ("omega0", "nu0", "hbar", "scale"),
-    "example2": ("omega0", "nu0", "hbar", "scale"),
-    "example3": ("hbar", "alpha", "z", "mass", "omega", "scale"),
+    "example1": ("omega0", "nu0", "hbar", "scale", "t0", "t1"),
+    "example2": ("omega0", "nu0", "hbar", "scale", "t0", "t1"),
+    "example3": ("hbar", "alpha", "z", "mass", "omega", "scale", "t0", "t1"),
 }
 SELECTOR = {"example1": "a", "example2": "b", "example3": "theta"}
 VALUES = (0, 0.0, -1.0, -1e308, 5e-324, 1e-309, 1e308, 0.5, 3)
@@ -55,6 +57,8 @@ def configs(draw) -> dict:
         value = draw(st.sampled_from(VALUES))
         if key == "scale":
             params[SELECTOR[name]] = {"fn": draw(st.sampled_from(("t", "t2", "cos", "sin", "const"))), "scale": value}
+        elif key in ("t0", "t1"):
+            raw["grid"][key] = value
         elif key in ("alpha", "z"):
             params[key] = [value, draw(st.sampled_from(VALUES))]
         else:

@@ -8,6 +8,7 @@ stepper, one chunk for the chunked closed form, and one call per operator
 for a stack of operators.
 """
 
+import math
 import re
 import tracemalloc
 
@@ -23,7 +24,7 @@ from fluctdyn.dynamics import (
     time_chunks,
 )
 from fluctdyn.hilbert import FockSpace, number_op, oscillator_hamiltonian, pauli, qubit_plus
-from fluctdyn.linops import NumericBreakdown, herm_expm, random_hermitian, random_state
+from fluctdyn.linops import NumericBreakdown, herm_expm, norm_defect, random_hermitian, random_state
 from fluctdyn.scenarios import ScenarioConfig
 
 
@@ -152,6 +153,8 @@ def test_propagate_preconditions():
         propagate(h, qubit_plus(), grid, method="rk4")
     with pytest.raises(ValueError, match="t1 > t0"):
         TimeGrid(1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="finite span"):
+        TimeGrid(0.0, math.inf, 10)
 
 
 def test_exact_commuting_needs_the_primitives():
@@ -273,14 +276,16 @@ def test_midpoint_rejects_non_finite_h_at_its_time():
 
 
 def test_norm_defects_of_non_finite_states_are_nan():
-    # Midpoint phases beyond the float range give NaN states; their defects
-    # stay NaN, which a run counts as over its norm budget.  The exact route
-    # checks its phase exponent instead and breaks down at its first time.
+    # A NaN defect is one that a run counts as over its norm budget.
+    assert np.isnan(norm_defect(np.array([[1.0, 0.0], [np.nan, 0.0]], dtype=complex))[1])
+    # Phases beyond the float range once gave such states on the midpoint
+    # route, with RuntimeWarnings.  Both routes check their exponents instead
+    # and break down at their first time.
     huge = TimeDepOperator.stationary(1e200 * pauli("z"))
     grid = TimeGrid(0.0, 1e200, 4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = propagate(huge, qubit_plus(), grid, method="midpoint")
-    assert np.isnan(traj.norm_defects).any()
+    message = f"herm_expm exponent is not finite at t = {grid.times[0] + grid.dt / 2.0}"
+    with pytest.raises(NumericBreakdown, match=re.escape(message)):
+        propagate(huge, qubit_plus(), grid, method="midpoint")
     message = f"phase exponent inf is not a finite real number at t = {grid.times[1]}"
     with pytest.raises(NumericBreakdown, match=re.escape(message)):
         propagate(huge, qubit_plus(), grid, method="exact_commuting")
