@@ -380,13 +380,14 @@ def cmd_sweep(args) -> int:
     # with the summary once every value has run: a breakdown leaves no files.
     try:
         with _staging() as staged:
-            for value, cfg in zip(values, configs):
+            for value in values:
+                cfg = configs.pop(0)
                 report = run_scenario(cfg)
                 _stage_run(staged, report, outdir, f"{base_cfg.name}_{param_token}_{value}", args.config)
                 any_failed = any_failed or report.failed
                 summary_lines.append(_summary_row(value, report))
-                # Free this value's trajectory before the next value runs.
-                del report
+                # Free this value's config, built pieces and trajectory before the next value runs.
+                del cfg, report
             summary_path = os.path.join(outdir, f"{base_cfg.name}_{param_token}_sweep.csv")
             _stage(staged, summary_path, ("\n".join(summary_lines) + "\n",))
             emitted = _commit(staged)

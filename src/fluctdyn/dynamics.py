@@ -44,19 +44,23 @@ coefficients and bases:
     primitives' differences ``C_k(t) - C_k(t0)``, checked like coefficient
     values, and the bases are diagonalized once, in one shared eigenbasis,
     so the propagator at every output time is a diagonal of phases in that
-    basis.  The phases are formed one chunk of :func:`time_chunks` at a
-    time, as a ``(d, len)`` block with time on the last axis, checked,
-    exponentiated in place and scaled by the coordinates of ``psi0``; the
-    chunk's states are one product of that basis with the block.  So
+    basis.  Bases with no off-diagonal entry, as every stock Hamiltonian's,
+    need no eigensolver: their shared eigenbasis is the permutation that
+    sorts the diagonal, as ``eigh`` would return it.  The phases are formed
+    one chunk of :func:`time_chunks` at a time, as a ``(d, len)`` block
+    with time on the last axis, checked, exponentiated in place and scaled
+    by the coordinates of ``psi0``; the chunk's states are one product of
+    that basis with the block.  So
     beside the ``(n, d)`` states no temporary exceeds ``CHUNK_BYTES``.
 
 ``midpoint``
     General-purpose exponential midpoint stepping,
     ``U_k = exp(-i dt H(t_k + dt/2) / hbar)``.  ``H`` is sampled at the
-    step midpoints and exponentiated one chunk at a time with a batched
-    eigendecomposition; only ``psi <- U_k psi`` runs per step.  Second
-    order in ``dt``; exactly norm-preserving per step up to eigensolver
-    accuracy.
+    step midpoints and exponentiated one chunk at a time with one
+    :func:`~fluctdyn.linops.herm_expm`: in closed form for qubits, with a
+    batched eigendecomposition above; only ``psi <- U_k psi`` runs per
+    step.  Second order in ``dt``; norm-preserving per step to rounding
+    (qubits) or eigensolver accuracy.
 
 :func:`propagate` also takes a sequence of operators of one dimension with
 an ``(m, d)`` stack of initial states and returns their ``m``
@@ -505,6 +509,15 @@ def _common_eigenbasis(bases: list) -> tuple[np.ndarray, np.ndarray]:
     which raises :class:`~fluctdyn.linops.NumericBreakdown`.  A single
     basis is diagonalized as it is and keeps the eigenvalues ``eigh``
     returns for it.
+
+    When no basis has an off-diagonal entry, as for every stock
+    Hamiltonian, no eigensolver runs: the eigenvalues are the mix's
+    diagonal in ascending order and ``vecs`` the matching permutation.
+    That is what ``eigh`` returns for a diagonal matrix whose largest entry
+    lies in about ``[1e-146, 1e146]``, up to the order of equal
+    eigenvalues, which leaves the states unchanged.  Beyond that range
+    ``eigh`` rescales the matrix and can round the eigenvalues; these stay
+    exact.
     """
     sizes = [np.abs(b).max() for b in bases]
     ref = sizes[0] or 1.0
@@ -512,8 +525,14 @@ def _common_eigenbasis(bases: list) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, len(bases)):
         if sizes[k] > 0.0:
             mix = mix + (np.cos(k) * ref / sizes[k]) * bases[k]
-    w, vecs = np.linalg.eigh(mix)
-    rotated = vecs.conj().T @ np.stack(bases) @ vecs
+    stack = np.stack(bases)
+    if np.count_nonzero(stack) == np.count_nonzero(np.diagonal(stack, axis1=1, axis2=2)):
+        diag = np.diagonal(mix).real
+        order = np.argsort(diag, kind="stable")
+        w, vecs = diag[order], np.eye(len(diag), dtype=complex)[:, order]
+    else:
+        w, vecs = np.linalg.eigh(mix)
+    rotated = vecs.conj().T @ stack @ vecs
     lams = np.diagonal(rotated, axis1=1, axis2=2).real if len(bases) > 1 else w[None]
     for k, r in enumerate(rotated):
         defect = np.abs(r - np.diag(np.diagonal(r))).max()

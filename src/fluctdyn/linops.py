@@ -5,19 +5,22 @@ commutators, the exponential of a Hermitian matrix times a scalar, and the
 structural predicates (Hermiticity, unitarity, normalization) with their
 tolerances.
 
-Matrix exponentials go through the eigendecomposition of a Hermitian
-argument rather than Pade scaling-and-squaring: every exponential this
-package needs is ``exp(scale * h)`` with Hermitian ``h`` (an anti-Hermitian
-generator ``g`` is ``h = -i g`` with ``scale = i``), and the
-eigendecomposition route keeps the result unitary, for imaginary ``scale``,
-up to eigensolver accuracy.
+Every exponential this package needs is ``exp(scale * h)`` with Hermitian
+``h`` (an anti-Hermitian generator ``g`` is ``h = -i g`` with
+``scale = i``), so none goes through Pade scaling-and-squaring.  A qubit,
+``h = h0 I + h.sigma``, has the closed form
+``e^{scale h0} [cosh(scale r) I + sinh(scale r)/r (h.sigma)]`` with
+``r = |h|``, and no eigensolver runs for it; a larger ``h`` goes through
+its eigendecomposition.  Both keep the result unitary, for imaginary
+``scale``, to rounding or eigensolver accuracy.
 
 All functions are pure and operate on plain ``numpy`` arrays
 (``complex128``); nothing here mutates its inputs.  Operators may also be
 ``(n, d, d)`` stacks and states ``(n, d)`` stacks: the commutators act
 member by member, the checks validate a whole stack in one pass and name
 its first offending member, and :func:`herm_expm` exponentiates the stack
-with one batched eigendecomposition.
+in one pass: one array expression for ``2 x 2`` members, one batched
+``eigh`` above.
 """
 
 from __future__ import annotations
@@ -143,29 +146,34 @@ def require_normalized(v: np.ndarray, what: str = "state") -> np.ndarray:
 
 
 def herm_expm(h: np.ndarray, scale: complex = 1.0, times=None) -> np.ndarray:
-    """``exp(scale * h)`` for Hermitian ``h`` via eigendecomposition.
+    """``exp(scale * h)`` for Hermitian ``h``: in closed form at ``d = 2``, via eigendecomposition above.
 
     Parameters
     ----------
     h : ndarray
         Hermitian matrix, or an ``(n, d, d)`` stack of them exponentiated
-        with one batched eigendecomposition; a single matrix is a batch of
-        one.  Every matrix is checked for finite entries
-        (:class:`NumericBreakdown`) and Hermiticity within ``HERM_TOL``
-        (``ValueError``); the first offending one raises.
+        in one pass; a single matrix is a batch of one.  Every matrix is
+        checked for finite entries (:class:`NumericBreakdown`) and
+        Hermiticity within ``HERM_TOL`` (``ValueError``); the first
+        offending one raises.
     scale : complex
         Scalar multiplying ``h`` in the exponent; one that is not finite,
         or that takes an eigenvalue's exponent out of the float range,
         raises :class:`NumericBreakdown`.  For purely imaginary ``scale`` the
-        result is unitary up to eigensolver accuracy.
+        result is unitary to rounding (qubits) or eigensolver accuracy.
     times : array, optional
         The time of each matrix of the stack, named in the error message.
 
     Returns
     -------
     ndarray
-        ``V diag(exp(scale * w)) V^dagger`` where ``h = V diag(w) V^dagger``,
-        with the shape of ``h``.
+        ``exp(scale * h)`` with the shape of ``h``.  A ``2 x 2`` stack is
+        ``h = h0 I + h.sigma``, read from the lower triangle as ``eigh``
+        reads it, and its exponential the closed form
+        ``e^{s h0} [cosh(s r) I + sinh(s r)/r (h.sigma)]`` with ``r = |h|``
+        (:func:`_qubit_expm`); no eigensolver runs.  Larger matrices are
+        ``V diag(exp(scale * w)) V^dagger`` with ``h = V diag(w) V^dagger``
+        from one batched ``eigh``.
     """
     h = np.asarray(h, dtype=complex)
     stack = h[None] if h.ndim == 2 else h
@@ -184,17 +192,66 @@ def herm_expm(h: np.ndarray, scale: complex = 1.0, times=None) -> np.ndarray:
         raise ValueError(
             f"herm_expm argument is not Hermitian (defect {defects[k]:.3e} > tol {HERM_TOL:.1e}){at_time(times, k)}"
         )
+    if stack.shape[1] == 2:
+        return _qubit_expm(stack, scale, times).reshape(h.shape)
     w, vecs = np.linalg.eigh(stack)
-    # A finite scale times finite eigenvalues can still leave the float range.
-    # The largest exponent is checked in Python floats, which do not warn,
-    # so the exponential itself runs as it would without the check.
-    largest = max(abs(scale.real), abs(scale.imag)) * float(max(-w.min(initial=0.0), w.max(initial=0.0)))
-    if not np.isfinite(largest):
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(scale * w).all(axis=1)
-        raise NumericBreakdown(f"herm_expm exponent is not finite{at_time(times, int(np.argmin(finite)))}")
+    _check_exponent(scale, np.abs(w).max(axis=1), times)
     out = (vecs * np.exp(scale * w)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     return out.reshape(h.shape)
+
+
+def _check_exponent(scale: complex, radius: np.ndarray, times) -> None:
+    """Raise :class:`NumericBreakdown` at the first member whose largest exponent ``scale * radius`` is not finite.
+
+    ``radius`` is each member's largest eigenvalue magnitude.  The largest
+    exponent is checked in Python floats, which do not warn, so the
+    exponential itself runs as it would without the check.
+    """
+    size = max(abs(scale.real), abs(scale.imag))
+    if not np.isfinite(size * float(radius.max(initial=0.0))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(size * radius)
+        raise NumericBreakdown(f"herm_expm exponent is not finite{at_time(times, int(np.argmin(finite)))}")
+
+
+def _qubit_expm(stack: np.ndarray, scale: complex, times) -> np.ndarray:
+    """``exp(scale * H)`` of a checked ``(n, 2, 2)`` Hermitian stack, in closed form.
+
+    ``H = h0 I + hz sigma_z + Re(b) sigma_x + Im(b) sigma_y`` with
+    ``b = H[1, 0]``, ``r = |h|`` and ``z = scale r``, taken with
+    ``Re z >= 0`` since ``cosh z`` and ``sinh(z)/z`` are even.  Where
+    ``Re z <= 1``, as for every imaginary ``scale``, the result is
+    ``e^{s h0} [cosh z I + s sinh(z)/z (h.sigma)]`` as it stands, with
+    ``sinh(z)/z = 1`` for ``|z| < 1e-8``: there ``z^2/6`` is below half an
+    ulp of 1, and a complex division by a subnormal ``z`` would overflow.
+    Beyond, ``cosh z`` alone could overflow where ``e^{s h0}`` underflows,
+    so ``e^{s h0 + z}``, the eigenvalue exponential of largest modulus, is
+    taken out: ``cosh z -> (1 + e^{-2z})/2`` and
+    ``sinh(z)/z -> (1 - e^{-2z})/(2z)``, with ``|e^{-2z}| <= 1``.  Halves
+    are summed and ``r`` is a ``hypot``, so entries up to the float range
+    form no infinite intermediate.
+    """
+    a, d, b = stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 1, 0]
+    h0, hz = a / 2 + d / 2, a / 2 - d / 2
+    with np.errstate(over="ignore"):
+        r = np.hypot(np.abs(b), hz)
+        _check_exponent(scale, np.abs(h0) + r, times)
+    z = scale * r
+    z = np.where(z.real < 0, -z, z)
+    direct = z.real <= 1.0
+    near, far = np.where(direct, z, 0.0), np.where(direct, 1.0, z)
+    tiny = np.abs(near) < 1e-8
+    decay = np.exp(-far) ** 2
+    top = np.exp(scale * h0 + np.where(direct, 0.0, z))
+    c = np.where(direct, np.cosh(near), (1 + decay) / 2)
+    shc = np.where(tiny, 1.0, np.sinh(near) / np.where(tiny, 1.0, near))
+    k = scale * np.where(direct, shc, (1 - decay) / 2 / far)
+    out = np.empty(stack.shape, dtype=complex)
+    out[:, 0, 0] = top * (c + k * hz)
+    out[:, 1, 1] = top * (c - k * hz)
+    out[:, 1, 0] = top * (k * b)
+    out[:, 0, 1] = top * (k * b.conj())
+    return out
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Fuzz of the config surface: mutated stock configs through ``fluctdyn run``.
 
-Each case starts from a stock example1-3 config on a grid of at most 200
-steps, renames, drops or adds a key at some level, and sets numeric
-parameters and the grid's ends to values across the float range.  Run
-in-process with warnings as errors, every case must end in exit 0, 2
-(config error) or 3 (invariant failure or numeric breakdown) within its
-time limit, with no exception and no warning.
+Each case starts from a stock example1-3 config under ``exact_commuting``
+or ``midpoint`` on a grid of at most 200 steps, renames, drops or adds a
+key at some level, and sets numeric parameters and the grid's ends to
+values across the float range.  Run in-process with warnings as errors,
+every case must end in exit 0, 2 (config error) or 3 (invariant failure
+or numeric breakdown) within its time limit, with no exception and no
+warning.
 """
 
 import copy
@@ -22,6 +23,7 @@ from fluctdyn.cli import main
 from fluctdyn.scenarios import SCENARIOS
 
 NAMES = ("example1", "example2", "example3")
+METHODS = ("exact_commuting", "midpoint")
 # The numeric parameters each scenario reads; "scale" is a selector's, and
 # "t0" and "t1" are the grid's.  The cutoff "s" is left out: a large one
 # allocates dense (s+1)^2 operators, so its time is not bounded yet.
@@ -50,7 +52,7 @@ def _objects(raw: dict) -> list:
 @st.composite
 def configs(draw) -> dict:
     name = draw(st.sampled_from(NAMES))
-    raw = {"name": name, "method": "exact_commuting", **copy.deepcopy(SCENARIOS[name].stock)}
+    raw = {"name": name, "method": draw(st.sampled_from(METHODS)), **copy.deepcopy(SCENARIOS[name].stock)}
     raw["grid"]["n_steps"] = draw(st.integers(1, 200))
     params = raw["params"]
     for key in draw(st.lists(st.sampled_from(NUMERIC[name]), max_size=3)):

@@ -8,6 +8,7 @@ stepper, one chunk for the chunked closed form, and one call per operator
 for a stack of operators.
 """
 
+import copy
 import math
 import re
 import tracemalloc
@@ -15,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fluctdyn import dynamics, verify
+from fluctdyn import dynamics, scenarios, verify
 from fluctdyn.dynamics import (
     TimeDepOperator,
     TimeGrid,
@@ -25,7 +26,7 @@ from fluctdyn.dynamics import (
 )
 from fluctdyn.hilbert import FockSpace, number_op, oscillator_hamiltonian, pauli, qubit_plus
 from fluctdyn.linops import NumericBreakdown, herm_expm, norm_defect, random_hermitian, random_state
-from fluctdyn.scenarios import ScenarioConfig
+from fluctdyn.scenarios import SCENARIOS, ScenarioConfig
 
 
 def example1_hamiltonian(omega0=1.0, nu0=1.0):
@@ -630,3 +631,70 @@ def test_stack_shapes_are_checked():
         propagate([d3, d3], np.tile(qubit_plus(), (2, 1)), grid)
     with pytest.raises(ValueError, match="at least one operator"):
         propagate([], np.zeros((0, 2)), grid)
+
+
+def _eigh_eigenbasis(bases):
+    """``(lams, vecs)`` as ``eigh`` of the mix of :func:`dynamics._common_eigenbasis`'s docstring gives them."""
+    sizes = [np.abs(b).max() for b in bases]
+    mix = bases[0]
+    for k in range(1, len(bases)):
+        if sizes[k] > 0.0:
+            mix = mix + (np.cos(k) * (sizes[0] or 1.0) / sizes[k]) * bases[k]
+    w, vecs = np.linalg.eigh(mix)
+    if len(bases) == 1:
+        return w[None], vecs
+    return np.diagonal(vecs.conj().T @ np.stack(bases) @ vecs, axis1=1, axis2=2).real, vecs
+
+
+@pytest.mark.parametrize(
+    "bases",
+    [
+        [pauli("z")],
+        [number_op(FockSpace(20)) + 0.5 * np.eye(21)],
+        [np.diag([0.3, -1.2, 2.5, 0.0, -7.0]), np.diag([1.0, 0.0, -2.0, 4.0, 0.5]), np.zeros((5, 5))],
+        [np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([2.0, -1.0, 2.0, -1.0])],
+        [np.diag([-0.0, 2.0, 1e140, -1e-140])],
+    ],
+    ids=["sigma_z", "number", "three_terms", "degenerate_terms", "range"],
+)
+def test_diagonal_bases_get_the_eigenbasis_eigh_gives(bases):
+    bases = [b.astype(complex) for b in bases]
+    lams, vecs = dynamics._common_eigenbasis(bases)
+    ref_lams, ref_vecs = _eigh_eigenbasis(bases)
+    assert np.array_equal(lams, ref_lams)
+    assert np.array_equal(vecs, ref_vecs)
+
+
+def test_diagonal_bases_with_equal_eigenvalues_give_the_states_eigh_gives():
+    # eigh orders equal eigenvalues by its selection sort; each state row has one term either way.
+    bases = [np.diag([1.0, 0.0, 1.0, -0.0, 1.0]).astype(complex)]
+    lams, vecs = dynamics._common_eigenbasis(bases)
+    ref_lams, ref_vecs = _eigh_eigenbasis(bases)
+    assert np.array_equal(lams, ref_lams)
+    psi = random_state(5, np.random.default_rng(2))
+    phases = np.exp(-0.37j * lams[0])
+    ref_phases = np.exp(-0.37j * ref_lams[0])
+    assert np.array_equal(vecs @ (phases * (vecs.conj().T @ psi)), ref_vecs @ (ref_phases * (ref_vecs.conj().T @ psi)))
+
+
+def test_qubit_and_diagonal_propagation_never_calls_eigh(monkeypatch):
+    """example1/2 under both routes, example3's exact route and a verify qubit stack run with eigh raising."""
+
+    def config(name, method):
+        return ScenarioConfig.from_dict({"name": name, "method": method, **copy.deepcopy(SCENARIOS[name].stock)})
+
+    # example3's initial state is a displaced squeezed state, prepared by herm_expm at d = 21.
+    configs = [config(name, method) for name in ("example1", "example2") for method in ("exact_commuting", "midpoint")]
+    ex3 = config("example3", "exact_commuting")
+    ops, psi0 = next(verify._driven_qubits(np.random.default_rng(0), 40))
+
+    def eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for cfg in configs:
+        assert not scenarios.run_scenario(cfg).failed
+    traj = propagate(ex3.pieces.hamiltonian, ex3.pieces.psi0, ex3.grid, method="exact_commuting", hbar=ex3.pieces.hbar)
+    assert traj.norm_defects.max() < 1e-13
+    for traj in propagate(ops, psi0, TimeGrid(0.0, 2.0, 200), method="midpoint"):
+        assert traj.norm_defects.max() < 1e-13

@@ -133,3 +133,71 @@ def test_magnitude_decomposition_property(seed, dim):
     lhs = 4.0 * abs(ev(da @ db)) ** 2
     rhs = abs(ev(linops.commutator(da, db))) ** 2 + abs(ev(linops.anticommutator(da, db))) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def _eigh_expm(h, scale):
+    """``V diag(exp(scale w)) V^dagger`` from ``np.linalg.eigh``, the route above ``d = 2``."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _random_qubits(rng, n):
+    m = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return (m + m.conj().swapaxes(1, 2)) / 2.0 * rng.uniform(0.01, 5.0, size=(n, 1, 1))
+
+
+@pytest.mark.parametrize("scale", [-0.3j, 1e-3j, -4.0j, 1.7, -2.0, 0.4 - 0.9j, 0.2 + 3.0j])
+def test_qubit_closed_form_matches_the_eigendecomposition(scale):
+    h = _random_qubits(np.random.default_rng(11), 2000)
+    out = linops.herm_expm(h, scale)
+    ref = _eigh_expm(h, scale)
+    size = np.maximum(1.0, np.abs(ref).max(axis=(1, 2)))
+    assert (np.abs(out - ref).max(axis=(1, 2)) / size).max() <= 1e-13
+
+
+def test_qubit_closed_form_reads_the_lower_triangle():
+    # Hermitian within HERM_TOL, so the upper triangle is not read back.
+    h = np.array([[0.3, 1.0 - 2.0j], [1.0 + 2.0j, -0.7]])
+    h[0, 1] += 1e-13
+    assert np.array_equal(linops.herm_expm(h, -0.6j), linops.herm_expm(np.tril(h) + np.tril(h, -1).conj().T, -0.6j))
+
+
+def test_qubit_closed_form_is_unitary_for_an_imaginary_scale():
+    h = _random_qubits(np.random.default_rng(5), 4096)
+    assert linops.unitarity_defect(linops.herm_expm(h, -1j * 3.3)) <= 1e-14
+
+
+def test_qubit_closed_form_at_a_vanishing_and_a_tiny_vector_part():
+    # r = 0: sinh(s r)/r -> s; r = 1e-300 keeps the off-diagonal s b to its last digits.
+    for scale in (-0.7j, 1.3, 0.5 - 2.0j):
+        assert np.allclose(linops.herm_expm(2.5 * I2, scale), np.exp(2.5 * scale) * I2, rtol=1e-15, atol=0)
+        h = np.array([[3.0, 1e-300], [1e-300, 3.0]], dtype=complex)
+        out = linops.herm_expm(h, scale)
+        assert np.isclose(out[1, 0], np.exp(3.0 * scale) * scale * 1e-300, rtol=1e-14, atol=0)
+        assert np.isclose(out[0, 0], np.exp(3.0 * scale), rtol=1e-15, atol=0)
+    # A subnormal s r: sinh(z)/z is 1 there, not a complex division by z.
+    for scale in (5e-324j, -5e-324, 1e-310 + 1e-310j):
+        assert np.array_equal(linops.herm_expm(SX, scale), I2 + scale * SX)
+
+
+def test_qubit_closed_form_with_a_spread_beyond_the_exponent_range():
+    # cosh(1000) overflows where e^{s h0} underflows; the result is diag(1, e^{-2000}).
+    out = linops.herm_expm(np.diag([0.0, -2000.0]), 1.0)
+    assert np.array_equal(out, np.diag([1.0, 0.0]).astype(complex))
+
+
+def test_qubit_closed_form_near_the_float_range(recwarn):
+    # Entries of +-1e308: h00 - h11 alone would overflow, the halves do not.
+    h = np.array([[1e308, 0.0], [0.0, -1e308]], dtype=complex)
+    out = linops.herm_expm(h, -1e-3j)
+    assert np.allclose(out, np.diag(np.exp(-1e-3j * np.array([1e308, -1e308]))), rtol=1e-12, atol=0)
+    assert linops.unitarity_defect(out) <= 1e-14
+    assert not recwarn.list
+    # A vector part whose norm overflows, and an exponent beyond the float range,
+    # break down as the eigendecomposition route does, naming the time.
+    huge = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], dtype=complex)
+    times = np.array([0.5, 0.75])
+    for m, scale in ((huge, -1e-3j), (h, -10j)):
+        with pytest.raises(linops.NumericBreakdown, match=r"^herm_expm exponent is not finite at t = 0\.75$"):
+            linops.herm_expm(np.stack([I2, m]), scale, times=times)
+    assert not recwarn.list
